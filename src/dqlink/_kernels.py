@@ -13,8 +13,8 @@ environment variable:
 Both implementations share one source body, so results agree to the
 last bit; the numpy path simply runs the same loops uninterpreted by
 LLVM.  ``PY_IMPLS`` always holds the plain versions and ``NUMBA_IMPLS``
-the jitted ones (``None`` when numba is off), which is what the backend
-benchmark and the parity tests consume.
+the jitted ones (``None`` when numba is off), which is what the parity
+tests consume.
 """
 
 import os

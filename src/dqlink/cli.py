@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from .dq import DualQuaternion
@@ -120,8 +121,21 @@ def _cmd_traj(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reads negative numbers in exponent form.
+
+    argparse takes an argument such as -5e-05 for an unknown option;
+    widening its negative-number pattern keeps it a value.  Subparsers
+    are built from the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dqlink",
         description="kinematics and trajectory planning for rational linkages",
     )

@@ -47,7 +47,12 @@ class PoleOnPath(KinematicsError):
 
 
 class QuadratureFailure(KinematicsError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Arc length could not be resolved to the requested tolerance.
+
+    Raised when a quadrature panel still misses its tolerance at the
+    maximum refinement depth, and when the inversion of arc length
+    leaves a knot off its target length after the iteration cap.
+    """
 
 
 class ParseError(KinematicsError):

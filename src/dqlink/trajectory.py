@@ -1,14 +1,26 @@
 """Arc length, equidistant segmentation and joint velocity profiles.
 
-Arc length of a rational point path uses adaptive Simpson quadrature on
-the closed-form speed
+A tool point path is a rational curve (x1 : x2 : x3) / x0.  It is
+integrated either in its curve parameter t or, for arcs between joint
+angles, in the unwrapped driving angle phi.  The angle chart evaluates
+the path homogeneously at
 
-    |x' * x0 - x * x0'| / x0**2
+    (t : 1) = (r*cos(phi/2) + q0*sin(phi/2) : sin(phi/2))
 
-summed over the three Euclidean components.  Arcs that sweep through
-the home configuration (joint angle zero, curve parameter at infinity)
-are split into pieces integrated in the t chart and in the reciprocal
-chart u = 1/t, where the same path has reversed coefficients.
+where q0 and r are the scalar part and the vector length of the driving
+axis quaternion, so the home configuration (phi a multiple of 2*pi,
+t at infinity) is an ordinary point of the chart.  The speed |dP/dphi|
+is evaluated in closed form from the homogeneous coordinates and their
+derivatives.  Poles of the path (real roots of x0, and phi = 0 when x0
+drops degree) are located once per call and rejected with PoleOnPath.
+
+Lengths come from composite Gauss-Legendre panels.  All panels of one
+refinement level are evaluated in a single numpy call; a panel whose
+value differs from the sum of its two halves by more than tol is split,
+otherwise its halves are kept.  Equidistant knots invert the resulting
+cumulative length table in one pass: each knot takes safeguarded Newton
+steps, with the speed as derivative, inside the panel that holds its
+target length.
 
 Profiles sample a duration T at frequency f into n = round(T*f) steps,
 n+1 samples with timestamps i/f.  Reported joint velocities are forward
@@ -23,15 +35,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .dq import TOL
 from .errors import PoleOnPath, QuadratureFailure
-from .kinematics import Mechanism, angle_to_param
-from .motionpoly import INFINITY, RationalPointPath
+from .kinematics import Mechanism, _axis_parts
+from .motionpoly import RationalPointPath
 
 TWO_PI = 2.0 * math.pi
 
 ARC_DIRECTIONS = ("short", "long", "increasing", "decreasing")
+
+
+def _gauss_legendre(order: int) -> tuple:
+    """Gauss-Legendre nodes and weights mapped to the unit interval.
+
+    Newton's method on the Legendre recurrence from the usual cosine
+    guesses; the same rule as numpy.polynomial.legendre.leggauss, which
+    would load numpy.polynomial and numpy.linalg on import.
+    """
+    x = np.array([math.cos(math.pi * (i + 0.75) / (order + 0.5)) for i in range(order)])
+    for _ in range(8):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, order + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = order * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / slope
+    return 0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * slope * slope)
+
+
+_GL_ORDER = 12
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(_GL_ORDER)
+
+# initial panel width in the angle chart; the t chart starts from one panel
+_ANGLE_PANEL = math.pi / 8.0
+# refinement stops with QuadratureFailure beyond this many open panels,
+# which bounds the memory of a level whatever tol and max_depth ask for
+_MAX_PANELS = 4096
+# knot inversion: iterates per knot before QuadratureFailure, and the
+# accepted deviation of a knot's cumulative length as a fraction of the
+# segment length (half of the 1e-8 allowed per segment, so that
+# neighbouring knot errors cannot add up beyond it)
+_INVERSION_MAX_ITER = 50
+_KNOT_TOL = 0.5e-8
 
 
 def _real_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -51,18 +94,170 @@ def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     return real
 
 
-def _check_poles(path: RationalPointPath, lo: float, hi: float):
-    roots = _real_roots(path.x0)
-    if roots.size == 0:
+def _check_poles(poles: np.ndarray, lo: float, hi: float, period=None):
+    """Raise PoleOnPath when a pole lies in [lo, hi].
+
+    With a period the poles repeat at every multiple of it.
+    """
+    if poles.size == 0:
         return
+    if np.any(np.isnan(poles)):
+        raise PoleOnPath("homogeneous coordinate vanishes identically")
     margin = 1e-12 * (1.0 + hi - lo)
-    inside = roots[(roots >= lo - margin) & (roots <= hi + margin)]
-    if inside.size or np.any(np.isnan(roots)):
-        where = float(inside[0]) if inside.size else math.nan
+    first = poles
+    if period is not None:
+        first = poles + period * np.ceil((lo - margin - poles) / period)
+    inside = first[(first >= lo - margin) & (first <= hi + margin)]
+    if inside.size:
         raise PoleOnPath(
-            "homogeneous coordinate vanishes at t = %r inside [%r, %r]"
-            % (where, lo, hi)
+            "homogeneous coordinate vanishes at %r inside [%r, %r]"
+            % (float(inside[0]), lo, hi)
         )
+
+
+class _Speed:
+    """Vectorized speed of a rational point path along a chart.
+
+    The homogeneous coordinates are X_j = sum_k c_jk a**k s**(D-k) with
+    (a : s) the chart's point of the parameter line: (t : 1) in the t
+    chart, or the angle chart of a driving axis given as angle = (q0, r).
+    Calling the object with offsets psi from start along the orientation
+    sigma returns |dP/dpsi| = |X0 * dX - X * dX0| / X0**2, summed over
+    x1, x2, x3.
+    """
+
+    def __init__(self, path, start: float, sigma: float, angle=None):
+        coeffs = np.column_stack([path.x0, path.xi.T])
+        deg = coeffs.shape[0] - 1
+        self.coeffs = coeffs
+        # partial derivatives by a and by s, both of degree D-1
+        self.by_a = coeffs[1:] * np.arange(1, deg + 1)[:, None]
+        self.by_s = coeffs[:-1] * np.arange(deg, 0, -1)[:, None]
+        self.start = float(start)
+        self.sigma = float(sigma)
+        self.angle = angle
+
+    def chart(self, x):
+        """Homogeneous parameter (a, s) and its derivative at x."""
+        if self.angle is None:
+            return x, np.ones_like(x), 1.0, 0.0
+        q0, r = self.angle
+        s = np.sin(0.5 * x)
+        c = np.cos(0.5 * x)
+        return r * c + q0 * s, s, 0.5 * (q0 * c - r * s), 0.5 * c
+
+    def __call__(self, psi):
+        a, s, da, ds = self.chart(self.start + self.sigma * psi)
+        deg = self.coeffs.shape[0] - 1
+        apow = np.vander(a, deg + 1, increasing=True)
+        spow = np.vander(s, deg + 1)
+        hom = (apow * spow) @ self.coeffs
+        lower = apow[:, :-1] * spow[:, 1:]
+        dhom = (lower @ self.by_a) * np.reshape(da, (-1, 1))
+        dhom += (lower @ self.by_s) * np.reshape(ds, (-1, 1))
+        w = hom[:, :1]
+        num = dhom[:, 1:] * w - hom[:, 1:] * dhom[:, :1]
+        return np.sqrt(np.sum(num * num, axis=1)) / (w[:, 0] * w[:, 0])
+
+
+def _gauss(speed: _Speed, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre integrals of speed over [lo, lo + width], per panel."""
+    x = lo[:, None] + width[:, None] * _GL_NODES
+    f = speed(x.ravel()).reshape(x.shape)
+    return (f @ _GL_WEIGHTS) * width
+
+
+class _Table:
+    """Cumulative arc length over [0, span] in accepted panels.
+
+    Panels are refined level by level until each one agrees with the
+    sum of its halves to tol; the halves are kept.  Raises
+    QuadratureFailure when a panel still misses tol at max_depth.
+    """
+
+    def __init__(self, speed: _Speed, span: float, pieces: int, tol, max_depth):
+        self.speed = speed
+        edges = np.linspace(0.0, span, pieces + 1)
+        lo = edges[:-1]
+        width = np.diff(edges)
+        whole = _gauss(speed, lo, width)
+        done = []
+        for depth in range(int(max_depth) + 1):
+            width = 0.5 * width
+            lo = np.column_stack([lo, lo + width]).ravel()
+            width = np.repeat(width, 2)
+            halves = _gauss(speed, lo, width)
+            pair = halves.reshape(-1, 2)
+            ok = np.abs(pair[:, 0] + pair[:, 1] - whole) <= tol
+            keep = np.repeat(ok, 2)
+            done.append((lo[keep], width[keep], halves[keep]))
+            if ok.all():
+                break
+            open_ = ~keep
+            lo, width, whole = lo[open_], width[open_], halves[open_]
+            if depth == max_depth or lo.size > _MAX_PANELS:
+                raise QuadratureFailure(
+                    "Gauss-Legendre panel [%r, %r] still above tolerance %g "
+                    "at depth %d" % (lo[0], lo[0] + width[0], tol, depth)
+                )
+        lo, width, value = (np.concatenate(parts) for parts in zip(*done))
+        order = np.argsort(lo)
+        self.lo = lo[order]
+        self.width = width[order]
+        self.value = value[order]
+        self.ends = np.cumsum(self.value)
+        self.total = float(self.ends[-1])
+
+    def invert(self, targets: np.ndarray, tol: float) -> np.ndarray:
+        """Offsets at which the cumulative length reaches each target.
+
+        Safeguarded Newton inside the panel holding each target: a step
+        that leaves the panel's shrinking bracket is replaced by
+        bisection.  Raises QuadratureFailure when some knot misses tol
+        after _INVERSION_MAX_ITER iterates.
+        """
+        idx = np.minimum(np.searchsorted(self.ends, targets), self.ends.size - 1)
+        lo = self.lo[idx]
+        hi = lo + self.width[idx]
+        value = self.value[idx]
+        want = targets - (self.ends[idx] - value)
+        frac = np.divide(want, value, out=np.full_like(want, 0.5), where=value > 0.0)
+        x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+        base = lo.copy()
+        todo = np.arange(targets.size)
+        for _ in range(_INVERSION_MAX_ITER):
+            if not todo.size:
+                return x
+            # length from the panel start to x by the panel's own rule,
+            # and the speed at x, in one evaluation
+            xt, bt = x[todo], base[todo]
+            f = self.speed(
+                np.concatenate([(bt[:, None] + (xt - bt)[:, None] * _GL_NODES).ravel(), xt])
+            )
+            got = (f[: -todo.size].reshape(todo.size, -1) @ _GL_WEIGHTS) * (xt - bt)
+            miss = got - want[todo]
+            open_ = np.abs(miss) > tol
+            todo, miss, slope = todo[open_], miss[open_], f[-xt.size:][open_]
+            if not todo.size:
+                return x
+            xt = x[todo]
+            lo[todo] = np.where(miss < 0.0, xt, lo[todo])
+            hi[todo] = np.where(miss > 0.0, xt, hi[todo])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = xt - miss / slope
+            inside = (step > lo[todo]) & (step < hi[todo])
+            x[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
+        raise QuadratureFailure(
+            "arc length inversion left %d knots above tolerance %g after %d "
+            "iterations" % (todo.size, tol, _INVERSION_MAX_ITER)
+        )
+
+
+def _knot_targets(total: float, fractions) -> tuple:
+    """Interior cumulative lengths and the Newton tolerance for them."""
+    fractions = np.asarray(fractions, dtype=float)
+    n = fractions.size - 1
+    return fractions[1:-1] * total, _KNOT_TOL * total / n
 
 
 def arc_length(
@@ -74,25 +269,17 @@ def arc_length(
 ) -> float:
     """Length of the path between two finite parameters.
 
-    tol is the absolute Simpson tolerance per subinterval.  Raises
+    tol is the absolute tolerance per Gauss-Legendre panel.  Raises
     PoleOnPath when x0 has a real root inside the interval and
-    QuadratureFailure when some subinterval still misses tolerance at
+    QuadratureFailure when some panel still misses tolerance at
     max_depth.
     """
     a, b = float(t0), float(t1)
     if a == b:
         return 0.0
     lo, hi = (a, b) if a < b else (b, a)
-    _check_poles(path, lo, hi)
-    value, flag = _kernels.arc_simpson(
-        path.x0, path.x0d, path.xi, path.xid, lo, hi, float(tol), int(max_depth)
-    )
-    if flag:
-        raise QuadratureFailure(
-            "adaptive Simpson hit depth %d above tolerance %g on [%r, %r]"
-            % (max_depth, tol, lo, hi)
-        )
-    return float(value)
+    _check_poles(_real_roots(path.x0), lo, hi)
+    return _Table(_Speed(path, lo, 1.0), hi - lo, 1, tol, max_depth).total
 
 
 @dataclass(frozen=True)
@@ -117,53 +304,37 @@ def equidistant_params(
     driving_axis=None,
     tol: float = 1e-10,
     max_depth: int = 40,
-    max_bisect: int = 200,
 ) -> PathSegmentation:
     """Split [t0, t1] into n pieces of equal arc length.
 
-    Interior knots come from bisection on the cumulative length,
-    resolved incrementally from the previous knot to a tolerance of
-    1e-8 times the segment length.
+    Interior knots come from one inversion of the cumulative length
+    table, each resolved to 0.5e-8 times the segment length.
     """
     n = int(n)
     if n < 1:
         raise ValueError("need at least one segment")
     a, b = float(t0), float(t1)
-    total = arc_length(path, a, b, tol=tol, max_depth=max_depth)
-    seg = total / n
-    # accept at half the knot tolerance so the cumulative positions stay
-    # within it and every segment deviates by at most the full tolerance
-    btol = 0.5 * seg * 1e-8
-    params = [a]
-    prev = a
-    done = 0.0
-    for i in range(1, n):
-        want = i * seg - done
-        lo, hi = prev, b
-        mid = prev
-        got = 0.0
-        for _ in range(max_bisect):
-            mid = 0.5 * (lo + hi)
-            got = arc_length(path, prev, mid, tol=tol, max_depth=max_depth)
-            if abs(got - want) <= btol:
-                break
-            if got < want:
-                lo = mid
-            else:
-                hi = mid
-        params.append(mid)
-        prev = mid
-        done += got
-    params.append(b)
+    params = np.full(n + 1, a)
+    total = 0.0
+    if a != b:
+        lo, hi = (a, b) if a < b else (b, a)
+        _check_poles(_real_roots(path.x0), lo, hi)
+        sigma = 1.0 if b > a else -1.0
+        table = _Table(_Speed(path, a, sigma), hi - lo, 1, tol, max_depth)
+        total = table.total
+        targets, ktol = _knot_targets(total, np.arange(n + 1) / n)
+        params[1:-1] = a + sigma * table.invert(targets, ktol)
+    params[-1] = b
+    params = tuple(float(p) for p in params)
     angles = None
     if driving_axis is not None:
         from .kinematics import param_to_angle
 
         angles = tuple(param_to_angle(p, driving_axis) for p in params)
     return PathSegmentation(
-        params=tuple(params),
+        params=params,
         angles=angles,
-        segment_length=seg,
+        segment_length=total / n,
         total_length=total,
     )
 
@@ -190,79 +361,22 @@ def resolve_arc(theta0: float, theta1: float, direction: str = "short") -> float
     return dec if inc <= math.pi else inc
 
 
-class _UnwrappedArc:
-    """Tool point path addressed by unwrapped driving joint angle.
-
-    Integrates in the t chart away from home crossings (angle multiples
-    of 2*pi) and in the reciprocal chart inside a window of half-width
-    w around them; w is chosen so the reciprocal pieces stay away from
-    t = 0, which that chart cannot represent.
-    """
-
-    def __init__(self, mechanism: Mechanism, tool, tol=1e-10, max_depth=40):
-        tracked = mechanism.tool_home.act_on_point(np.asarray(tool, dtype=float))
-        self.path = mechanism.motion.point_path(tracked)
-        self.rpath = self.path.reciprocal()
-        self.axis = mechanism.driving_axis
-        q0 = float(self.axis[0])
-        r = float(np.sqrt(np.dot(self.axis[1:], self.axis[1:])))
-        if abs(q0) > TOL:
-            self.window = min(0.5 * math.pi, math.atan(r / abs(q0)))
-        else:
-            self.window = 0.5 * math.pi
-        self.tol = float(tol)
-        self.max_depth = int(max_depth)
-
-    def _param(self, phi: float) -> float:
-        return angle_to_param(phi, self.axis)
-
-    def _recip_param(self, phi: float) -> float:
-        t = self._param(phi)
-        return 0.0 if t is INFINITY else 1.0 / t
-
-    def _pieces(self, lo: float, hi: float):
-        """Split [lo, hi] into (a, b, in_window) chart pieces."""
-        w = self.window
-        k_min = math.ceil((lo - w) / TWO_PI)
-        k_max = math.floor((hi + w) / TWO_PI)
-        cuts = [lo]
-        windows = []
-        for k in range(k_min, k_max + 1):
-            c = TWO_PI * k
-            a = max(lo, c - w)
-            b = min(hi, c + w)
-            if b > a:
-                windows.append((a, b))
-                cuts.extend((a, b))
-        cuts.append(hi)
-        cuts = sorted(set(cuts))
-        pieces = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (a + b)
-            inside = any(wa <= mid <= wb for wa, wb in windows)
-            pieces.append((a, b, inside))
-        return pieces
-
-    def length(self, phi_a: float, phi_b: float) -> float:
-        """Arc length between two unwrapped angles."""
-        if phi_a == phi_b:
-            return 0.0
-        lo, hi = (phi_a, phi_b) if phi_a < phi_b else (phi_b, phi_a)
-        total = 0.0
-        for a, b, in_window in self._pieces(lo, hi):
-            if in_window:
-                ua = self._recip_param(a)
-                ub = self._recip_param(b)
-                total += arc_length(
-                    self.rpath, ua, ub, tol=self.tol, max_depth=self.max_depth
-                )
-            else:
-                ta = self._param(a)
-                tb = self._param(b)
-                total += arc_length(
-                    self.path, ta, tb, tol=self.tol, max_depth=self.max_depth
-                )
-        return total
+def _angle_table(mechanism: Mechanism, tool, start, delta, tol, max_depth) -> _Table:
+    """Length table of the tool point path from start over delta radians."""
+    tracked = mechanism.tool_home.act_on_point(np.asarray(tool, dtype=float))
+    path = mechanism.motion.point_path(tracked)
+    q0, r = _axis_parts(mechanism.driving_axis)
+    poles = (2.0 * np.arctan2(r, _real_roots(path.x0) - q0)) % TWO_PI
+    scale = float(np.max(np.abs(path.x0)))
+    if abs(path.x0[-1]) <= 1e-14 * scale:
+        # x0 drops degree: its homogeneous form vanishes at home
+        poles = np.append(poles, 0.0)
+    end = start + delta
+    _check_poles(poles, min(start, end), max(start, end), TWO_PI)
+    span = abs(delta)
+    speed = _Speed(path, start, math.copysign(1.0, delta), (q0, r))
+    pieces = max(1, math.ceil(span / _ANGLE_PANEL))
+    return _Table(speed, span, pieces, tol, max_depth)
 
 
 def arc_length_between(
@@ -278,8 +392,7 @@ def arc_length_between(
     delta = resolve_arc(theta0, theta1, direction)
     if delta == 0.0:
         return 0.0
-    arc = _UnwrappedArc(mechanism, tool, tol=tol, max_depth=max_depth)
-    return arc.length(float(theta0), float(theta0) + delta)
+    return _angle_table(mechanism, tool, float(theta0), delta, tol, max_depth).total
 
 
 @dataclass(frozen=True)
@@ -434,7 +547,6 @@ def equidistant_profile(
     blend: bool = False,
     tol: float = 1e-10,
     max_depth: int = 40,
-    max_bisect: int = 200,
 ) -> TrajectoryProfile:
     """Profile whose samples are equidistant along the tool point path.
 
@@ -448,35 +560,11 @@ def equidistant_profile(
     n = _sample_count(duration, frequency)
     delta = resolve_arc(theta0, theta1, direction)
     start = float(theta0)
-    if delta == 0.0:
-        thetas = np.full(n + 1, start)
-        return _finish_profile(thetas, duration, frequency, "equidistant")
-    arc = _UnwrappedArc(mechanism, tool, tol=tol, max_depth=max_depth)
-    span = abs(delta)
-    sigma = 1.0 if delta > 0.0 else -1.0
-    total = arc.length(start, start + delta)
-    btol = 0.5 * (total / n) * 1e-8
-    fractions = [_blend_warp(i / n) if blend else i / n for i in range(n + 1)]
-    thetas = np.empty(n + 1)
-    thetas[0] = start
-    prev_psi = 0.0
-    done = 0.0
-    for i in range(1, n):
-        want = fractions[i] * total - done
-        lo, hi = prev_psi, span
-        mid = prev_psi
-        got = 0.0
-        for _ in range(max_bisect):
-            mid = 0.5 * (lo + hi)
-            got = arc.length(start + sigma * prev_psi, start + sigma * mid)
-            if abs(got - want) <= btol:
-                break
-            if got < want:
-                lo = mid
-            else:
-                hi = mid
-        thetas[i] = start + sigma * mid
-        done += got
-        prev_psi = mid
-    thetas[n] = start + delta
+    thetas = np.full(n + 1, start)
+    if delta != 0.0:
+        table = _angle_table(mechanism, tool, start, delta, tol, max_depth)
+        fractions = [_blend_warp(i / n) if blend else i / n for i in range(n + 1)]
+        targets, ktol = _knot_targets(table.total, fractions)
+        thetas[1:-1] = start + math.copysign(1.0, delta) * table.invert(targets, ktol)
+        thetas[n] = start + delta
     return _finish_profile(thetas, duration, frequency, "equidistant")

@@ -269,6 +269,22 @@ def test_cli_usage_errors():
     assert info.value.code == 2
 
 
+def test_cli_reads_negative_exponent_numbers(capsys):
+    # argparse alone takes -5e-05 for an unknown option and exits 2
+    def run(value, *head, tail=()):
+        code = main(list(head) + [value] + list(tail))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    ik = ("ik", SIXBAR, "--pose", "1", "0", "0", "0", "0", "0", "0")
+    assert run("-5e-05", *ik) == run("-0.00005", *ik)
+    assert run("-5e-05", *ik)[0] != 2
+    arclen = ("arclen", SIXBAR, "--theta0")
+    got = run("-1E-1", *arclen, tail=("--theta1", "2"))
+    assert got == run("-0.1", *arclen, tail=("--theta1", "2"))
+    assert got[0] == 0 and float(got[1]) > 0.0
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["dk", str(tmp_path / "ghost.mech"), "--theta", "1"]) == 3
 

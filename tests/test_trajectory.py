@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 
 from dqlink import (
+    Mechanism,
     MotionPolynomial,
     PoleOnPath,
     QuadratureFailure,
+    angle_to_param,
     arc_length,
     arc_length_between,
+    direct_kinematics,
     equidistant_params,
     equidistant_profile,
+    line_from_point_direction,
     linear_profile,
     quintic_profile,
     quintic_time_scaling,
     resolve_arc,
+    trajectory,
 )
 
 X_AXIS = np.array([0.0, 1.0, 0.0, 0.0])
@@ -63,6 +68,14 @@ def test_arc_length_reports_poles():
 def test_arc_length_quadrature_failure(circle_path):
     with pytest.raises(QuadratureFailure):
         arc_length(circle_path, -3.0, 3.0, tol=1e-16, max_depth=2)
+
+
+def test_gauss_legendre_rule_matches_leggauss():
+    for order in (2, 5, trajectory._GL_ORDER, 20):
+        nodes, weights = trajectory._gauss_legendre(order)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+        assert np.allclose(nodes, 0.5 * (ref_nodes + 1.0), rtol=0.0, atol=1e-15)
+        assert np.allclose(weights, 0.5 * ref_weights, rtol=1e-13, atol=0.0)
 
 
 def test_equidistant_params_circle(circle_path):
@@ -265,3 +278,129 @@ def test_profile_samples_are_python_floats():
     assert len(rows) == 5
     assert all(isinstance(v, float) for row in rows for v in row)
     assert rows[0] == (0.0, 0.0, 1.0)
+
+
+# Independent references: tool positions from direct kinematics and the
+# point action, measured as dense polylines.  These helpers share no code
+# with dqlink.trajectory.
+
+
+def dk_points(mech, thetas, tool):
+    """Tool point positions at an array of joint angles."""
+    tool = np.asarray(tool, dtype=float)
+    flat = [direct_kinematics(mech, th).act_on_point(tool) for th in np.ravel(thetas)]
+    return np.reshape(flat, np.shape(thetas) + (3,))
+
+
+def polyline_length(points):
+    """Length of curves sampled at 4m+1 uniform parameters, shape (..., 4m+1, 3).
+
+    The polyline error is a series in h**2, h**4, ...; the polylines
+    through every, every second and every fourth point cancel the first
+    two terms (Richardson extrapolation).
+    """
+    l1, l2, l4 = (
+        np.linalg.norm(np.diff(points[..., ::step, :], axis=-2), axis=-1).sum(axis=-1)
+        for step in (1, 2, 4)
+    )
+    fine = (4.0 * l1 - l2) / 3.0
+    coarse = (4.0 * l2 - l4) / 3.0
+    return (16.0 * fine - coarse) / 15.0
+
+
+def dk_arc_length(mech, theta0, theta1, tool, segments=256):
+    return float(polyline_length(dk_points(mech, np.linspace(theta0, theta1, segments + 1), tool)))
+
+
+def dk_step_lengths(mech, thetas, tool, segments=64):
+    u = np.linspace(0.0, 1.0, segments + 1)
+    grid = thetas[:-1, None] + np.diff(thetas)[:, None] * u
+    return polyline_length(dk_points(mech, grid, tool))
+
+
+def eased_fractions(n, ramp=0.1):
+    """Travelled fraction after each of n blended steps: the slope rises
+    along a cubic smoothstep over the first and last ramp of the time."""
+    u = np.arange(n + 1) / n
+    m = 1.0 / (1.0 - ramp)
+
+    def ramp_area(x):
+        v = x / ramp
+        return m * ramp * (v**3 - 0.5 * v**4)
+
+    mid = m * (0.5 * ramp + (u - ramp))
+    return np.where(u < ramp, ramp_area(u), np.where(u > 1.0 - ramp, 1.0 - ramp_area(1.0 - u), mid))
+
+
+def random_linkage(rng, joints):
+    """Motion of a chain of random revolute axes, driven by the first."""
+    axes = [
+        line_from_point_direction(rng.normal(size=3), rng.normal(size=3), normalized=True)
+        for _ in range(joints)
+    ]
+    drive = np.concatenate([[rng.uniform(-0.5, 0.5)], axes[0].coeffs[1:4]])
+    return Mechanism(motion=MotionPolynomial.from_axes(axes), driving_axis=drive)
+
+
+@pytest.fixture(scope="module")
+def linkages():
+    rng = np.random.default_rng(7)
+    return [(random_linkage(rng, joints), rng.normal(scale=0.5, size=3)) for joints in (2, 2, 3, 3)]
+
+
+def test_arc_length_between_matches_dk_polyline(bennett):
+    # an adaptive Simpson quadrature returned 0.16247137 here, 2.4e-6 too long
+    tool = (-0.17632591, 0.18548502, 0.0531379)
+    got = arc_length_between(bennett, 1.935554, 0.958624, tool=tool, direction="decreasing")
+    want = dk_arc_length(bennett, 1.935554, 0.958624, tool)
+    assert abs(got - want) <= 1e-10 * want
+
+
+def test_arc_length_is_additive_across_home(linkages):
+    rng = np.random.default_rng(11)
+    for mech, tool in linkages:
+        before, after = rng.uniform(0.2, 2.5, size=2)
+        whole = arc_length_between(mech, -before, after, tool=tool, direction="increasing")
+        at_home = arc_length_between(
+            mech, -before, 0.0, tool=tool, direction="increasing"
+        ) + arc_length_between(mech, 0.0, after, tool=tool, direction="increasing")
+        mid = 0.5 * (after - before)
+        halves = arc_length_between(
+            mech, -before, mid, tool=tool, direction="increasing"
+        ) + arc_length_between(mech, mid, after, tool=tool, direction="increasing")
+        assert abs(at_home - whole) <= 1e-9 * whole
+        assert abs(halves - whole) <= 1e-9 * whole
+        assert abs(whole - dk_arc_length(mech, -before, after, tool)) <= 1e-7 * whole
+
+
+def test_profile_steps_match_dk_polyline(linkages):
+    rng = np.random.default_rng(12)
+    for mech, tool in linkages:
+        theta0, theta1 = rng.uniform(0.0, 2 * math.pi, size=2)
+        for blend in (False, True):
+            prof = equidistant_profile(
+                mech, theta0, theta1, duration=2.0, frequency=10.0, tool=tool,
+                direction="long", blend=blend,
+            )
+            steps = dk_step_lengths(mech, prof.thetas, tool)
+            want = steps.sum() * np.diff(eased_fractions(20) if blend else np.arange(21) / 20)
+            assert np.max(np.abs(steps - want)) <= 1e-6 * np.mean(steps)
+
+
+def test_angle_chart_agrees_with_t_chart(linkages):
+    rng = np.random.default_rng(13)
+    for mech, tool in linkages:
+        path = mech.motion.point_path(mech.tool_home.act_on_point(tool))
+        theta0, theta1 = np.sort(rng.uniform(0.3, 2 * math.pi - 0.3, size=2))
+        by_angle = arc_length_between(mech, theta0, theta1, tool=tool, direction="increasing")
+        t0 = angle_to_param(theta0, mech.driving_axis)
+        t1 = angle_to_param(theta1, mech.driving_axis)
+        assert abs(arc_length(path, t0, t1) - by_angle) <= 1e-9 * by_angle
+
+
+def test_inversion_raises_when_capped(monkeypatch, bennett, circle_path):
+    monkeypatch.setattr(trajectory, "_INVERSION_MAX_ITER", 1)
+    with pytest.raises(QuadratureFailure):
+        equidistant_profile(bennett, 0.331, 5.893, duration=4.0, frequency=20.0, direction="long")
+    with pytest.raises(QuadratureFailure):
+        equidistant_params(circle_path, -2.0, 3.0, 16)
