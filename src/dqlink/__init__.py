@@ -41,7 +41,6 @@ from .kinematics import (
     Mechanism,
     angle_to_param,
     direct_kinematics,
-    ik_seed_grid,
     inverse_kinematics,
     param_to_angle,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "Mechanism",
     "angle_to_param",
     "direct_kinematics",
-    "ik_seed_grid",
     "inverse_kinematics",
     "param_to_angle",
     "INFINITY",

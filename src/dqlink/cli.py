@@ -71,7 +71,7 @@ def _cmd_dk(args) -> int:
 def _cmd_ik(args) -> int:
     mech = load_mechanism(args.mechanism)
     pose = DualQuaternion(args.pose)
-    options = IKOptions(success_tol=args.success_tol, n_seeds=args.seeds)
+    options = IKOptions(success_tol=args.success_tol)
     result = inverse_kinematics(mech, pose, options)
     print("theta=%.6f" % result.theta)
     print("t=%s" % ("INFINITY" if result.t is INFINITY else repr(float(result.t))))
@@ -158,7 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="8 dual quaternion coefficients",
     )
     ik.add_argument("--success-tol", type=float, default=IKOptions().success_tol)
-    ik.add_argument("--seeds", type=int, default=IKOptions().n_seeds)
     ik.set_defaults(func=_cmd_ik)
 
     arclen = sub.add_parser("arclen", help="tool point arc length between angles")

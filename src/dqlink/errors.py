@@ -32,8 +32,8 @@ class InvalidPose(KinematicsError):
 class NoConvergence(KinematicsError):
     """Inverse kinematics failed to reach the requested residual.
 
-    The best iterate found is attached as :attr:`best`, which may be
-    ``None`` when every seed diverged.
+    The polished iterate is attached as :attr:`best`, an IKResult
+    whose residual is above the requested one.
     """
 
     def __init__(self, message, best=None):

@@ -20,6 +20,7 @@ loaded motion must pass the Study verification at study_tol.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +32,30 @@ from .kinematics import Mechanism
 from .motionpoly import MotionPolynomial
 from .trajectory import TrajectoryProfile
 
+# a YAML 1.2 float with an exponent, such as 1e-6 or -2.5E+3
+_EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
+
+
+def _number(value):
+    """The float a YAML scalar denotes, or None when it is no number.
+
+    PyYAML follows YAML 1.1, whose floats need a dot, and so returns
+    1e-6 as a string; such a string is read as the YAML 1.2 float it
+    is.  Booleans and any other string are not numbers.
+    """
+    if isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value)
+
 
 def _number_list(value, length: int, what: str) -> list:
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise SchemaError("%s must be a list of %d numbers" % (what, length))
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError("%s must contain only numbers" % what)
-        out.append(float(v))
+    out = [_number(v) for v in value]
+    if None in out:
+        raise SchemaError("%s must contain only numbers" % what)
     return out
 
 
@@ -63,10 +79,9 @@ def load_mechanism(path) -> Mechanism:
     coefficients = doc.get("coefficients")
     if (axes is None) == (coefficients is None):
         raise SchemaError("exactly one of axes or coefficients is required")
-    study_tol = doc.get("study_tol", STUDY_TOL)
-    if isinstance(study_tol, bool) or not isinstance(study_tol, (int, float)):
+    study_tol = _number(doc.get("study_tol", STUDY_TOL))
+    if study_tol is None:
         raise SchemaError("study_tol must be a number")
-    study_tol = float(study_tol)
     if not study_tol > 0.0:
         raise SchemaError("study_tol must be positive")
     driving = _number_list(doc.get("driving_axis"), 4, "driving_axis")

@@ -6,9 +6,10 @@ The driving revolute joint has a rotation quaternion q0 + qx*i + qy*j
     t = |q_vec| / tan(theta / 2) + q0
 
 which maps theta = 0 to the point at infinity and theta = pi to q0.
-Inverse kinematics minimizes the squared distance between normalized
-pose representatives with a damped Gauss-Newton iteration, first in the
-t chart and, when every seed fails there, in the reciprocal chart.
+Inverse kinematics starts from the global minimiser of an algebraic
+pose distance, found among the real roots of one polynomial and the
+point at infinity, and polishes it with a damped Gauss-Newton iteration
+on the squared distance between normalized pose representatives.
 """
 
 from __future__ import annotations
@@ -19,13 +20,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dq import CANONICAL_TOL, STUDY_TOL, TOL, DualQuaternion
+from .dq import _CONJ_SIGNS, CANONICAL_TOL, STUDY_TOL, TOL, DualQuaternion
 from .errors import InvalidPose, NoConvergence, StudyViolation
-from .motionpoly import INFINITY, MotionPolynomial
+from .motionpoly import INFINITY, MotionPolynomial, _derivative_rows, _polymul
 
 TWO_PI = 2.0 * math.pi
 
+# Gauss-Newton polish: residual small enough to stop, step halvings per
+# iteration, largest |t| a step may reach, and relative stagnation step
 _RESIDUAL_FLOOR = 1e-32
+_MAX_HALVINGS = 30
+_DIVERGENCE_BOUND = 1e8
+_STEP_TOL = 1e-14
+# vector and dual vector components of a dual quaternion
+_VECTOR_PARTS = [1, 2, 3, 5, 6, 7]
 
 
 def _axis_parts(axis) -> tuple:
@@ -114,10 +122,6 @@ class IKOptions:
 
     success_tol: float = 1e-10
     max_iterations: int = 100
-    n_seeds: int = 21
-    max_halvings: int = 30
-    divergence_bound: float = 1e8
-    step_tol: float = 1e-14
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,10 @@ class IKResult:
     """Converged inverse kinematics solution.
 
     residual is the squared norm of the normalized pose error at the
-    final parameter; residual_trace lists it at every accepted iterate
-    of the winning seed, so it is non-increasing by construction.
+    final parameter; residual_trace lists it at the start and at every
+    accepted iterate of the polish, so it is non-increasing by
+    construction.  branch names the chart of the polish: "direct" for
+    t, "reciprocal" for u = 1/t, used when the start is at infinity.
     """
 
     t: object
@@ -184,12 +190,11 @@ def _error_terms(c: np.ndarray, cd: np.ndarray, target: _Target):
 
 
 @dataclass
-class _SeedRun:
+class _Polish:
     t: float
     residual: float
     iterations: int
     trace: tuple
-    failed: bool
 
 
 def _residual_at(coeffs, dcoeffs, target, t) -> float:
@@ -201,32 +206,31 @@ def _residual_at(coeffs, dcoeffs, target, t) -> float:
     return float(np.dot(err, err))
 
 
-def _refine(coeffs, dcoeffs, target, t0, opt: IKOptions) -> _SeedRun:
-    """Damped Gauss-Newton from one seed, run to stagnation."""
+def _refine(coeffs, dcoeffs, target, t0, max_iterations: int) -> _Polish:
+    """Damped Gauss-Newton from one start, run to stagnation.
+
+    Also stops when no step halving lowers the residual, or when a trial
+    step would leave |t| <= _DIVERGENCE_BOUND.
+    """
     t = float(t0)
     c = _kernels.poly_eval8(coeffs, t)
     terms = _error_terms(c, _kernels.poly_eval8(dcoeffs, t), target)
     if terms is None:
-        return _SeedRun(t, math.inf, 0, (), True)
+        return _Polish(t, math.inf, 0, ())
     err, chatd = terms
     f = float(np.dot(err, err))
     trace = [f]
     iters = 0
-    failed = False
-    while iters < opt.max_iterations:
-        if f <= _RESIDUAL_FLOOR:
-            break
+    while iters < max_iterations and f > _RESIDUAL_FLOOR:
         denom = float(np.dot(chatd, chatd))
         if denom <= 1e-300:
             break
         step = float(np.dot(chatd, err)) / denom
         lam = 1.0
         accepted = False
-        t_try = t
-        for _ in range(opt.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             t_try = t + lam * step
-            if abs(t_try) > opt.divergence_bound:
-                failed = True
+            if abs(t_try) > _DIVERGENCE_BOUND:
                 break
             c_try = _kernels.poly_eval8(coeffs, t_try)
             terms_try = _error_terms(
@@ -239,7 +243,7 @@ def _refine(coeffs, dcoeffs, target, t0, opt: IKOptions) -> _SeedRun:
                     accepted = True
                     break
             lam *= 0.5
-        if failed or not accepted:
+        if not accepted:
             break
         moved = abs(t_try - t)
         t = t_try
@@ -248,55 +252,48 @@ def _refine(coeffs, dcoeffs, target, t0, opt: IKOptions) -> _SeedRun:
         chatd = chatd_try
         trace.append(f)
         iters += 1
-        if moved <= opt.step_tol * (1.0 + abs(t)):
+        if moved <= _STEP_TOL * (1.0 + abs(t)):
             break
-    return _SeedRun(t, f, iters, tuple(trace), failed)
+    return _Polish(t, f, iters, tuple(trace))
 
 
-def _seed_values(n_seeds: int) -> np.ndarray:
-    if n_seeds < 1:
-        raise ValueError("need at least one seed")
-    if n_seeds == 1:
-        return np.array([0.0])
-    return np.linspace(-1.0, 1.0, n_seeds)
+def _sum_of_squares(rows: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the sum of the squares of the columns
+    of rows, each column a real polynomial in ascending powers."""
+    n = rows.shape[0]
+    out = np.zeros(2 * n - 1)
+    for i, row in enumerate(rows):
+        out[i : i + n] += rows @ row
+    return out
 
 
-def _ranked_seeds(coeffs, dcoeffs, target, n_seeds: int) -> list:
-    ts = _seed_values(n_seeds)
-    scores = np.array([_residual_at(coeffs, dcoeffs, target, t) for t in ts])
-    order = np.argsort(scores, kind="stable")
-    return [float(ts[i]) for i in order]
+def _global_start(coeffs: np.ndarray, p8: np.ndarray):
+    """Global minimiser of N(t)/D(t) over the projective parameter line.
 
-
-def ik_seed_grid(motion: MotionPolynomial, pose: DualQuaternion, n_seeds: int = 21):
-    """Start parameters on [-1, 1] ranked by normalized pose error.
-
-    A single seed degenerates to [0.0].  The pose is compared against
-    the motion itself, so divide a tool displacement out first when the
-    mechanism has one.
+    V(t) = C(t) * conj(p); N sums the squares of V's vector and dual
+    vector parts, which vanish where C(t) is a multiple of p, and
+    D(t) = |C(t)|^2 |p|^2.  The dual scalar would vanish there too for
+    exact displacements; leaving it out keeps a Study defect of rounded
+    data from shifting the minimiser.  The candidates are the real parts
+    of all roots of N'D - ND', a superset of the real critical points,
+    and infinity, where N/D tends to the ratio of the leading
+    coefficients.  Returns INFINITY or a finite parameter.
     """
-    coeffs = motion.coeffs
-    dcoeffs = _derivative_rows(coeffs)
-    target = _Target(np.asarray(pose.coeffs, dtype=float))
-    return _ranked_seeds(coeffs, dcoeffs, target, n_seeds)
-
-
-def _derivative_rows(coeffs: np.ndarray) -> np.ndarray:
-    if coeffs.shape[0] == 1:
-        return np.zeros((1, 8))
-    k = np.arange(1, coeffs.shape[0], dtype=float)[:, None]
-    return np.ascontiguousarray(coeffs[1:] * k)
-
-
-def _run_branch(coeffs, target, opt: IKOptions):
-    dcoeffs = _derivative_rows(coeffs)
-    best = None
-    for seed in _ranked_seeds(coeffs, dcoeffs, target, opt.n_seeds):
-        run = _refine(coeffs, dcoeffs, target, seed, opt)
-        if run.failed:
-            continue
-        if best is None or (run.residual, abs(run.t)) < (best.residual, abs(best.t)):
-            best = run
+    v = _polymul(coeffs, (p8 * _CONJ_SIGNS)[None, :])
+    num = _sum_of_squares(v[:, _VECTOR_PARTS])
+    den = _sum_of_squares(coeffs) * float(np.dot(p8, p8))
+    crit = np.convolve(_derivative_rows(num), den) - np.convolve(
+        num, _derivative_rows(den)
+    )
+    # the top coefficient of N'D - ND' cancels in exact arithmetic
+    ts = np.roots(crit[-2::-1]).real
+    best_value = num[-1] / den[-1]
+    best = INFINITY
+    if ts.size:
+        values = np.polyval(num[::-1], ts) / np.polyval(den[::-1], ts)
+        k = int(np.argmin(values))
+        if values[k] <= best_value:
+            best = float(ts[k])
     return best
 
 
@@ -305,19 +302,22 @@ def inverse_kinematics(
 ) -> IKResult:
     """Joint angle of the driving axis that reproduces a tool pose.
 
-    Seeds a damped Gauss-Newton iteration on [-1, 1], picking the best
-    converged parameter by residual and then by magnitude.  When every
-    seed diverges or stalls above success_tol, the same search runs on
-    the reciprocal parameterization, which places poses near the
-    parameter infinity (joint angle near zero) at small parameters.
+    The start is the global minimiser of an algebraic pose distance
+    N(t)/D(t) on the projective parameter line, taken from the real
+    roots of one polynomial and the point at infinity.  A damped
+    Gauss-Newton iteration in the normalized metric then polishes it:
+    in the t chart from a finite start, and from u = 0 in the
+    reciprocal chart u = 1/t when the start is at infinity (joint angle
+    zero).  The result is accepted when the polished residual is at most
+    success_tol.
 
     Raises InvalidPose for targets that are clearly not displacements
-    and NoConvergence (carrying the best iterate found) when both
-    charts fail.  The pose gate allows a hundredfold of the mechanism's
-    Study tolerance: evaluating a curve with slightly perturbed
-    coefficients amplifies the norm defect pointwise, so poses produced
-    by such a mechanism's own direct kinematics would otherwise be
-    rejected.
+    and NoConvergence, carrying the polished iterate as best, when the
+    residual stays above success_tol.  The pose gate allows a hundredfold
+    of the mechanism's Study tolerance: evaluating a curve with slightly
+    perturbed coefficients amplifies the norm defect pointwise, so poses
+    produced by such a mechanism's own direct kinematics would otherwise
+    be rejected.
     """
     opt = options if options is not None else IKOptions()
     if not isinstance(pose, DualQuaternion):
@@ -333,56 +333,31 @@ def inverse_kinematics(
         pose.coeffs, mechanism.tool_home.conjugate().coeffs
     )
     target = _Target(curve_target)
-    axis = mechanism.driving_axis
     coeffs = mechanism.motion.coeffs
 
-    direct = _run_branch(coeffs, target, opt)
-    if direct is not None and direct.residual <= opt.success_tol:
-        return IKResult(
-            t=direct.t,
-            theta=param_to_angle(direct.t, axis),
-            residual=direct.residual,
-            iterations=direct.iterations,
-            branch="direct",
-            residual_trace=direct.trace,
-        )
-
-    recip = _run_branch(np.ascontiguousarray(coeffs[::-1]), target, opt)
-    if recip is not None and recip.residual <= opt.success_tol:
-        t = INFINITY if recip.t == 0.0 else 1.0 / recip.t
-        return IKResult(
-            t=t,
-            theta=param_to_angle(t, axis),
-            residual=recip.residual,
-            iterations=recip.iterations,
-            branch="reciprocal",
-            residual_trace=recip.trace,
-        )
-
-    candidates = []
-    if direct is not None:
-        candidates.append((direct.residual, abs(direct.t), direct, "direct"))
-    if recip is not None:
-        t_mapped = INFINITY if recip.t == 0.0 else 1.0 / recip.t
-        t_size = math.inf if t_mapped is INFINITY else abs(t_mapped)
-        candidates.append((recip.residual, t_size, recip, "reciprocal"))
-    best_result = None
-    if candidates:
-        candidates.sort(key=lambda item: (item[0], item[1]))
-        _, _, run, branch = candidates[0]
-        t = run.t
-        if branch == "reciprocal":
-            t = INFINITY if run.t == 0.0 else 1.0 / run.t
-        best_result = IKResult(
-            t=t,
-            theta=param_to_angle(t, axis),
-            residual=run.residual,
-            iterations=run.iterations,
-            branch=branch,
-            residual_trace=run.trace,
-        )
+    start = _global_start(coeffs, curve_target)
+    reciprocal = start is INFINITY
+    if reciprocal:
+        coeffs = np.ascontiguousarray(coeffs[::-1])
+        start = 0.0
+    run = _refine(
+        coeffs, _derivative_rows(coeffs), target, start, opt.max_iterations
+    )
+    t = run.t
+    if reciprocal:
+        t = INFINITY if t == 0.0 else 1.0 / t
+    result = IKResult(
+        t=t,
+        theta=param_to_angle(t, mechanism.driving_axis),
+        residual=run.residual,
+        iterations=run.iterations,
+        branch="reciprocal" if reciprocal else "direct",
+        residual_trace=run.trace,
+    )
+    if run.residual <= opt.success_tol:
+        return result
     raise NoConvergence(
-        "inverse kinematics did not reach success_tol=%.1e (best residual %s)"
-        % (opt.success_tol, best_result.residual if best_result else "n/a"),
-        best=best_result,
+        "inverse kinematics did not reach success_tol=%.1e (best residual %r)"
+        % (opt.success_tol, run.residual),
+        best=result,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .dq import STUDY_TOL, TOL, DualQuaternion
+from .dq import _CONJ_SIGNS, _EPS_SIGNS, STUDY_TOL, TOL, DualQuaternion
 from .errors import OnBorderOfDomain, StudyViolation
 
 
@@ -62,13 +62,23 @@ def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _conj_rows(a: np.ndarray) -> np.ndarray:
-    signs = np.array([1.0, -1, -1, -1, 1, -1, -1, -1])
-    return a * signs
+    return a * _CONJ_SIGNS
 
 
 def _eps_conj_rows(a: np.ndarray) -> np.ndarray:
-    signs = np.array([1.0, 1, 1, 1, -1, -1, -1, -1])
-    return a * signs
+    return a * _EPS_SIGNS
+
+
+def _derivative_rows(c: np.ndarray) -> np.ndarray:
+    """Formal derivative of ascending coefficients stored along axis 0.
+
+    Takes a real coefficient vector or an (n+1, 8) array of dual
+    quaternion rows; a constant gives a single zero row.
+    """
+    if c.shape[0] == 1:
+        return np.zeros_like(c, dtype=float)
+    k = np.arange(1, c.shape[0], dtype=float).reshape((-1,) + (1,) * (c.ndim - 1))
+    return c[1:] * k
 
 
 class MotionPolynomial:
@@ -191,24 +201,8 @@ class MotionPolynomial:
 
     def derivative(self) -> "MotionPolynomial":
         """Formal derivative.  Not validated as a motion polynomial."""
-        c = self._coeffs
-        if c.shape[0] == 1:
-            return MotionPolynomial(
-                np.zeros((1, 8)), study_tol=self._study_tol, validate=False
-            )
-        k = np.arange(1, c.shape[0], dtype=float)[:, None]
-        return MotionPolynomial(c[1:] * k, study_tol=self._study_tol, validate=False)
-
-    def reparameterize_reciprocal(self) -> "MotionPolynomial":
-        """Coefficient reversal, i.e. t**degree * C(1/t).
-
-        Swaps the roles of the finite parameter origin and infinity;
-        applying it twice returns the original polynomial.
-        """
         return MotionPolynomial(
-            self._coeffs[::-1].copy(),
-            study_tol=self._study_tol,
-            validate=self._validated,
+            _derivative_rows(self._coeffs), study_tol=self._study_tol, validate=False
         )
 
     def act_poly(self, x) -> np.ndarray:
@@ -265,10 +259,8 @@ class RationalPointPath:
             raise ValueError("homogeneous coordinate is identically zero")
         self._x0 = x0
         self._xi = xi
-        self._x0d = _poly_derivative(x0)
-        self._xid = np.ascontiguousarray(
-            np.stack([_poly_derivative(xi[i]) for i in range(3)])
-        )
+        self._x0d = _derivative_rows(x0)
+        self._xid = np.ascontiguousarray(_derivative_rows(xi.T).T)
         for a in (self._x0, self._xi, self._x0d, self._xid):
             a.flags.writeable = False
 
@@ -320,17 +312,3 @@ class RationalPointPath:
         return float(
             _kernels.path_speed(self._x0, self._x0d, self._xi, self._xid, float(t))
         )
-
-    def reciprocal(self) -> "RationalPointPath":
-        """Path in the reciprocal chart u = 1/t.
-
-        Coefficient reversal of all four polynomials; traces the same
-        point set with the parameter roles of 0 and infinity exchanged.
-        """
-        return RationalPointPath(self._x0[::-1].copy(), self._xi[:, ::-1].copy())
-
-
-def _poly_derivative(c: np.ndarray) -> np.ndarray:
-    if c.shape[0] == 1:
-        return np.zeros(1)
-    return c[1:] * np.arange(1, c.shape[0], dtype=float)

@@ -285,6 +285,38 @@ def test_cli_reads_negative_exponent_numbers(capsys):
     assert got[0] == 0 and float(got[1]) > 0.0
 
 
+def test_mechanism_file_reads_exponent_numbers(tmp_path, capsys):
+    # YAML 1.1 floats need a dot, so PyYAML returns 1e-9 as a string
+    def mech(name, one, three, tol):
+        p = tmp_path / name
+        p.write_text(
+            "format: 1\n"
+            "axes:\n"
+            "  - [0, %(one)s, 0, 0, 0, 0, 0, 0]\n"
+            "  - [0, 0, %(three)s, 0, 0, 0, 0, %(one)s]\n"
+            "  - [0, %(one)s, %(one)s, 0, 0, 0, 0, -2]\n"
+            "driving_axis: [0, %(one)s, 0, 0]\n"
+            "study_tol: %(tol)s\n" % dict(one=one, three=three, tol=tol)
+        )
+        return str(p)
+
+    def dk(path):
+        code = main(["dk", path, "--theta", "1.0471975511965976"])
+        return code, capsys.readouterr().out
+
+    dotted = dk(mech("dotted.mech", "1.0", "3.0", "1.0e-9"))
+    exponent = dk(mech("exponent.mech", "1e0", "0.3E+1", "1e-9"))
+    assert exponent == dotted
+    assert dotted[0] == 0
+    assert load_mechanism(mech("signed.mech", "+1e0", ".3e1", "1E-9")).motion.study_tol == 1e-9
+    for tol in ("nan", "inf", "1e", "e5", "'x1e5'"):
+        with pytest.raises(SchemaError):
+            load_mechanism(mech("bad.mech", "1", "3", tol))
+    for one in ("nan", "inf", "1e"):
+        with pytest.raises(SchemaError):
+            load_mechanism(mech("bad.mech", one, "3", "1e-9"))
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["dk", str(tmp_path / "ghost.mech"), "--theta", "1"]) == 3
 
@@ -299,7 +331,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     argv = ["ik", SIXBAR, "--pose", "1", "0", "0", "0", "1", "0", "0", "0"]
     assert main(argv) == 4
 
-    # an unreachable but valid displacement exhausts both branches
+    # an unreachable but valid displacement ends without convergence
     argv = ["ik", SIXBAR, "--pose", "1", "0", "0", "0", "0", "0.05", "0", "0"]
     assert main(argv) == 5
     capsys.readouterr()

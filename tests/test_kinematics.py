@@ -15,7 +15,6 @@ from dqlink import (
     StudyViolation,
     angle_to_param,
     direct_kinematics,
-    ik_seed_grid,
     inverse_kinematics,
     param_to_angle,
 )
@@ -178,19 +177,10 @@ def test_inverse_kinematics_off_curve_pose_reports_best(sixbar):
 
 
 def test_ik_options_are_honored(sixbar):
-    opt = IKOptions(success_tol=1e-2, max_iterations=10, n_seeds=5)
+    opt = IKOptions(success_tol=1e-2, max_iterations=10)
     r = inverse_kinematics(sixbar, DualQuaternion(POSE_SQRT3), options=opt)
     assert r.iterations <= 10
     assert r.residual <= 1e-2
-
-
-def test_seed_grid_ranking(sixbar):
-    seeds = ik_seed_grid(sixbar.motion, DualQuaternion(POSE_SQRT3), n_seeds=21)
-    assert len(seeds) == 21
-    assert sorted(seeds) == list(np.linspace(-1, 1, 21))
-    assert ik_seed_grid(sixbar.motion, DualQuaternion(POSE_SQRT3), n_seeds=1) == [0.0]
-    with pytest.raises(ValueError):
-        ik_seed_grid(sixbar.motion, DualQuaternion(POSE_SQRT3), n_seeds=0)
 
 
 def test_roundtrip_random_angles(sixbar, bennett, rng):
@@ -224,3 +214,35 @@ def test_gauss_newton_step_matches_finite_difference(sixbar):
         err, chatd = _error_terms(c, cd, target)
         g = -2.0 * float(np.dot(chatd, err))
         assert abs(g - g_fd) <= 1e-5 * max(1.0, abs(g_fd))
+
+
+HOME_OFFSETS = [s * d for d in (1e-5, 1e-8, 1e-13) for s in (1.0, -1.0)]
+
+
+def test_roundtrip_on_generated_linkages(random_linkage):
+    # scaled DK poses of random 2-, 3- and 4-axis chains, with angles
+    # next to home on both sides and at pi
+    rng = np.random.default_rng(31)
+    for joints in (2, 3, 4):
+        for _ in range(4):
+            mech = random_linkage(rng, joints)
+            thetas = list(rng.uniform(0.0, 2 * math.pi, size=8)) + HOME_OFFSETS + [math.pi]
+            for theta in thetas:
+                scale = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.0)
+                pose = DualQuaternion(scale * direct_kinematics(mech, theta).coeffs)
+                r = inverse_kinematics(mech, pose)
+                gap = abs(r.theta - theta) % (2 * math.pi)
+                assert min(gap, 2 * math.pi - gap) <= 1e-6, (joints, theta, r)
+
+
+def test_unreachable_pose_on_generated_linkages(random_linkage):
+    rng = np.random.default_rng(32)
+    for joints in (2, 3, 4):
+        mech = random_linkage(rng, joints)
+        shift = DualQuaternion.from_translation(0.3 * rng.normal(size=3))
+        pose = direct_kinematics(mech, rng.uniform(0.0, 2 * math.pi)) * shift
+        with pytest.raises(NoConvergence) as info:
+            inverse_kinematics(mech, pose)
+        best = info.value.best
+        assert isinstance(best, IKResult)
+        assert 1e-10 < best.residual < math.inf

@@ -110,18 +110,6 @@ def test_derivative(cubic):
     assert np.array_equal(const.derivative().coeffs, np.zeros((1, 8)))
 
 
-def test_reciprocal_reparameterization(cubic):
-    rev = cubic.reparameterize_reciprocal()
-    assert np.array_equal(rev.coeffs, SIXBAR_COEFFS[::-1])
-    assert np.array_equal(rev.reparameterize_reciprocal().coeffs, SIXBAR_COEFFS)
-    # projective equality of C(2) and t^3 C(1/t) at 0.5
-    a = cubic.evaluate(2.0).canonical().coeffs
-    b = rev.evaluate(0.5).canonical().coeffs
-    assert np.allclose(a, b, atol=1e-12)
-    # the reversed polynomial evaluates the home pose at the origin
-    assert np.array_equal(rev.evaluate(0.0).coeffs, [1, 0, 0, 0, 0, 0, 0, 0])
-
-
 def test_act_poly_origin_equals_norm(cubic):
     acted = cubic.act_poly([0.0, 0.0, 0.0])
     norm = cubic.norm_poly()
@@ -172,13 +160,6 @@ def test_path_speed_matches_finite_difference(cubic, rng):
         t = float(rng.uniform(-0.9, 1.6))
         fd = np.linalg.norm(path.point(t + h) - path.point(t - h)) / (2 * h)
         assert math.isclose(path.speed(t), fd, rel_tol=1e-6)
-
-
-def test_path_reciprocal_covers_same_curve(cubic):
-    path = cubic.point_path([0.0, 0.0, 0.0])
-    rpath = path.reciprocal()
-    for t in (0.4, -0.8, 2.0):
-        assert np.allclose(rpath.point(1.0 / t), path.point(t), atol=1e-9)
 
 
 def test_constant_path():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dqlink import (
-    Mechanism,
     MotionPolynomial,
     PoleOnPath,
     QuadratureFailure,
@@ -14,7 +13,6 @@ from dqlink import (
     direct_kinematics,
     equidistant_params,
     equidistant_profile,
-    line_from_point_direction,
     linear_profile,
     quintic_profile,
     quintic_time_scaling,
@@ -332,18 +330,8 @@ def eased_fractions(n, ramp=0.1):
     return np.where(u < ramp, ramp_area(u), np.where(u > 1.0 - ramp, 1.0 - ramp_area(1.0 - u), mid))
 
 
-def random_linkage(rng, joints):
-    """Motion of a chain of random revolute axes, driven by the first."""
-    axes = [
-        line_from_point_direction(rng.normal(size=3), rng.normal(size=3), normalized=True)
-        for _ in range(joints)
-    ]
-    drive = np.concatenate([[rng.uniform(-0.5, 0.5)], axes[0].coeffs[1:4]])
-    return Mechanism(motion=MotionPolynomial.from_axes(axes), driving_axis=drive)
-
-
 @pytest.fixture(scope="module")
-def linkages():
+def linkages(random_linkage):
     rng = np.random.default_rng(7)
     return [(random_linkage(rng, joints), rng.normal(scale=0.5, size=3)) for joints in (2, 2, 3, 3)]
 
