@@ -20,6 +20,7 @@ loaded motion must pass the Study verification at study_tol.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -82,8 +83,8 @@ def load_mechanism(path) -> Mechanism:
     study_tol = _number(doc.get("study_tol", STUDY_TOL))
     if study_tol is None:
         raise SchemaError("study_tol must be a number")
-    if not study_tol > 0.0:
-        raise SchemaError("study_tol must be positive")
+    if not 0.0 < study_tol < math.inf:
+        raise SchemaError("study_tol must be finite and positive")
     driving = _number_list(doc.get("driving_axis"), 4, "driving_axis")
     tool_raw = doc.get("tool_home")
     tool = None

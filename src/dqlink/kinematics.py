@@ -209,8 +209,9 @@ def _residual_at(coeffs, dcoeffs, target, t) -> float:
 def _refine(coeffs, dcoeffs, target, t0, max_iterations: int) -> _Polish:
     """Damped Gauss-Newton from one start, run to stagnation.
 
-    Also stops when no step halving lowers the residual, or when a trial
-    step would leave |t| <= _DIVERGENCE_BOUND.
+    Also stops when no step halving lowers the residual before the step
+    shrinks below _STEP_TOL (the full step is always tried), or when a
+    trial step would leave |t| <= _DIVERGENCE_BOUND.
     """
     t = float(t0)
     c = _kernels.poly_eval8(coeffs, t)
@@ -229,6 +230,9 @@ def _refine(coeffs, dcoeffs, target, t0, max_iterations: int) -> _Polish:
         lam = 1.0
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
+            if lam < 1.0 and abs(lam * step) <= _STEP_TOL * (1.0 + abs(t)):
+                # a shorter step could not move t beyond the step tolerance
+                break
             t_try = t + lam * step
             if abs(t_try) > _DIVERGENCE_BOUND:
                 break

@@ -9,6 +9,8 @@ evaluates to its leading coefficient.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import _kernels
@@ -61,6 +63,23 @@ def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _real_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Real roots of an ascending real coefficient polynomial."""
+    scale = float(np.max(np.abs(coeffs)))
+    if scale == 0.0:
+        return np.array([math.nan])
+    desc = coeffs[::-1]
+    lead = 0
+    while lead < desc.shape[0] - 1 and abs(desc[lead]) <= 1e-14 * scale:
+        lead += 1
+    desc = desc[lead:]
+    if desc.shape[0] <= 1:
+        return np.empty(0)
+    roots = np.roots(desc)
+    real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))].real
+    return real
+
+
 def _conj_rows(a: np.ndarray) -> np.ndarray:
     return a * _CONJ_SIGNS
 
@@ -95,15 +114,20 @@ class MotionPolynomial:
     validate : bool
         Skip the norm check when False (used for derivatives, which are
         generally not motion polynomials themselves).
+
+    The point action and the poles of its point paths are built on first
+    use and kept; the coefficients are read-only, so they stay valid.
     """
 
-    __slots__ = ("_coeffs", "_study_tol", "_validated")
+    __slots__ = ("_coeffs", "_study_tol", "_validated", "_act", "_poles")
 
     def __init__(self, coeffs, study_tol: float = STUDY_TOL, validate: bool = True):
         arr = _coeff_array(coeffs)
         self._coeffs = arr
         self._study_tol = float(study_tol)
         self._validated = False
+        self._act = None
+        self._poles = None
         if validate:
             lead = arr[-1]
             scale = float(np.max(np.abs(arr)))
@@ -205,25 +229,57 @@ class MotionPolynomial:
             _derivative_rows(self._coeffs), study_tol=self._study_tol, validate=False
         )
 
+    def _action(self) -> np.ndarray:
+        """Read-only (4, 2*degree + 1, 8) basis of the point action.
+
+        Row 0 is the image of the origin, rows 1-3 those of the unit dual
+        directions eps*i, eps*j, eps*k; built on the first call.
+        """
+        if self._act is None:
+            embed = np.zeros((4, 1, 8))
+            embed[0, 0, 0] = 1.0
+            embed[1:, 0, 5:8] = np.eye(3)
+            left = _eps_conj_rows(self._coeffs)
+            right = _conj_rows(self._coeffs)
+            act = np.stack([_polymul(_polymul(left, e), right) for e in embed])
+            act.flags.writeable = False
+            self._act = act
+        return self._act
+
     def act_poly(self, x) -> np.ndarray:
-        """Coefficients of eps_conj(C) * (1 + eps x) * conj(C)."""
+        """Coefficients of eps_conj(C) * (1 + eps x) * conj(C).
+
+        The action is affine in x: B0 + x1*B1 + x2*B2 + x3*B3, with B0 the
+        image of the origin and Bj that of eps times the j-th unit vector.
+        The basis is built with dual quaternion convolutions on the first
+        call and reused by every later one.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != (3,):
             raise ValueError("expected 3 point coordinates")
-        embed = np.zeros((1, 8))
-        embed[0, 0] = 1.0
-        embed[0, 5:8] = x
-        return _polymul(
-            _polymul(_eps_conj_rows(self._coeffs), embed), _conj_rows(self._coeffs)
-        )
+        act = self._action()
+        return act[0] + (x @ act[1:].reshape(3, -1)).reshape(act.shape[1:])
+
+    def path_poles(self) -> np.ndarray:
+        """Read-only real roots of x0, shared by every point path.
+
+        x0 is the primal norm of C(t), so it does not depend on the point;
+        the roots are found with one eigenvalue solve on the first call.
+        """
+        if self._poles is None:
+            poles = _real_roots(self._action()[0, :, 0])
+            poles.flags.writeable = False
+            self._poles = poles
+        return self._poles
 
     def point_path(self, x) -> "RationalPointPath":
         """Rational path traced by a point under the motion.
 
         Returns homogeneous coordinates (x0 : x1 : x2 : x3) as real
-        polynomials of degree at most 2*degree.  The rotational
-        components of the acted point must vanish; a failure to do so
-        beyond study_tol reports StudyViolation.
+        polynomials of degree at most 2*degree, read off the affine point
+        action of act_poly, whose basis the motion builds once.  The
+        rotational components of the acted point must vanish; a failure
+        to do so beyond study_tol reports StudyViolation.
         """
         p = self.act_poly(x)
         scale = float(np.max(np.abs(p)))

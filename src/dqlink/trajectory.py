@@ -12,7 +12,8 @@ axis quaternion, so the home configuration (phi a multiple of 2*pi,
 t at infinity) is an ordinary point of the chart.  The speed |dP/dphi|
 is evaluated in closed form from the homogeneous coordinates and their
 derivatives.  Poles of the path (real roots of x0, and phi = 0 when x0
-drops degree) are located once per call and rejected with PoleOnPath.
+drops degree) are rejected with PoleOnPath; a motion finds the roots of
+x0 once and shares them among the paths of all its points.
 
 Lengths come from composite Gauss-Legendre panels.  All panels of one
 refinement level are evaluated in a single numpy call; a panel whose
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import PoleOnPath, QuadratureFailure
 from .kinematics import Mechanism, _axis_parts
-from .motionpoly import RationalPointPath
+from .motionpoly import RationalPointPath, _real_roots
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,23 +76,6 @@ _MAX_PANELS = 4096
 # neighbouring knot errors cannot add up beyond it)
 _INVERSION_MAX_ITER = 50
 _KNOT_TOL = 0.5e-8
-
-
-def _real_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Real roots of an ascending real coefficient polynomial."""
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
-        return np.array([math.nan])
-    desc = coeffs[::-1]
-    lead = 0
-    while lead < desc.shape[0] - 1 and abs(desc[lead]) <= 1e-14 * scale:
-        lead += 1
-    desc = desc[lead:]
-    if desc.shape[0] <= 1:
-        return np.empty(0)
-    roots = np.roots(desc)
-    real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))].real
-    return real
 
 
 def _check_poles(poles: np.ndarray, lo: float, hi: float, period=None):
@@ -366,7 +350,7 @@ def _angle_table(mechanism: Mechanism, tool, start, delta, tol, max_depth) -> _T
     tracked = mechanism.tool_home.act_on_point(np.asarray(tool, dtype=float))
     path = mechanism.motion.point_path(tracked)
     q0, r = _axis_parts(mechanism.driving_axis)
-    poles = (2.0 * np.arctan2(r, _real_roots(path.x0) - q0)) % TWO_PI
+    poles = (2.0 * np.arctan2(r, mechanism.motion.path_poles() - q0)) % TWO_PI
     scale = float(np.max(np.abs(path.x0)))
     if abs(path.x0[-1]) <= 1e-14 * scale:
         # x0 drops degree: its homogeneous form vanishes at home

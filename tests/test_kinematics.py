@@ -13,6 +13,7 @@ from dqlink import (
     MotionPolynomial,
     NoConvergence,
     StudyViolation,
+    _kernels,
     angle_to_param,
     direct_kinematics,
     inverse_kinematics,
@@ -190,6 +191,24 @@ def test_roundtrip_random_angles(sixbar, bennett, rng):
             r = inverse_kinematics(mech, pose)
             gap = abs(r.theta - theta) % (2 * math.pi)
             assert min(gap, 2 * math.pi - gap) <= 1e-6
+
+
+def test_polish_stops_halving_at_step_tolerance(sixbar, bennett, rng, monkeypatch):
+    # two evaluations for the start and two per accepted step; a converged
+    # polish tries its next full step and stops at the first halving that
+    # falls below the step tolerance instead of halving on
+    calls = []
+    evaluate = _kernels.poly_eval8
+    for mech in (sixbar, bennett):
+        for theta in rng.uniform(0.0, 2 * math.pi, size=100):
+            pose = direct_kinematics(mech, theta)
+            monkeypatch.setattr(
+                _kernels, "poly_eval8", lambda c, t: calls.append(1) or evaluate(c, t)
+            )
+            calls.clear()
+            r = inverse_kinematics(mech, pose)
+            monkeypatch.setattr(_kernels, "poly_eval8", evaluate)
+            assert len(calls) <= 2 * (r.iterations + 1) + 4
 
 
 def test_gauss_newton_step_matches_finite_difference(sixbar):

@@ -11,6 +11,8 @@ from dqlink import (
     PoleOnPath,
     RationalPointPath,
     StudyViolation,
+    _kernels,
+    motionpoly,
 )
 
 H1 = [0, 1, 0, 0, 0, 0, 0, 0]
@@ -134,11 +136,72 @@ def test_point_path_x0_is_primal_norm(cubic):
 
 def test_acted_point_components_vanish_identically(rng):
     # the rotational and dual-scalar columns of the acted point cancel
-    # identically for any coefficients, Study or not, up to summation noise
+    # identically for any coefficients, Study or not, up to summation noise;
+    # the second point of each polynomial comes from the kept action basis
     for _ in range(10):
         poly = MotionPolynomial(rng.normal(size=(4, 8)), validate=False)
-        acted = poly.act_poly(rng.normal(size=3))
-        assert np.max(np.abs(acted[:, 1:5])) <= 1e-12 * np.max(np.abs(acted))
+        for _ in range(2):
+            acted = poly.act_poly(rng.normal(size=3))
+            assert np.max(np.abs(acted[:, 1:5])) <= 1e-12 * np.max(np.abs(acted))
+
+
+def test_point_paths_share_one_action_basis(monkeypatch):
+    # the first path builds the action with dual quaternion products and
+    # the later ones only combine it; each path is checked pointwise
+    # against evaluate(t).act_on_point(x), which does not use the basis
+    calls = []
+    mul = _kernels.dq_mul8
+    monkeypatch.setattr(_kernels, "dq_mul8", lambda a, b: calls.append(1) or mul(a, b))
+    motion = MotionPolynomial(SIXBAR_COEFFS)
+    calls.clear()
+    motion.point_path([0.5, 0.5, 0.5])
+    assert calls
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        x = rng.uniform(-2.0, 2.0, size=3)
+        calls.clear()
+        path = motion.point_path(x)
+        assert calls == []
+        for t in (-1.0, 0.3, SQRT3, 2.5):
+            direct = motion.evaluate(t).act_on_point(x)
+            assert np.allclose(path.point(t), direct, rtol=0.0, atol=1e-9)
+
+
+def test_act_poly_matches_direct_convolution(rng):
+    # reference: the two convolutions with the embedded point itself;
+    # x0 takes no term from the point, so it agrees bit for bit
+    for _ in range(5):
+        poly = MotionPolynomial(rng.normal(size=(4, 8)), validate=False)
+        x = rng.normal(size=3)
+        embed = np.zeros((1, 8))
+        embed[0, 0] = 1.0
+        embed[0, 5:8] = x
+        c = poly.coeffs
+        want = motionpoly._polymul(
+            motionpoly._polymul(motionpoly._eps_conj_rows(c), embed),
+            motionpoly._conj_rows(c),
+        )
+        got = poly.act_poly(x)
+        assert np.array_equal(got[:, 0], want[:, 0])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_cached_action_and_poles_are_read_only(cubic):
+    act = cubic._action()
+    poles = cubic.path_poles()
+    assert act.shape == (4, 2 * cubic.degree + 1, 8)
+    assert cubic._action() is act and cubic.path_poles() is poles
+    for arr in (act, poles):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # B1..B3 hold no x0, so every point path shares the poles of x0
+    assert np.all(act[1:, :, 0] == 0.0)
+    path = cubic.point_path([0.25, -1.0, 2.0])
+    assert np.array_equal(path.x0, act[0, :, 0])
+    acted = cubic.act_poly([0.25, -1.0, 2.0])
+    acted[:] = 0.0
+    assert np.any(cubic._action()[0] != 0.0)
 
 
 def test_path_point_and_pole(cubic):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dqlink import (
+    Mechanism,
     MotionPolynomial,
     PoleOnPath,
     QuadratureFailure,
@@ -61,6 +62,20 @@ def test_arc_length_reports_poles():
     with pytest.raises(PoleOnPath):
         arc_length(path, -1.0, 1.0)
     assert math.isfinite(arc_length(path, 1.0, 2.0))
+
+
+def test_pole_check_is_unchanged_when_poles_are_kept():
+    # x0 of t + eps*k is t**2: a double pole at t = 0, which the x axis
+    # chart reaches at theta = pi; the second call reads the kept poles
+    border = Mechanism(
+        MotionPolynomial([[0, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0, 0]]),
+        [0, 1, 0, 0],
+    )
+    for _ in range(2):
+        with pytest.raises(PoleOnPath):
+            arc_length_between(border, 3.0, 3.3, tool=(0.1, 0, 0), direction="increasing")
+    assert math.isfinite(arc_length_between(border, 0.5, 1.0, tool=(0.1, 0, 0)))
+    assert border.motion.path_poles() is border.motion.path_poles()
 
 
 def test_arc_length_quadrature_failure(circle_path):
