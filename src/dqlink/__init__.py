@@ -7,7 +7,6 @@ chart.  On top of that sit direct and inverse kinematics and arc-length
 based trajectory profiles for a tool point.
 """
 
-from ._kernels import BACKEND
 from .dq import (
     CANONICAL_TOL,
     STUDY_TOL,
@@ -59,6 +58,9 @@ from .trajectory import (
 )
 
 __version__ = "0.1.0"
+
+# the kernels are plain numpy; the name stays for callers that report it
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

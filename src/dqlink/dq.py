@@ -148,9 +148,9 @@ class DualQuaternion:
 
     def is_study(self, tol: float = STUDY_TOL) -> bool:
         """Whether h * conj(h) is real and nonzero within tolerance."""
-        np_, _ = self.norm_pair()
+        np_, nd = self.norm_pair()
         scale = float(np.dot(self._c, self._c))
-        return scale > 0.0 and np_ > tol * scale and self.study_defect() <= tol
+        return scale > 0.0 and np_ > tol * scale and abs(nd) / scale <= tol
 
     def is_line(self, tol: float = TOL) -> bool:
         """Whether this element is a Pluecker line.

@@ -38,17 +38,22 @@ _EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+"
 
 
 def _number(value):
-    """The float a YAML scalar denotes, or None when it is no number.
+    """The finite float a YAML scalar denotes, or None when it is none.
 
     PyYAML follows YAML 1.1, whose floats need a dot, and so returns
     1e-6 as a string; such a string is read as the YAML 1.2 float it
-    is.  Booleans and any other string are not numbers.
+    is.  Booleans, any other string, .nan, .inf and values that
+    overflow a float, such as 1e999, are not finite numbers.
     """
     if isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value):
-        return float(value)
+        value = float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def _number_list(value, length: int, what: str) -> list:
@@ -56,7 +61,7 @@ def _number_list(value, length: int, what: str) -> list:
         raise SchemaError("%s must be a list of %d numbers" % (what, length))
     out = [_number(v) for v in value]
     if None in out:
-        raise SchemaError("%s must contain only numbers" % what)
+        raise SchemaError("%s must contain only finite numbers" % what)
     return out
 
 
@@ -81,10 +86,8 @@ def load_mechanism(path) -> Mechanism:
     if (axes is None) == (coefficients is None):
         raise SchemaError("exactly one of axes or coefficients is required")
     study_tol = _number(doc.get("study_tol", STUDY_TOL))
-    if study_tol is None:
-        raise SchemaError("study_tol must be a number")
-    if not 0.0 < study_tol < math.inf:
-        raise SchemaError("study_tol must be finite and positive")
+    if study_tol is None or study_tol <= 0.0:
+        raise SchemaError("study_tol must be a finite positive number")
     driving = _number_list(doc.get("driving_axis"), 4, "driving_axis")
     tool_raw = doc.get("tool_home")
     tool = None

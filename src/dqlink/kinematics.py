@@ -40,6 +40,8 @@ def _axis_parts(axis) -> tuple:
     q = np.asarray(axis, dtype=float)
     if q.shape != (4,):
         raise ValueError("driving axis must be a quaternion of 4 coefficients")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("driving axis must be finite")
     r = float(np.sqrt(np.dot(q[1:], q[1:])))
     if r <= TOL:
         raise ValueError("driving axis needs a nonzero vector part")

@@ -182,7 +182,7 @@ class _Table:
             if depth == max_depth or lo.size > _MAX_PANELS:
                 raise QuadratureFailure(
                     "Gauss-Legendre panel [%r, %r] still above tolerance %g "
-                    "at depth %d" % (lo[0], lo[0] + width[0], tol, depth)
+                    "at depth %d" % (float(lo[0]), float(lo[0] + width[0]), tol, depth)
                 )
         lo, width, value = (np.concatenate(parts) for parts in zip(*done))
         order = np.argsort(lo)

@@ -6,18 +6,11 @@ import pytest
 from dqlink import (
     Mechanism,
     MotionPolynomial,
-    _kernels,
     line_from_point_direction,
     load_mechanism,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jit kernels once so timing assertions measure steady state
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

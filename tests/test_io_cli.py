@@ -317,6 +317,34 @@ def test_mechanism_file_reads_exponent_numbers(tmp_path, capsys):
     for one in ("nan", "inf", "1e"):
         with pytest.raises(SchemaError):
             load_mechanism(mech("bad.mech", one, "3", "1e-9"))
+    # non-finite floats: YAML 1.1 .nan and .inf, an exponent that
+    # overflows, and an integer too large for a float, in every field
+    text = (DATA / "sixbar.mech").read_text()
+    drive = "driving_axis: [0.0, 1.0, 0.0, 0.0]"
+    axis = "  - [0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 1.0]"
+    for bad in (".nan", ".inf", "-.inf", "1e999", "-1E+999", "1" + "0" * 400):
+        files = [
+            text.replace(drive, "driving_axis: [0.0, %s, 0.0, 0.0]" % bad),
+            text.replace(axis, "  - [0.0, 0.0, %s, 0.0, 0.0, 0.0, 0.0, 1.0]" % bad),
+            text + "tool_home: [1, 0, 0, 0, %s, 0, 0, 0]\n" % bad,
+        ]
+        files.append(
+            "format: 1\ncoefficients:\n  - [1, 0, 0, 0, 0, 0, 0, 0]\n"
+            "  - [%s, 0, 0, 0, 0, 0, 0, 0]\ndriving_axis: [0, 1, 0, 0]\n" % bad
+        )
+        for i, body in enumerate(files):
+            assert bad in body
+            p = tmp_path / ("nonfinite%d.mech" % i)
+            p.write_text(body)
+            with pytest.raises(SchemaError):
+                load_mechanism(p)
+    p.write_text(text.replace(drive, "driving_axis: [0.0, .nan, 0.0, 1.0]"))
+    for argv in (
+        ["dk", str(p), "--theta", "1"],
+        ["arclen", str(p), "--theta0", "0", "--theta1", "1"],
+    ):
+        assert main(argv) == 3
+        capsys.readouterr()
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

@@ -69,6 +69,11 @@ def test_axis_validation():
         angle_to_param(1.0, [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         angle_to_param(1.0, [1.0, 2.0, 3.0])
+    for bad in ([0.0, math.nan, 0.0, 1.0], [math.nan, 1.0, 0.0, 0.0], [0.0, math.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            angle_to_param(1.0, bad)
+        with pytest.raises(ValueError):
+            param_to_angle(1.0, bad)
 
 
 def test_mechanism_construction(sixbar):
@@ -88,6 +93,9 @@ def test_mechanism_construction(sixbar):
         )
     with pytest.raises(TypeError):
         Mechanism(motion=np.eye(4), driving_axis=AXIS)
+    for bad in ([0.0, math.nan, 0.0, 1.0], [0.0, 1.0, -math.inf, 0.0]):
+        with pytest.raises(ValueError):
+            Mechanism(motion=sixbar.motion, driving_axis=bad)
 
 
 def test_direct_kinematics_known_poses(sixbar):

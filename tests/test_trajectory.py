@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,8 +80,11 @@ def test_pole_check_is_unchanged_when_poles_are_kept():
 
 
 def test_arc_length_quadrature_failure(circle_path):
-    with pytest.raises(QuadratureFailure):
+    with pytest.raises(QuadratureFailure) as err:
         arc_length(circle_path, -3.0, 3.0, tol=1e-16, max_depth=2)
+    # plain floats, not numpy scalar reprs such as np.float64(0.5)
+    assert re.search(r"panel \[-?[0-9.e+-]+, -?[0-9.e+-]+\] still above", str(err.value))
+    assert "float64" not in str(err.value)
 
 
 def test_gauss_legendre_rule_matches_leggauss():
