@@ -96,29 +96,29 @@ def _cmd_arclen(args) -> int:
 
 def _cmd_traj(args) -> int:
     mech = load_mechanism(args.mechanism)
-    theta0 = _angle(args.theta0, args.degrees)
-    theta1 = _angle(args.theta1, args.degrees)
+    angles = (_angle(args.theta0, args.degrees), _angle(args.theta1, args.degrees))
+    sweep = (*angles, args.duration, args.freq)
     if args.mode == "equidistant":
         profile = equidistant_profile(
-            mech,
-            theta0,
-            theta1,
-            args.duration,
-            args.freq,
-            tool=tuple(args.tool),
-            direction=args.arc,
-            blend=args.blend,
+            mech, *sweep, tool=tuple(args.tool), direction=args.arc, blend=args.blend
         )
-    elif args.mode == "linear":
-        profile = linear_profile(theta0, theta1, args.duration, args.freq, args.arc)
     else:
-        profile = quintic_profile(theta0, theta1, args.duration, args.freq, args.arc)
+        joint_sweep = linear_profile if args.mode == "linear" else quintic_profile
+        profile = joint_sweep(*sweep, args.arc)
     writer = write_profile_csv if args.format == "csv" else write_profile_structured
-    if args.out is None:
-        writer(profile, sys.stdout)
-    else:
-        writer(profile, args.out)
+    writer(profile, sys.stdout if args.out is None else args.out)
     return 0
+
+
+def _finite(text: str) -> float:
+    """argparse type of every numeric option: a float that is not nan or inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dk = sub.add_parser("dk", help="pose of the tool at a joint angle")
     dk.add_argument("mechanism", help="mechanism file")
-    dk.add_argument("--theta", type=float, required=True, help="joint angle")
+    dk.add_argument("--theta", type=_finite, required=True, help="joint angle")
     dk.add_argument("--degrees", action="store_true", help="angles in degrees")
     dk.set_defaults(func=_cmd_dk)
 
@@ -151,36 +151,36 @@ def _build_parser() -> argparse.ArgumentParser:
     ik.add_argument("mechanism", help="mechanism file")
     ik.add_argument(
         "--pose",
-        type=float,
+        type=_finite,
         nargs=8,
         required=True,
         metavar="C",
         help="8 dual quaternion coefficients",
     )
-    ik.add_argument("--success-tol", type=float, default=IKOptions().success_tol)
+    ik.add_argument("--success-tol", type=_finite, default=IKOptions().success_tol)
     ik.set_defaults(func=_cmd_ik)
 
     arclen = sub.add_parser("arclen", help="tool point arc length between angles")
     arclen.add_argument("mechanism", help="mechanism file")
-    arclen.add_argument("--theta0", type=float, required=True)
-    arclen.add_argument("--theta1", type=float, required=True)
-    arclen.add_argument("--tool", type=float, nargs=3, default=[0.0, 0.0, 0.0])
+    arclen.add_argument("--theta0", type=_finite, required=True)
+    arclen.add_argument("--theta1", type=_finite, required=True)
+    arclen.add_argument("--tool", type=_finite, nargs=3, default=[0.0, 0.0, 0.0])
     arclen.add_argument("--arc", choices=ARC_DIRECTIONS, default="short")
     arclen.add_argument("--degrees", action="store_true")
     arclen.set_defaults(func=_cmd_arclen)
 
     traj = sub.add_parser("traj", help="sampled joint trajectory")
     traj.add_argument("mechanism", help="mechanism file")
-    traj.add_argument("--theta0", type=float, required=True)
-    traj.add_argument("--theta1", type=float, required=True)
-    traj.add_argument("--duration", type=float, required=True)
-    traj.add_argument("--freq", type=float, required=True)
+    traj.add_argument("--theta0", type=_finite, required=True)
+    traj.add_argument("--theta1", type=_finite, required=True)
+    traj.add_argument("--duration", type=_finite, required=True)
+    traj.add_argument("--freq", type=_finite, required=True)
     traj.add_argument(
         "--mode",
         choices=("equidistant", "linear", "quintic"),
         default="equidistant",
     )
-    traj.add_argument("--tool", type=float, nargs=3, default=[0.0, 0.0, 0.0])
+    traj.add_argument("--tool", type=_finite, nargs=3, default=[0.0, 0.0, 0.0])
     traj.add_argument("--arc", choices=ARC_DIRECTIONS, default="short")
     traj.add_argument("--blend", action="store_true", help="ease in and out")
     traj.add_argument("--out", default=None, help="output file, default stdout")

@@ -26,8 +26,10 @@ from .motionpoly import INFINITY, MotionPolynomial, _derivative_rows, _polymul
 
 TWO_PI = 2.0 * math.pi
 
-# Gauss-Newton polish: residual small enough to stop, step halvings per
-# iteration, largest |t| a step may reach, and relative stagnation step
+# Gauss-Newton polish: iterations allowed, residual small enough to stop,
+# step halvings per iteration, largest |t| a step may reach, and relative
+# stagnation step
+_MAX_ITERATIONS = 100
 _RESIDUAL_FLOOR = 1e-32
 _MAX_HALVINGS = 30
 _DIVERGENCE_BOUND = 1e8
@@ -120,10 +122,9 @@ def direct_kinematics(mechanism: Mechanism, theta) -> DualQuaternion:
 
 @dataclass(frozen=True)
 class IKOptions:
-    """Tuning knobs for inverse_kinematics."""
+    """Acceptance threshold of inverse_kinematics on the polished residual."""
 
     success_tol: float = 1e-10
-    max_iterations: int = 100
 
 
 @dataclass(frozen=True)
@@ -208,12 +209,13 @@ def _residual_at(coeffs, dcoeffs, target, t) -> float:
     return float(np.dot(err, err))
 
 
-def _refine(coeffs, dcoeffs, target, t0, max_iterations: int) -> _Polish:
+def _refine(coeffs, dcoeffs, target, t0) -> _Polish:
     """Damped Gauss-Newton from one start, run to stagnation.
 
-    Also stops when no step halving lowers the residual before the step
-    shrinks below _STEP_TOL (the full step is always tried), or when a
-    trial step would leave |t| <= _DIVERGENCE_BOUND.
+    Stops after _MAX_ITERATIONS accepted steps, when no step halving
+    lowers the residual before the step shrinks below _STEP_TOL (the
+    full step is always tried), or when a trial step would leave
+    |t| <= _DIVERGENCE_BOUND.
     """
     t = float(t0)
     c = _kernels.poly_eval8(coeffs, t)
@@ -224,7 +226,7 @@ def _refine(coeffs, dcoeffs, target, t0, max_iterations: int) -> _Polish:
     f = float(np.dot(err, err))
     trace = [f]
     iters = 0
-    while iters < max_iterations and f > _RESIDUAL_FLOOR:
+    while iters < _MAX_ITERATIONS and f > _RESIDUAL_FLOOR:
         denom = float(np.dot(chatd, chatd))
         if denom <= 1e-300:
             break
@@ -346,9 +348,7 @@ def inverse_kinematics(
     if reciprocal:
         coeffs = np.ascontiguousarray(coeffs[::-1])
         start = 0.0
-    run = _refine(
-        coeffs, _derivative_rows(coeffs), target, start, opt.max_iterations
-    )
+    run = _refine(coeffs, _derivative_rows(coeffs), target, start)
     t = run.t
     if reciprocal:
         t = INFINITY if t == 0.0 else 1.0 / t

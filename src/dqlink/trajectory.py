@@ -17,16 +17,21 @@ x0 once and shares them among the paths of all its points.
 
 Lengths come from composite Gauss-Legendre panels.  All panels of one
 refinement level are evaluated in a single numpy call; a panel whose
-value differs from the sum of its two halves by more than tol is split,
-otherwise its halves are kept.  Equidistant knots invert the resulting
-cumulative length table in one pass: each knot takes safeguarded Newton
-steps, with the speed as derivative, inside the panel that holds its
-target length.
+value differs from the sum of its two halves by more than the panel
+tolerance (_PANEL_TOL, or arc_length's tol) is split, otherwise its
+halves are kept, for at most _MAX_DEPTH levels.  Equidistant knots
+invert the resulting cumulative length table in one pass: each knot
+takes safeguarded Newton steps, with the speed as derivative, inside
+the panel that holds its target length.
 
 Profiles sample a duration T at frequency f into n = round(T*f) steps,
-n+1 samples with timestamps i/f.  Reported joint velocities are forward
-differences omega_i = (theta_{i+1} - theta_i) * f with the last value
-repeated, so they are exactly consistent with the returned angles.
+n+1 samples with timestamps i/f.  Every profile is a timing fraction
+per sample composed with a space map: the joint sweep theta0 + delta*u
+for the linear and quintic profiles, or the inversion of the tool path
+length table for the equidistant one.  Reported joint velocities are
+forward differences omega_i = (theta_{i+1} - theta_i) * f with the
+last value repeated, so they are exactly consistent with the returned
+angles.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleOnPath, QuadratureFailure
-from .kinematics import Mechanism, _axis_parts
+from .kinematics import Mechanism, _axis_parts, param_to_angle
 from .motionpoly import RationalPointPath, _real_roots
 
 TWO_PI = 2.0 * math.pi
@@ -67,8 +72,11 @@ _GL_NODES, _GL_WEIGHTS = _gauss_legendre(_GL_ORDER)
 
 # initial panel width in the angle chart; the t chart starts from one panel
 _ANGLE_PANEL = math.pi / 8.0
+# absolute tolerance per panel, and the refinement levels allowed to meet it
+_PANEL_TOL = 1e-10
+_MAX_DEPTH = 40
 # refinement stops with QuadratureFailure beyond this many open panels,
-# which bounds the memory of a level whatever tol and max_depth ask for
+# which bounds the memory of a level whatever the tolerance asks for
 _MAX_PANELS = 4096
 # knot inversion: iterates per knot before QuadratureFailure, and the
 # accepted deviation of a knot's cumulative length as a fraction of the
@@ -76,6 +84,8 @@ _MAX_PANELS = 4096
 # neighbouring knot errors cannot add up beyond it)
 _INVERSION_MAX_ITER = 50
 _KNOT_TOL = 0.5e-8
+# time fraction over which a blended profile ramps its speed in and out
+_BLEND_RAMP = 0.1
 
 
 def _check_poles(poles: np.ndarray, lo: float, hi: float, period=None):
@@ -156,17 +166,18 @@ class _Table:
 
     Panels are refined level by level until each one agrees with the
     sum of its halves to tol; the halves are kept.  Raises
-    QuadratureFailure when a panel still misses tol at max_depth.
+    QuadratureFailure when a panel still misses tol after _MAX_DEPTH
+    levels.
     """
 
-    def __init__(self, speed: _Speed, span: float, pieces: int, tol, max_depth):
+    def __init__(self, speed: _Speed, span: float, pieces: int, tol: float):
         self.speed = speed
         edges = np.linspace(0.0, span, pieces + 1)
         lo = edges[:-1]
         width = np.diff(edges)
         whole = _gauss(speed, lo, width)
         done = []
-        for depth in range(int(max_depth) + 1):
+        for depth in range(_MAX_DEPTH + 1):
             width = 0.5 * width
             lo = np.column_stack([lo, lo + width]).ravel()
             width = np.repeat(width, 2)
@@ -179,7 +190,7 @@ class _Table:
                 break
             open_ = ~keep
             lo, width, whole = lo[open_], width[open_], halves[open_]
-            if depth == max_depth or lo.size > _MAX_PANELS:
+            if depth == _MAX_DEPTH or lo.size > _MAX_PANELS:
                 raise QuadratureFailure(
                     "Gauss-Legendre panel [%r, %r] still above tolerance %g "
                     "at depth %d" % (float(lo[0]), float(lo[0] + width[0]), tol, depth)
@@ -192,78 +203,77 @@ class _Table:
         self.ends = np.cumsum(self.value)
         self.total = float(self.ends[-1])
 
-    def invert(self, targets: np.ndarray, tol: float) -> np.ndarray:
-        """Offsets at which the cumulative length reaches each target.
 
-        Safeguarded Newton inside the panel holding each target: a step
-        that leaves the panel's shrinking bracket is replaced by
-        bisection.  Raises QuadratureFailure when some knot misses tol
-        after _INVERSION_MAX_ITER iterates.
-        """
-        idx = np.minimum(np.searchsorted(self.ends, targets), self.ends.size - 1)
-        lo = self.lo[idx]
-        hi = lo + self.width[idx]
-        value = self.value[idx]
-        want = targets - (self.ends[idx] - value)
-        frac = np.divide(want, value, out=np.full_like(want, 0.5), where=value > 0.0)
-        x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
-        base = lo.copy()
-        todo = np.arange(targets.size)
-        for _ in range(_INVERSION_MAX_ITER):
-            if not todo.size:
-                return x
-            # length from the panel start to x by the panel's own rule,
-            # and the speed at x, in one evaluation
-            xt, bt = x[todo], base[todo]
-            f = self.speed(
-                np.concatenate([(bt[:, None] + (xt - bt)[:, None] * _GL_NODES).ravel(), xt])
-            )
-            got = (f[: -todo.size].reshape(todo.size, -1) @ _GL_WEIGHTS) * (xt - bt)
-            miss = got - want[todo]
-            open_ = np.abs(miss) > tol
-            todo, miss, slope = todo[open_], miss[open_], f[-xt.size:][open_]
-            if not todo.size:
-                return x
-            xt = x[todo]
-            lo[todo] = np.where(miss < 0.0, xt, lo[todo])
-            hi[todo] = np.where(miss > 0.0, xt, hi[todo])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = xt - miss / slope
-            inside = (step > lo[todo]) & (step < hi[todo])
-            x[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
-        raise QuadratureFailure(
-            "arc length inversion left %d knots above tolerance %g after %d "
-            "iterations" % (todo.size, tol, _INVERSION_MAX_ITER)
+def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
+    """Offsets of the interior knots at fractions of the table's length.
+
+    fractions runs from 0 to 1 over n+1 knots; each interior knot is
+    resolved to _KNOT_TOL times the segment length total/n.  Safeguarded
+    Newton inside the panel holding each target: a step that leaves the
+    panel's shrinking bracket is replaced by bisection.  Raises
+    QuadratureFailure when some knot misses its tolerance after
+    _INVERSION_MAX_ITER iterates.
+    """
+    targets = fractions[1:-1] * table.total
+    tol = _KNOT_TOL * table.total / (fractions.size - 1)
+    idx = np.minimum(np.searchsorted(table.ends, targets), table.ends.size - 1)
+    lo = table.lo[idx]
+    hi = lo + table.width[idx]
+    value = table.value[idx]
+    want = targets - (table.ends[idx] - value)
+    frac = np.divide(want, value, out=np.full_like(want, 0.5), where=value > 0.0)
+    x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+    base = lo.copy()
+    todo = np.arange(targets.size)
+    for _ in range(_INVERSION_MAX_ITER):
+        if not todo.size:
+            return x
+        # length from the panel start to x by the panel's own rule,
+        # and the speed at x, in one evaluation
+        xt, bt = x[todo], base[todo]
+        f = table.speed(
+            np.concatenate([(bt[:, None] + (xt - bt)[:, None] * _GL_NODES).ravel(), xt])
         )
+        got = (f[: -todo.size].reshape(todo.size, -1) @ _GL_WEIGHTS) * (xt - bt)
+        miss = got - want[todo]
+        open_ = np.abs(miss) > tol
+        todo, miss, slope = todo[open_], miss[open_], f[-xt.size:][open_]
+        if not todo.size:
+            return x
+        xt = x[todo]
+        lo[todo] = np.where(miss < 0.0, xt, lo[todo])
+        hi[todo] = np.where(miss > 0.0, xt, hi[todo])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = xt - miss / slope
+        inside = (step > lo[todo]) & (step < hi[todo])
+        x[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
+    raise QuadratureFailure(
+        "arc length inversion left %d knots above tolerance %g after %d "
+        "iterations" % (todo.size, tol, _INVERSION_MAX_ITER)
+    )
 
 
-def _knot_targets(total: float, fractions) -> tuple:
-    """Interior cumulative lengths and the Newton tolerance for them."""
-    fractions = np.asarray(fractions, dtype=float)
-    n = fractions.size - 1
-    return fractions[1:-1] * total, _KNOT_TOL * total / n
+def _t_table(path: RationalPointPath, a: float, b: float, tol: float) -> _Table:
+    """Length table of the path from parameter a towards b != a."""
+    _check_poles(_real_roots(path.x0), min(a, b), max(a, b))
+    return _Table(_Speed(path, a, math.copysign(1.0, b - a)), abs(b - a), 1, tol)
 
 
 def arc_length(
-    path: RationalPointPath,
-    t0: float,
-    t1: float,
-    tol: float = 1e-10,
-    max_depth: int = 40,
+    path: RationalPointPath, t0: float, t1: float, tol: float = _PANEL_TOL
 ) -> float:
     """Length of the path between two finite parameters.
 
     tol is the absolute tolerance per Gauss-Legendre panel.  Raises
     PoleOnPath when x0 has a real root inside the interval and
-    QuadratureFailure when some panel still misses tolerance at
-    max_depth.
+    QuadratureFailure when some panel still misses tolerance after
+    _MAX_DEPTH refinement levels.
     """
     a, b = float(t0), float(t1)
     if a == b:
         return 0.0
-    lo, hi = (a, b) if a < b else (b, a)
-    _check_poles(_real_roots(path.x0), lo, hi)
-    return _Table(_Speed(path, lo, 1.0), hi - lo, 1, tol, max_depth).total
+    # integrate forward from the lower end, whichever end comes first
+    return _t_table(path, min(a, b), max(a, b), tol).total
 
 
 @dataclass(frozen=True)
@@ -281,13 +291,7 @@ class PathSegmentation:
 
 
 def equidistant_params(
-    path: RationalPointPath,
-    t0: float,
-    t1: float,
-    n: int,
-    driving_axis=None,
-    tol: float = 1e-10,
-    max_depth: int = 40,
+    path: RationalPointPath, t0: float, t1: float, n: int, driving_axis=None
 ) -> PathSegmentation:
     """Split [t0, t1] into n pieces of equal arc length.
 
@@ -301,19 +305,14 @@ def equidistant_params(
     params = np.full(n + 1, a)
     total = 0.0
     if a != b:
-        lo, hi = (a, b) if a < b else (b, a)
-        _check_poles(_real_roots(path.x0), lo, hi)
-        sigma = 1.0 if b > a else -1.0
-        table = _Table(_Speed(path, a, sigma), hi - lo, 1, tol, max_depth)
+        table = _t_table(path, a, b, _PANEL_TOL)
         total = table.total
-        targets, ktol = _knot_targets(total, np.arange(n + 1) / n)
-        params[1:-1] = a + sigma * table.invert(targets, ktol)
+        offsets = _knots(table, np.arange(n + 1) / n)
+        params[1:-1] = a + math.copysign(1.0, b - a) * offsets
     params[-1] = b
     params = tuple(float(p) for p in params)
     angles = None
     if driving_axis is not None:
-        from .kinematics import param_to_angle
-
         angles = tuple(param_to_angle(p, driving_axis) for p in params)
     return PathSegmentation(
         params=params,
@@ -332,7 +331,11 @@ def resolve_arc(theta0: float, theta1: float, direction: str = "short") -> float
     """
     if direction not in ARC_DIRECTIONS:
         raise ValueError("direction must be one of %s" % (ARC_DIRECTIONS,))
-    inc = (float(theta1) - float(theta0)) % TWO_PI
+    a, b = float(theta0), float(theta1)
+    for name, value in (("theta0", a), ("theta1", b)):
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+    inc = (b - a) % TWO_PI
     if inc == 0.0:
         return 0.0
     dec = inc - TWO_PI
@@ -345,7 +348,7 @@ def resolve_arc(theta0: float, theta1: float, direction: str = "short") -> float
     return dec if inc <= math.pi else inc
 
 
-def _angle_table(mechanism: Mechanism, tool, start, delta, tol, max_depth) -> _Table:
+def _angle_table(mechanism: Mechanism, tool, start, delta) -> _Table:
     """Length table of the tool point path from start over delta radians."""
     tracked = mechanism.tool_home.act_on_point(np.asarray(tool, dtype=float))
     path = mechanism.motion.point_path(tracked)
@@ -360,7 +363,7 @@ def _angle_table(mechanism: Mechanism, tool, start, delta, tol, max_depth) -> _T
     span = abs(delta)
     speed = _Speed(path, start, math.copysign(1.0, delta), (q0, r))
     pieces = max(1, math.ceil(span / _ANGLE_PANEL))
-    return _Table(speed, span, pieces, tol, max_depth)
+    return _Table(speed, span, pieces, _PANEL_TOL)
 
 
 def arc_length_between(
@@ -369,14 +372,12 @@ def arc_length_between(
     theta1: float,
     tool=(0.0, 0.0, 0.0),
     direction: str = "short",
-    tol: float = 1e-10,
-    max_depth: int = 40,
 ) -> float:
     """Tool point arc length between two joint angles along a chosen arc."""
     delta = resolve_arc(theta0, theta1, direction)
     if delta == 0.0:
         return 0.0
-    return _angle_table(mechanism, tool, float(theta0), delta, tol, max_depth).total
+    return _angle_table(mechanism, tool, float(theta0), delta).total
 
 
 @dataclass(frozen=True)
@@ -411,31 +412,31 @@ class TrajectoryProfile:
         ]
 
 
-def _sample_count(duration: float, frequency: float) -> int:
-    T = float(duration)
-    f = float(frequency)
-    if T <= 0.0 or f <= 0.0:
-        raise ValueError("duration and frequency must be positive")
+def _profile(mode, theta0, theta1, duration, frequency, direction, space):
+    """Sample one sweep of the chosen arc into a TrajectoryProfile.
+
+    space(start, delta, steps, tau) maps the sample indices 0..n and
+    their fractions tau = i/(f*T) of the duration to the unwrapped
+    angles of the sweep from start over delta radians.
+    """
+    T, f = float(duration), float(frequency)
+    # the product may overflow or underflow even when both factors are fine
+    checks = (("duration", T), ("frequency", f), ("duration*frequency", T * f))
+    for name, value in checks:
+        if not 0.0 < value < math.inf:
+            raise ValueError("%s must be positive and finite, got %r" % (name, value))
     n = int(round(T * f))
     if n < 1:
         raise ValueError("duration times frequency must round to at least one step")
-    return n
-
-
-def _finish_profile(thetas, duration, frequency, mode) -> TrajectoryProfile:
-    thetas = np.asarray(thetas, dtype=float)
-    n = thetas.shape[0] - 1
-    times = np.arange(n + 1) / float(frequency)
+    delta = resolve_arc(theta0, theta1, direction)
+    steps = np.arange(n + 1)
+    times = steps / f
+    thetas = space(float(theta0), delta, steps, times / T)
     omegas = np.empty(n + 1)
-    omegas[:n] = np.diff(thetas) * float(frequency)
+    omegas[:n] = np.diff(thetas) * f
     omegas[n] = omegas[n - 1]
     return TrajectoryProfile(
-        times=times,
-        thetas=thetas,
-        omegas=omegas,
-        duration=float(duration),
-        frequency=float(frequency),
-        mode=mode,
+        times=times, thetas=thetas, omegas=omegas, duration=T, frequency=f, mode=mode
     )
 
 
@@ -447,10 +448,19 @@ def linear_profile(
     direction: str = "short",
 ) -> TrajectoryProfile:
     """Constant velocity sweep of the chosen arc."""
-    n = _sample_count(duration, frequency)
-    delta = resolve_arc(theta0, theta1, direction)
-    thetas = float(theta0) + delta * np.arange(n + 1) / n
-    return _finish_profile(thetas, duration, frequency, "linear")
+    return _profile(
+        "linear", theta0, theta1, duration, frequency, direction,
+        lambda start, delta, steps, tau: start + delta * steps / steps[-1],
+    )
+
+
+def _quintic(tau):
+    """Rest-to-rest quintic s(tau) and its slope, with tau clamped to [0, 1]."""
+    tau = np.clip(tau, 0.0, 1.0)
+    return (
+        tau * tau * tau * (10.0 + tau * (-15.0 + 6.0 * tau)),
+        30.0 * tau * tau * (1.0 + tau * (-2.0 + tau)),
+    )
 
 
 def quintic_time_scaling(theta_start: float, theta_end: float, duration: float):
@@ -468,14 +478,8 @@ def quintic_time_scaling(theta_start: float, theta_end: float, duration: float):
     delta = float(theta_end) - start
 
     def scaling(time: float) -> tuple:
-        tau = float(time) / T
-        if tau <= 0.0:
-            tau = 0.0
-        elif tau >= 1.0:
-            tau = 1.0
-        s = tau * tau * tau * (10.0 + tau * (-15.0 + 6.0 * tau))
-        sd = 30.0 * tau * tau * (1.0 + tau * (-2.0 + tau))
-        return start + s * delta, sd * delta / T
+        s, sd = _quintic(float(time) / T)
+        return start + float(s) * delta, float(sd) * delta / T
 
     return scaling
 
@@ -488,36 +492,30 @@ def quintic_profile(
     direction: str = "short",
 ) -> TrajectoryProfile:
     """Rest-to-rest quintic sweep of the chosen arc, sampled uniformly."""
-    n = _sample_count(duration, frequency)
-    delta = resolve_arc(theta0, theta1, direction)
-    scaling = quintic_time_scaling(theta0, float(theta0) + delta, duration)
-    f = float(frequency)
-    thetas = np.array([scaling(i / f)[0] for i in range(n + 1)])
-    return _finish_profile(thetas, duration, frequency, "quintic")
+
+    def space(start, delta, steps, tau):
+        # quintic_time_scaling(start, start + delta, duration) at the times i/f
+        return start + _quintic(tau)[0] * ((start + delta) - start)
+
+    return _profile("quintic", theta0, theta1, duration, frequency, direction, space)
 
 
-def _blend_warp(u: float, ramp: float = 0.1) -> float:
+def _blend_warp(u: np.ndarray) -> np.ndarray:
     """Monotone C1 warp of [0, 1] with flat ends and a linear middle.
 
-    The slope ramps in over the first and out over the last `ramp`
+    The slope ramps in over the first and out over the last _BLEND_RAMP
     fraction with a cubic smoothstep, which removes the velocity jump of
     a purely equidistant profile at start and stop.
     """
-    m = 1.0 / (1.0 - ramp)
+    m = 1.0 / (1.0 - _BLEND_RAMP)
 
-    def ramp_area(x: float) -> float:
-        v = x / ramp
-        return m * ramp * (v * v * v - 0.5 * v * v * v * v)
+    def ramp_area(x):
+        v = x / _BLEND_RAMP
+        return m * _BLEND_RAMP * (v * v * v - 0.5 * v * v * v * v)
 
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    if u < ramp:
-        return ramp_area(u)
-    if u > 1.0 - ramp:
-        return 1.0 - ramp_area(1.0 - u)
-    return m * ramp * 0.5 + m * (u - ramp)
+    middle = m * _BLEND_RAMP * 0.5 + m * (u - _BLEND_RAMP)
+    tail = np.where(u > 1.0 - _BLEND_RAMP, 1.0 - ramp_area(1.0 - u), middle)
+    return np.where(u < _BLEND_RAMP, ramp_area(u), tail)
 
 
 def equidistant_profile(
@@ -529,8 +527,6 @@ def equidistant_profile(
     tool=(0.0, 0.0, 0.0),
     direction: str = "short",
     blend: bool = False,
-    tol: float = 1e-10,
-    max_depth: int = 40,
 ) -> TrajectoryProfile:
     """Profile whose samples are equidistant along the tool point path.
 
@@ -541,14 +537,17 @@ def equidistant_profile(
     blend=True the first and last tenth of the samples ease in and out
     instead of starting at full speed.
     """
-    n = _sample_count(duration, frequency)
-    delta = resolve_arc(theta0, theta1, direction)
-    start = float(theta0)
-    thetas = np.full(n + 1, start)
-    if delta != 0.0:
-        table = _angle_table(mechanism, tool, start, delta, tol, max_depth)
-        fractions = [_blend_warp(i / n) if blend else i / n for i in range(n + 1)]
-        targets, ktol = _knot_targets(table.total, fractions)
-        thetas[1:-1] = start + math.copysign(1.0, delta) * table.invert(targets, ktol)
-        thetas[n] = start + delta
-    return _finish_profile(thetas, duration, frequency, "equidistant")
+
+    def space(start, delta, steps, tau):
+        thetas = np.full(steps.size, start)
+        if delta != 0.0:
+            table = _angle_table(mechanism, tool, start, delta)
+            u = steps / steps[-1]
+            offsets = _knots(table, _blend_warp(u) if blend else u)
+            thetas[1:-1] = start + math.copysign(1.0, delta) * offsets
+            thetas[-1] = start + delta
+        return thetas
+
+    return _profile(
+        "equidistant", theta0, theta1, duration, frequency, direction, space
+    )

@@ -260,13 +260,45 @@ def test_cli_traj_structured_stdout(capsys):
     assert len(doc["samples"]) == 6
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main(["arclen", SIXBAR, "--theta0", "0", "--theta1", "1", "--arc", "zigzag"])
     assert info.value.code == 2
+
+    # every numeric option of every subcommand: a non-finite value is a
+    # usage error naming the option, a negative exponent form still parses
+    options = {
+        "dk": {"--theta": ["1"]},
+        "ik": {"--pose": ["1", "0", "0", "0", "0", "0", "0", "0"], "--success-tol": ["1e-10"]},
+        "arclen": {"--theta0": ["0"], "--theta1": ["1"], "--tool": ["0", "0", "0"]},
+        "traj": {
+            "--theta0": ["0"],
+            "--theta1": ["1"],
+            "--duration": ["1"],
+            "--freq": ["10"],
+            "--tool": ["0", "0", "0"],
+        },
+    }
+
+    def argv(command, option=None, value=None):
+        args = [command, SIXBAR]
+        for name, values in options[command].items():
+            args += [name] + (values[:-1] + [value] if name == option else values)
+        return args
+
+    for command, names in options.items():
+        assert main(argv(command)) == 0
+        for option in names:
+            for bad in ("nan", "NaN", "inf", "-inf", "1e999", "one"):
+                with pytest.raises(SystemExit) as info:
+                    main(argv(command, option, bad))
+                assert info.value.code == 2
+                assert "argument %s:" % option in capsys.readouterr().err
+            assert main(argv(command, option, "-1e-5")) != 2
+            assert "argument" not in capsys.readouterr().err
 
 
 def test_cli_reads_negative_exponent_numbers(capsys):

@@ -79,9 +79,10 @@ def test_pole_check_is_unchanged_when_poles_are_kept():
     assert border.motion.path_poles() is border.motion.path_poles()
 
 
-def test_arc_length_quadrature_failure(circle_path):
+def test_arc_length_quadrature_failure(monkeypatch, circle_path):
+    monkeypatch.setattr(trajectory, "_MAX_DEPTH", 2)
     with pytest.raises(QuadratureFailure) as err:
-        arc_length(circle_path, -3.0, 3.0, tol=1e-16, max_depth=2)
+        arc_length(circle_path, -3.0, 3.0, tol=1e-16)
     # plain floats, not numpy scalar reprs such as np.float64(0.5)
     assert re.search(r"panel \[-?[0-9.e+-]+, -?[0-9.e+-]+\] still above", str(err.value))
     assert "float64" not in str(err.value)
@@ -187,13 +188,33 @@ def test_linear_profile_direction():
     assert math.isclose(prof.thetas[-1], 0.1 + 2 * math.pi)
 
 
-def test_profile_argument_validation():
+def test_profile_argument_validation(bennett):
     with pytest.raises(ValueError):
         linear_profile(0.0, 1.0, duration=0.0, frequency=10.0)
     with pytest.raises(ValueError):
         linear_profile(0.0, 1.0, duration=1.0, frequency=-1.0)
     with pytest.raises(ValueError):
         linear_profile(0.0, 1.0, duration=0.01, frequency=10.0)
+    # non-finite inputs fail loudly instead of sampling NaN or overflowing
+    profiles = (
+        linear_profile,
+        quintic_profile,
+        lambda *args: equidistant_profile(bennett, *args),
+    )
+    good = dict(theta0=0.3, theta1=1.0, duration=1.0, frequency=10.0)
+    for name in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            args = dict(good, **{name: bad})
+            for profile in profiles:
+                with pytest.raises(ValueError, match="%s must be .*finite" % name):
+                    profile(*args.values())
+    with pytest.raises(ValueError, match=r"duration\*frequency must be .*finite"):
+        linear_profile(0.0, 1.0, duration=1e300, frequency=1e300)
+    for theta0, theta1, name in ((math.nan, 1.0, "theta0"), (0.0, math.inf, "theta1")):
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            resolve_arc(theta0, theta1)
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            arc_length_between(bennett, theta0, theta1)
 
 
 def test_omegas_are_forward_differences():
@@ -219,6 +240,15 @@ def test_quintic_time_scaling_boundaries():
     assert math.isclose(th, 0.5 * (0.5 - 1.25), rel_tol=1e-12)
     with pytest.raises(ValueError):
         quintic_time_scaling(0.0, 1.0, 0.0)
+
+
+def test_quintic_profile_samples_time_scaling():
+    for theta0, theta1, direction in ((0.331, 5.893, "long"), (2.0, -1.0, "short")):
+        prof = quintic_profile(theta0, theta1, duration=1.3, frequency=7.0, direction=direction)
+        end = theta0 + resolve_arc(theta0, theta1, direction)
+        s = quintic_time_scaling(theta0, end, 1.3)
+        want = [s(i / 7.0)[0] for i in range(len(prof.thetas))]
+        assert prof.thetas.tolist() == want
 
 
 def test_quintic_time_scaling_velocity_consistency():
