@@ -89,11 +89,16 @@ class Mechanism:
     tool_home : DualQuaternion
         Displacement from the coupler frame to the tool frame, applied
         on the right of the evaluated motion.
+
+    The tool path chart of dqlink.trajectory, which depends only on the
+    motion and the driving axis, is built on first use and kept in the
+    private _chart slot.
     """
 
     motion: MotionPolynomial
     driving_axis: np.ndarray
     tool_home: DualQuaternion = None
+    _chart: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.motion, MotionPolynomial):

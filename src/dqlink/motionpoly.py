@@ -63,6 +63,31 @@ def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# quaternion units multiply as e_a * e_b = sign * e_(a xor b); the table
+# holds that sign at [a, b, a xor b] and zeros elsewhere
+_UNITS = np.arange(4)
+_QUATERNION_TABLE = np.zeros((4, 4, 4))
+_QUATERNION_TABLE[_UNITS[:, None], _UNITS, _UNITS[:, None] ^ _UNITS] = [
+    [1, 1, 1, 1],
+    [1, -1, 1, -1],
+    [1, -1, -1, 1],
+    [1, 1, -1, -1],
+]
+
+
+def _quaternion_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of quaternion polynomials a (..., m, 4) and b (k, 4).
+
+    Coefficients ascend along the second to last axis; every product of
+    a coefficient pair is formed in one call and summed by total power.
+    """
+    terms = np.einsum("...ia,kb,abc->...ikc", a, b, _QUATERNION_TABLE)
+    out = np.zeros(a.shape[:-2] + (a.shape[-2] + b.shape[0] - 1, 4))
+    for i in range(a.shape[-2]):
+        out[..., i : i + b.shape[0], :] += terms[..., i, :, :]
+    return out
+
+
 def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots of an ascending real coefficient polynomial."""
     scale = float(np.max(np.abs(coeffs)))
@@ -233,15 +258,26 @@ class MotionPolynomial:
         """Read-only (4, 2*degree + 1, 8) basis of the point action.
 
         Row 0 is the image of the origin, rows 1-3 those of the unit dual
-        directions eps*i, eps*j, eps*k; built on the first call.
+        directions eps*i, eps*j, eps*k; built on the first call.  Row 0
+        is the dual quaternion product chain, which keeps x0 and with it
+        path_poles() exactly as the convolution computes it.  With
+        C = P + eps*Q the dual part cancels from rows 1-3, which are
+        eps * P * e_j * conj(P): one quaternion convolution of the
+        primal parts for all three.
         """
         if self._act is None:
-            embed = np.zeros((4, 1, 8))
-            embed[0, 0, 0] = 1.0
-            embed[1:, 0, 5:8] = np.eye(3)
-            left = _eps_conj_rows(self._coeffs)
-            right = _conj_rows(self._coeffs)
-            act = np.stack([_polymul(_polymul(left, e), right) for e in embed])
+            origin = np.zeros((1, 8))
+            origin[0, 0] = 1.0
+            primal = self._coeffs[:, :4]
+            act = np.zeros((4, 2 * self.degree + 1, 8))
+            act[0] = _polymul(
+                _polymul(_eps_conj_rows(self._coeffs), origin), _conj_rows(self._coeffs)
+            )
+            # P * e_j for the units i, j, k
+            turned = np.einsum(
+                "ia,jb,abc->jic", primal, np.eye(4)[1:], _QUATERNION_TABLE
+            )
+            act[1:, :, 4:] = _quaternion_convolution(turned, primal * _CONJ_SIGNS[:4])
             act.flags.writeable = False
             self._act = act
         return self._act
@@ -251,14 +287,10 @@ class MotionPolynomial:
 
         The action is affine in x: B0 + x1*B1 + x2*B2 + x3*B3, with B0 the
         image of the origin and Bj that of eps times the j-th unit vector.
-        The basis is built with dual quaternion convolutions on the first
-        call and reused by every later one.
+        The basis is built on the first call and reused by every later
+        one.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (3,):
-            raise ValueError("expected 3 point coordinates")
-        act = self._action()
-        return act[0] + (x @ act[1:].reshape(3, -1)).reshape(act.shape[1:])
+        return _affine_action(self._action(), x)
 
     def path_poles(self) -> np.ndarray:
         """Read-only real roots of x0, shared by every point path.
@@ -278,20 +310,40 @@ class MotionPolynomial:
         Returns homogeneous coordinates (x0 : x1 : x2 : x3) as real
         polynomials of degree at most 2*degree, read off the affine point
         action of act_poly, whose basis the motion builds once.  The
-        rotational components of the acted point must vanish; a failure
-        to do so beyond study_tol reports StudyViolation.
+        acted point is checked by _check_point_action.
         """
         p = self.act_poly(x)
-        scale = float(np.max(np.abs(p)))
-        if scale == 0.0:
-            raise StudyViolation("point path is identically zero")
-        junk = float(np.max(np.abs(p[:, 1:5])))
-        if junk > self._study_tol * scale:
-            raise StudyViolation(
-                "acted point has non-point components: relative defect %.3e"
-                % (junk / scale)
-            )
+        _check_point_action(p, self._study_tol)
         return RationalPointPath(p[:, 0].copy(), p[:, 5:8].T.copy())
+
+
+def _affine_action(basis: np.ndarray, x) -> np.ndarray:
+    """basis[0] + x1*basis[1] + x2*basis[2] + x3*basis[3] for a point x."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3,):
+        raise ValueError("expected 3 point coordinates")
+    return basis[0] + (x @ basis[1:].reshape(3, -1)).reshape(basis.shape[1:])
+
+
+def _check_point_action(p: np.ndarray, study_tol: float):
+    """Check that acted point coefficients p describe a point path.
+
+    The rotational and dual-scalar components (columns 1-4) must vanish;
+    a failure to do so beyond study_tol reports StudyViolation, and
+    non-finite coefficients raise ValueError.
+    """
+    size = np.abs(p)
+    scale = float(np.max(size))
+    if not math.isfinite(scale):
+        raise ValueError("point path coefficients must be finite")
+    if scale == 0.0:
+        raise StudyViolation("point path is identically zero")
+    junk = float(np.max(size[:, 1:5]))
+    if junk > study_tol * scale:
+        raise StudyViolation(
+            "acted point has non-point components: relative defect %.3e"
+            % (junk / scale)
+        )
 
 
 class RationalPointPath:

@@ -1,25 +1,35 @@
 """Arc length, equidistant segmentation and joint velocity profiles.
 
-A tool point path is a rational curve (x1 : x2 : x3) / x0.  It is
-integrated either in its curve parameter t or, for arcs between joint
-angles, in the unwrapped driving angle phi.  The angle chart evaluates
-the path homogeneously at
+A tool point path is a rational curve (x1 : x2 : x3) / x0 of degree D.
+It is integrated either in its curve parameter t or, for arcs between
+joint angles, in the unwrapped driving angle phi.  Both are charts
+(a : s) = (r*cos(psi) + q0*sin(psi) : sin(psi)) of the parameter line,
+on which t = a/s: the angle chart has psi = phi/2 with q0 and r the
+scalar part and the vector length of the driving axis quaternion, so
+the home configuration (phi a multiple of 2*pi, t at infinity) is an
+ordinary point of it; the t chart has q0 = 0, r = 1 and
+psi = atan2(1, t).
 
-    (t : 1) = (r*cos(phi/2) + q0*sin(phi/2) : sin(phi/2))
-
-where q0 and r are the scalar part and the vector length of the driving
-axis quaternion, so the home configuration (phi a multiple of 2*pi,
-t at infinity) is an ordinary point of the chart.  The speed |dP/dphi|
-is evaluated in closed form from the homogeneous coordinates and their
-derivatives.  Poles of the path (real roots of x0, and phi = 0 when x0
-drops degree) are rejected with PoleOnPath; a motion finds the roots of
-x0 once and shares them among the paths of all its points.
+The homogeneous coordinates are forms of degree D in (a, s), hence in
+(cos(psi), sin(psi)), so each is a trigonometric sum of cos(h*psi) and
+sin(h*psi) over h = D, D-2, ...: D+1 coefficients, the same space as
+the D+1 polynomial coefficients in another basis.  A discrete Fourier
+transform on D+1 equispaced samples gives the map between the two
+bases.  A mechanism builds its angle chart on first use and keeps it
+read-only in a private slot: that map, its point action composed with
+the tool frame, and the pole angles, which are the roots of x0 that a
+motion finds once and phi = 0 when x0 drops degree.  A tool point then
+costs one affine combination and one small matrix product, and each
+speed evaluation |dP/dphi| or |dP/dt| one complex exponential, a short
+cumulative product for the higher harmonics and one matrix product.
+Poles inside an interval are rejected with PoleOnPath.
 
 Lengths come from composite Gauss-Legendre panels.  All panels of one
 refinement level are evaluated in a single numpy call; a panel whose
 value differs from the sum of its two halves by more than the panel
 tolerance (_PANEL_TOL, or arc_length's tol) is split, otherwise its
-halves are kept, for at most _MAX_DEPTH levels.  Equidistant knots
+halves are kept, for at most _MAX_DEPTH levels; the first level's
+panels are evaluated in the same call as their halves.  Equidistant knots
 invert the resulting cumulative length table in one pass: each knot
 takes safeguarded Newton steps, with the speed as derivative, inside
 the panel that holds its target length.
@@ -43,7 +53,12 @@ import numpy as np
 
 from .errors import PoleOnPath, QuadratureFailure
 from .kinematics import Mechanism, _axis_parts, param_to_angle
-from .motionpoly import RationalPointPath, _real_roots
+from .motionpoly import (
+    RationalPointPath,
+    _affine_action,
+    _check_point_action,
+    _real_roots,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,8 +99,17 @@ _MAX_PANELS = 4096
 # neighbouring knot errors cannot add up beyond it)
 _INVERSION_MAX_ITER = 50
 _KNOT_TOL = 0.5e-8
+# columns of x0, x1, x2, x3 in an acted point
+_POINT_COLUMNS = [0, 5, 6, 7]
 # time fraction over which a blended profile ramps its speed in and out
 _BLEND_RAMP = 0.1
+
+
+def _check_finite(*named):
+    """Raise ValueError naming the first (name, value) pair that is not finite."""
+    for name, value in named:
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
 
 
 def _check_poles(poles: np.ndarray, lo: float, hi: float, period=None):
@@ -109,49 +133,86 @@ def _check_poles(poles: np.ndarray, lo: float, hi: float, period=None):
         )
 
 
+def _harmonics(psi: np.ndarray, degree: int) -> np.ndarray:
+    """cos(h*psi), sin(h*psi) per node, interleaved, for h = degree, degree-2, ...
+
+    The harmonics ascend from degree mod 2 to degree, so each node has
+    2*(degree//2 + 1) columns; for even degree the sine of h = 0 is a
+    zero column.  cos(psi) and sin(psi) are taken once as exp(i*psi), and
+    each higher harmonic is the previous one turned by exp(2i*psi).
+    """
+    z = np.exp(1j * psi)
+    out = np.empty((psi.size, degree // 2 + 1), dtype=complex)
+    out[:, 0] = z if degree % 2 else 1.0
+    out[:, 1:] = (z * z)[:, None]
+    np.cumprod(out, axis=1, out=out)
+    return out.view(float)
+
+
+def _harmonic_map(degree: int, q0: float, r: float) -> np.ndarray:
+    """Read-only maps from a form of one degree to its harmonic coefficients.
+
+    A homogeneous form X(a, s) = sum_k c_k a**k s**(degree-k), taken in
+    the chart (a : s) = (r*cos(psi) + q0*sin(psi) : sin(psi)), is a sum
+    of the harmonics of _harmonics.  Row 0 of the result maps the
+    ascending coefficients c_k to those harmonic coefficients, row 1 to
+    the coefficients of dX/dpsi.  The coefficients come from an explicit
+    discrete Fourier transform of degree+1 equispaced samples on
+    [0, pi), on which the harmonics are orthogonal.
+    """
+    psi = np.arange(degree + 1) * (math.pi / (degree + 1))
+    s = np.sin(psi)
+    a = r * np.cos(psi) + q0 * s
+    k = np.arange(degree + 1)
+    samples = a[:, None] ** k * s[:, None] ** (degree - k)
+    # over the samples a harmonic h > 0 has squared sum (degree+1)/2,
+    # cos(0) has degree+1 and sin(0) vanishes
+    weight = np.full(degree + 2 - degree % 2, 2.0 / (degree + 1))
+    if degree % 2 == 0:
+        weight[:2] = 1.0 / (degree + 1)
+    value = weight[:, None] * (_harmonics(psi, degree).T @ samples)
+    value = value.reshape(-1, 2, degree + 1)
+    # d/dpsi takes (cos, sin) coefficients (u, v) of harmonic h to (h*v, -h*u)
+    h = np.arange(degree % 2, degree + 1, 2)[:, None]
+    slope = np.stack([h * value[:, 1], -h * value[:, 0]], axis=1)
+    maps = np.stack([value, slope]).reshape(2, -1, degree + 1)
+    maps.flags.writeable = False
+    return maps
+
+
 class _Speed:
     """Vectorized speed of a rational point path along a chart.
 
-    The homogeneous coordinates are X_j = sum_k c_jk a**k s**(D-k) with
-    (a : s) the chart's point of the parameter line: (t : 1) in the t
-    chart, or the angle chart of a driving axis given as angle = (q0, r).
-    Calling the object with offsets psi from start along the orientation
-    sigma returns |dP/dpsi| = |X0 * dX - X * dX0| / X0**2, summed over
-    x1, x2, x3.
+    Both charts use this one evaluator on the trigonometric form of the
+    module docstring.  maps comes from _harmonic_map for the chart and
+    coords holds the ascending monomial coefficients of X0..X3 as
+    columns; their harmonic coefficients, and those of dX/dpsi, are
+    formed once here.  In the angle chart the variable x is the
+    unwrapped driving angle, psi = x/2; in the t chart x is t, with
+    psi = atan2(1, t) and dpsi/dt = -1/(1 + t**2).  Calling the object
+    with offsets from start along the orientation sigma returns
+    |dpsi/dx| * |X0 * dX - X * dX0| / X0**2 over x1, x2, x3, at the cost
+    of one complex exponential, one cumulative product and one matrix
+    product for all nodes.
     """
 
-    def __init__(self, path, start: float, sigma: float, angle=None):
-        coeffs = np.column_stack([path.x0, path.xi.T])
-        deg = coeffs.shape[0] - 1
-        self.coeffs = coeffs
-        # partial derivatives by a and by s, both of degree D-1
-        self.by_a = coeffs[1:] * np.arange(1, deg + 1)[:, None]
-        self.by_s = coeffs[:-1] * np.arange(deg, 0, -1)[:, None]
+    def __init__(self, maps, coords, start, sigma, t_chart: bool = False):
+        self.degree = maps.shape[2] - 1
+        self.coef = np.hstack(maps @ coords)
         self.start = float(start)
         self.sigma = float(sigma)
-        self.angle = angle
+        self.t_chart = t_chart
 
-    def chart(self, x):
-        """Homogeneous parameter (a, s) and its derivative at x."""
-        if self.angle is None:
-            return x, np.ones_like(x), 1.0, 0.0
-        q0, r = self.angle
-        s = np.sin(0.5 * x)
-        c = np.cos(0.5 * x)
-        return r * c + q0 * s, s, 0.5 * (q0 * c - r * s), 0.5 * c
-
-    def __call__(self, psi):
-        a, s, da, ds = self.chart(self.start + self.sigma * psi)
-        deg = self.coeffs.shape[0] - 1
-        apow = np.vander(a, deg + 1, increasing=True)
-        spow = np.vander(s, deg + 1)
-        hom = (apow * spow) @ self.coeffs
-        lower = apow[:, :-1] * spow[:, 1:]
-        dhom = (lower @ self.by_a) * np.reshape(da, (-1, 1))
-        dhom += (lower @ self.by_s) * np.reshape(ds, (-1, 1))
-        w = hom[:, :1]
-        num = dhom[:, 1:] * w - hom[:, 1:] * dhom[:, :1]
-        return np.sqrt(np.sum(num * num, axis=1)) / (w[:, 0] * w[:, 0])
+    def __call__(self, offsets):
+        x = self.start + self.sigma * offsets
+        if self.t_chart:
+            psi, rate = np.arctan2(1.0, x), 1.0 / (1.0 + x * x)
+        else:
+            psi, rate = 0.5 * x, 0.5
+        both = _harmonics(psi, self.degree) @ self.coef
+        w = both[:, :1]
+        num = both[:, 5:] * w - both[:, 1:4] * both[:, 4:5]
+        return rate * np.sqrt(np.sum(num * num, axis=1)) / (w[:, 0] * w[:, 0])
 
 
 def _gauss(speed: _Speed, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -161,27 +222,33 @@ def _gauss(speed: _Speed, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
     return (f @ _GL_WEIGHTS) * width
 
 
+def _halve(lo: np.ndarray, width: np.ndarray) -> tuple:
+    """Left and right halves of panels, interleaved."""
+    half = 0.5 * width
+    return np.column_stack([lo, lo + half]).ravel(), np.repeat(half, 2)
+
+
 class _Table:
     """Cumulative arc length over [0, span] in accepted panels.
 
     Panels are refined level by level until each one agrees with the
-    sum of its halves to tol; the halves are kept.  Raises
-    QuadratureFailure when a panel still misses tol after _MAX_DEPTH
-    levels.
+    sum of its halves to tol; the halves are kept.  The first level's
+    panels are evaluated together with their halves, and every later
+    level already holds its panels' values.  Raises QuadratureFailure
+    when a panel still misses tol after _MAX_DEPTH levels.
     """
 
     def __init__(self, speed: _Speed, span: float, pieces: int, tol: float):
         self.speed = speed
         edges = np.linspace(0.0, span, pieces + 1)
-        lo = edges[:-1]
-        width = np.diff(edges)
-        whole = _gauss(speed, lo, width)
+        first, size = edges[:-1], np.diff(edges)
+        lo, width = _halve(first, size)
+        values = _gauss(
+            speed, np.concatenate([first, lo]), np.concatenate([size, width])
+        )
+        whole, halves = values[:pieces], values[pieces:]
         done = []
         for depth in range(_MAX_DEPTH + 1):
-            width = 0.5 * width
-            lo = np.column_stack([lo, lo + width]).ravel()
-            width = np.repeat(width, 2)
-            halves = _gauss(speed, lo, width)
             pair = halves.reshape(-1, 2)
             ok = np.abs(pair[:, 0] + pair[:, 1] - whole) <= tol
             keep = np.repeat(ok, 2)
@@ -195,6 +262,8 @@ class _Table:
                     "Gauss-Legendre panel [%r, %r] still above tolerance %g "
                     "at depth %d" % (float(lo[0]), float(lo[0] + width[0]), tol, depth)
                 )
+            lo, width = _halve(lo, width)
+            halves = _gauss(speed, lo, width)
         lo, width, value = (np.concatenate(parts) for parts in zip(*done))
         order = np.argsort(lo)
         self.lo = lo[order]
@@ -256,7 +325,14 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
 def _t_table(path: RationalPointPath, a: float, b: float, tol: float) -> _Table:
     """Length table of the path from parameter a towards b != a."""
     _check_poles(_real_roots(path.x0), min(a, b), max(a, b))
-    return _Table(_Speed(path, a, math.copysign(1.0, b - a)), abs(b - a), 1, tol)
+    speed = _Speed(
+        _harmonic_map(path.degree, 0.0, 1.0),
+        np.column_stack([path.x0, path.xi.T]),
+        a,
+        math.copysign(1.0, b - a),
+        t_chart=True,
+    )
+    return _Table(speed, abs(b - a), 1, tol)
 
 
 def arc_length(
@@ -267,9 +343,11 @@ def arc_length(
     tol is the absolute tolerance per Gauss-Legendre panel.  Raises
     PoleOnPath when x0 has a real root inside the interval and
     QuadratureFailure when some panel still misses tolerance after
-    _MAX_DEPTH refinement levels.
+    _MAX_DEPTH refinement levels.  Non-finite parameters, or a span
+    that overflows, raise ValueError.
     """
     a, b = float(t0), float(t1)
+    _check_finite(("t0", a), ("t1", b), ("t1 - t0", b - a))
     if a == b:
         return 0.0
     # integrate forward from the lower end, whichever end comes first
@@ -296,12 +374,14 @@ def equidistant_params(
     """Split [t0, t1] into n pieces of equal arc length.
 
     Interior knots come from one inversion of the cumulative length
-    table, each resolved to 0.5e-8 times the segment length.
+    table, each resolved to 0.5e-8 times the segment length.  Non-finite
+    parameters, or a span that overflows, raise ValueError.
     """
     n = int(n)
     if n < 1:
         raise ValueError("need at least one segment")
     a, b = float(t0), float(t1)
+    _check_finite(("t0", a), ("t1", b), ("t1 - t0", b - a))
     params = np.full(n + 1, a)
     total = 0.0
     if a != b:
@@ -332,9 +412,7 @@ def resolve_arc(theta0: float, theta1: float, direction: str = "short") -> float
     if direction not in ARC_DIRECTIONS:
         raise ValueError("direction must be one of %s" % (ARC_DIRECTIONS,))
     a, b = float(theta0), float(theta1)
-    for name, value in (("theta0", a), ("theta1", b)):
-        if not math.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
+    _check_finite(("theta0", a), ("theta1", b))
     inc = (b - a) % TWO_PI
     if inc == 0.0:
         return 0.0
@@ -348,20 +426,48 @@ def resolve_arc(theta0: float, theta1: float, direction: str = "short") -> float
     return dec if inc <= math.pi else inc
 
 
+def _angle_chart(mechanism: Mechanism) -> tuple:
+    """Harmonic map, tool point action and pole angles of the tool paths.
+
+    None of them depends on the tool point.  The action maps a point x
+    of the tool frame to the acted point action[0] + x @ action[1:],
+    the point action of the motion composed with tool_home, which is
+    affine in x.  The pole angles are those of the roots of x0, the
+    primal norm of the motion, and phi = 0 when x0 drops degree.  Built
+    on first use and kept, read-only, in the mechanism's _chart slot.
+    """
+    if mechanism._chart is None:
+        motion = mechanism.motion
+        basis = motion._action()
+        # the tool frame's origin and its unit points in the coupler frame
+        unit = np.vstack([np.zeros(3), np.eye(3)])
+        frame = np.array([mechanism.tool_home.act_on_point(x) for x in unit])
+        turn = frame[1:] - frame[0]
+        action = np.empty_like(basis)
+        action[0] = motion.act_poly(frame[0])
+        action[1:] = (turn @ basis[1:].reshape(3, -1)).reshape(basis[1:].shape)
+        x0 = basis[0, :, 0]
+        q0, r = _axis_parts(mechanism.driving_axis)
+        poles = (2.0 * np.arctan2(r, motion.path_poles() - q0)) % TWO_PI
+        if abs(x0[-1]) <= 1e-14 * float(np.max(np.abs(x0))):
+            # x0 drops degree: its homogeneous form vanishes at home
+            poles = np.append(poles, 0.0)
+        for arr in (action, poles):
+            arr.flags.writeable = False
+        chart = (_harmonic_map(x0.size - 1, q0, r), action, poles)
+        object.__setattr__(mechanism, "_chart", chart)
+    return mechanism._chart
+
+
 def _angle_table(mechanism: Mechanism, tool, start, delta) -> _Table:
     """Length table of the tool point path from start over delta radians."""
-    tracked = mechanism.tool_home.act_on_point(np.asarray(tool, dtype=float))
-    path = mechanism.motion.point_path(tracked)
-    q0, r = _axis_parts(mechanism.driving_axis)
-    poles = (2.0 * np.arctan2(r, mechanism.motion.path_poles() - q0)) % TWO_PI
-    scale = float(np.max(np.abs(path.x0)))
-    if abs(path.x0[-1]) <= 1e-14 * scale:
-        # x0 drops degree: its homogeneous form vanishes at home
-        poles = np.append(poles, 0.0)
+    maps, action, poles = _angle_chart(mechanism)
+    acted = _affine_action(action, tool)
+    _check_point_action(acted, mechanism.motion.study_tol)
     end = start + delta
     _check_poles(poles, min(start, end), max(start, end), TWO_PI)
     span = abs(delta)
-    speed = _Speed(path, start, math.copysign(1.0, delta), (q0, r))
+    speed = _Speed(maps, acted[:, _POINT_COLUMNS], start, math.copysign(1.0, delta))
     pieces = max(1, math.ceil(span / _ANGLE_PANEL))
     return _Table(speed, span, pieces, _PANEL_TOL)
 
@@ -470,12 +576,20 @@ def quintic_time_scaling(theta_start: float, theta_end: float, duration: float):
     values are exact, boundary velocities and accelerations vanish, and
     the peak speed 15*|theta_end - theta_start| / (8*duration) occurs at
     the half-time.  Times outside [0, duration] clamp to the endpoints.
+    Non-finite arguments, a travel that overflows and a duration that
+    is not positive raise ValueError.
     """
     T = float(duration)
-    if T <= 0.0:
-        raise ValueError("duration must be positive")
     start = float(theta_start)
     delta = float(theta_end) - start
+    _check_finite(
+        ("theta_start", start),
+        ("theta_end", float(theta_end)),
+        ("duration", T),
+        ("theta_end - theta_start", delta),
+    )
+    if T <= 0.0:
+        raise ValueError("duration must be positive")
 
     def scaling(time: float) -> tuple:
         s, sd = _quintic(float(time) / T)

@@ -1,14 +1,23 @@
+import dataclasses
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from dqlink import (
+    DualQuaternion,
     Mechanism,
     MotionPolynomial,
     PoleOnPath,
     QuadratureFailure,
+    RationalPointPath,
+    StudyViolation,
+    _kernels,
     angle_to_param,
     arc_length,
     arc_length_between,
@@ -441,3 +450,158 @@ def test_inversion_raises_when_capped(monkeypatch, bennett, circle_path):
         equidistant_profile(bennett, 0.331, 5.893, duration=4.0, frequency=20.0, direction="long")
     with pytest.raises(QuadratureFailure):
         equidistant_params(circle_path, -2.0, 3.0, 16)
+
+
+def reference_speed(coords, x, axis=None):
+    """|dP/dx| from homogeneous coordinates X(a, s) = sum_k c_k a**k s**(D-k).
+
+    coords holds ascending coefficients of x0..x3 as columns.  Without
+    an axis x is the curve parameter, (a : s) = (x : 1); with an axis
+    (q0, r) x is the joint angle, (a : s) = (r*cos(x/2) + q0*sin(x/2) :
+    sin(x/2)).
+    """
+    deg = coords.shape[0] - 1
+    if axis is None:
+        a, s, da, ds = x, 1.0, 1.0, 0.0
+    else:
+        q0, r = axis
+        c, sn = math.cos(0.5 * x), math.sin(0.5 * x)
+        a, s, da, ds = r * c + q0 * sn, sn, 0.5 * (q0 * c - r * sn), 0.5 * c
+    hom, dhom = 0.0, 0.0
+    for k in range(deg + 1):
+        hom = hom + coords[k] * a**k * s ** (deg - k)
+        by_a = k * a ** max(k - 1, 0) * s ** (deg - k)
+        by_s = (deg - k) * a**k * s ** max(deg - k - 1, 0)
+        dhom = dhom + coords[k] * (by_a * da + by_s * ds)
+    num = dhom[1:] * hom[0] - hom[1:] * dhom[0]
+    return math.sqrt(num @ num) / hom[0] ** 2
+
+
+def assert_speeds(speed, xs, coords, axis=None):
+    want = [reference_speed(coords, x, axis) for x in xs]
+    assert np.allclose(speed(xs), want, rtol=1e-12, atol=0.0)
+
+
+def test_trig_speed_matches_homogeneous_evaluation(random_linkage):
+    rng = np.random.default_rng(21)
+    for joints in (2, 3, 4):
+        mech = random_linkage(rng, joints)
+        axis = (mech.driving_axis[0], np.linalg.norm(mech.driving_axis[1:]))
+        maps, action, _ = trajectory._angle_chart(mech)
+        for _ in range(3):
+            tool = rng.normal(scale=0.5, size=3)
+            acted = action[0] + (tool @ action[1:].reshape(3, -1)).reshape(action.shape[1:])
+            path = mech.motion.point_path(mech.tool_home.act_on_point(tool))
+            coords = np.column_stack([path.x0, path.xi.T])
+            phi = rng.uniform(-2 * math.pi, 2 * math.pi, size=40)
+            speed = trajectory._Speed(maps, acted[:, [0, 5, 6, 7]], 0.0, 1.0)
+            assert_speeds(speed, phi, coords, axis)
+            t_maps = trajectory._harmonic_map(path.degree, 0.0, 1.0)
+            speed = trajectory._Speed(t_maps, coords, 0.0, 1.0, t_chart=True)
+            assert_speeds(speed, rng.uniform(-3.0, 3.0, size=40), coords)
+    # an odd degree, which no motion produces, takes the odd harmonics
+    path = RationalPointPath([2.0, 0.0, 1.0, 0.1], rng.normal(size=(3, 4)))
+    coords = np.column_stack([path.x0, path.xi.T])
+    t = rng.uniform(-3.0, 3.0, size=40)
+    for axis in ((0.0, 1.0), (0.3, 0.8)):
+        speed = trajectory._Speed(trajectory._harmonic_map(3, *axis), coords, 0.0, 1.0)
+        assert_speeds(speed, 2.0 * np.arctan2(axis[1], t - axis[0]), coords, axis)
+    t_maps = trajectory._harmonic_map(3, 0.0, 1.0)
+    assert_speeds(trajectory._Speed(t_maps, coords, 0.0, 1.0, t_chart=True), t, coords)
+
+
+def test_pole_at_home_when_x0_drops_degree():
+    # C = 1 + t*eps*k translates along z without turning: x0 = 1 has
+    # degree 0 in the quadratic chart, so the point runs off at home
+    slide = Mechanism(
+        MotionPolynomial([[1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1]]),
+        [0, 1, 0, 0],
+    )
+    tool = (0.3, 0.0, 0.0)
+    for theta0, theta1 in ((-0.5, 0.5), (0.0, 1.0), (6.0, 0.2)):
+        with pytest.raises(PoleOnPath):
+            arc_length_between(slide, theta0, theta1, tool=tool, direction="increasing")
+    # the point moves by 2 per unit of t = 1/tan(theta/2)
+    want = 2.0 * (1.0 / math.tan(0.25) - 1.0 / math.tan(0.5))
+    assert math.isclose(arc_length_between(slide, 0.5, 1.0, tool=tool), want, rel_tol=1e-12)
+
+
+def test_tool_path_chart_is_built_once_and_read_only(monkeypatch, random_linkage):
+    mech = random_linkage(np.random.default_rng(22), 3)
+    assert mech._chart is None
+    first = arc_length_between(mech, 0.4, 2.0, tool=(0.1, 0.2, 0.3))
+    chart = mech._chart
+    for arr in chart:
+        assert not arr.flags.writeable
+    calls = []
+    mul = _kernels.dq_mul8
+    monkeypatch.setattr(_kernels, "dq_mul8", lambda a, b: calls.append(1) or mul(a, b))
+    second = arc_length_between(mech, 0.4, 2.0, tool=(-0.3, 0.0, 0.5))
+    equidistant_profile(mech, 0.4, 2.0, duration=1.0, frequency=5.0, tool=(0.2, 0.0, 0.0))
+    assert calls == []
+    assert mech._chart is chart
+    assert first != second
+    # a mechanism made from it builds its own chart
+    shifted = DualQuaternion.from_translation([0.1, 0.2, 0.3])
+    assert dataclasses.replace(mech, tool_home=shifted)._chart is None
+
+
+def test_point_check_reaches_arc_length_between(monkeypatch, random_linkage):
+    # a negative study_tol turns every acted point into a violation, so
+    # both point_path and the angle chart must report it
+    mech = random_linkage(np.random.default_rng(23), 2)
+    monkeypatch.setattr(mech.motion, "_study_tol", -1.0)
+    with pytest.raises(StudyViolation, match="non-point components"):
+        mech.motion.point_path([0.1, 0.2, 0.3])
+    with pytest.raises(StudyViolation, match="non-point components"):
+        arc_length_between(mech, 0.4, 2.0, tool=(0.1, 0.2, 0.3))
+    with pytest.raises(StudyViolation, match="non-point components"):
+        equidistant_profile(mech, 0.4, 2.0, duration=1.0, frequency=5.0)
+    # the same check rejects a tool point that is not finite
+    with pytest.raises(ValueError, match="finite"):
+        arc_length_between(mech, 0.4, 2.0, tool=(math.nan, 0.0, 0.0))
+
+
+def test_arc_length_rejects_non_finite_parameters(circle_path):
+    cases = ((math.nan, 1.0, "t0"), (0.0, math.inf, "t1"), (-1e308, 1e308, "t1 - t0"))
+    for t0, t1, name in cases:
+        with pytest.raises(ValueError, match="%s must be finite" % re.escape(name)):
+            arc_length(circle_path, t0, t1)
+        with pytest.raises(ValueError, match="%s must be finite" % re.escape(name)):
+            equidistant_params(circle_path, t0, t1, 4)
+
+
+def test_quintic_time_scaling_rejects_non_finite_arguments():
+    cases = (
+        ((0.0, 1.0, math.nan), "duration"),
+        ((0.0, math.inf, 1.0), "theta_end"),
+        ((-math.inf, 1.0, 1.0), "theta_start"),
+        ((-1e308, 1e308, 1.0), "theta_end - theta_start"),
+    )
+    for args, name in cases:
+        with pytest.raises(ValueError, match="%s must be finite" % re.escape(name)):
+            quintic_time_scaling(*args)
+
+
+def test_import_and_arc_leave_numpy_fft_and_polynomial_unloaded(tmp_path):
+    # either module would add to the import time of every CLI call; numpy
+    # releases before 2.0 load both on their own import
+    src = pathlib.Path(trajectory.__file__).resolve().parents[1]
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import dqlink\n"
+        "m = dqlink.load_mechanism(%r)\n"
+        "dqlink.arc_length_between(m, 0.3, 2.0, tool=(0.1, 0.0, 0.0))\n"
+        "new = set(sys.modules) - before\n"
+        "print(sorted(k for k in new if k.startswith(('numpy.fft', 'numpy.polynomial'))))\n"
+    ) % str(pathlib.Path(__file__).parent / "data" / "sixbar.mech")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
