@@ -1,5 +1,7 @@
 """Numerical kernels: the dual quaternion product and Horner evaluation.
 
+The dual quaternion product is one multiplication table; ``dq_mul8``
+broadcasts over it, so one call multiplies any number of pairs.
 Library code calls these as ``_kernels.name(...)``, so a profiler or a
 test that replaces a module attribute sees every call.
 
@@ -11,27 +13,27 @@ per-layer benchmark tracer still looks it up by name.
 
 import numpy as np
 
+# quaternion units multiply as e_a * e_b = sign * e_(a xor b); with
+# h = P + eps*Q, P1*P2 fills the primal block of the dual quaternion
+# table and P1*Q2 + Q1*P2 its dual block
+_UNIT = np.arange(4)
+_QUATERNION = np.zeros((4, 4, 4))
+_QUATERNION[_UNIT[:, None], _UNIT, _UNIT[:, None] ^ _UNIT] = [
+    [1, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]
+]
+_PRODUCT = np.zeros((8, 8, 8))
+_PRODUCT[:4, :4, :4] = _PRODUCT[:4, 4:, 4:] = _PRODUCT[4:, :4, 4:] = _QUATERNION
+_PRODUCT.flags.writeable = False
+
 
 def dq_mul8(a, b):
-    """Dual quaternion product of two 8-vectors (primal then dual)."""
-    a0 = a[0]; a1 = a[1]; a2 = a[2]; a3 = a[3]
-    a4 = a[4]; a5 = a[5]; a6 = a[6]; a7 = a[7]
-    b0 = b[0]; b1 = b[1]; b2 = b[2]; b3 = b[3]
-    b4 = b[4]; b5 = b[5]; b6 = b[6]; b7 = b[7]
-    out = np.empty(8)
-    out[0] = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-    out[1] = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-    out[2] = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-    out[3] = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-    out[4] = (a0 * b4 - a1 * b5 - a2 * b6 - a3 * b7
-              + a4 * b0 - a5 * b1 - a6 * b2 - a7 * b3)
-    out[5] = (a0 * b5 + a1 * b4 + a2 * b7 - a3 * b6
-              + a4 * b1 + a5 * b0 + a6 * b3 - a7 * b2)
-    out[6] = (a0 * b6 - a1 * b7 + a2 * b4 + a3 * b5
-              + a4 * b2 - a5 * b3 + a6 * b0 + a7 * b1)
-    out[7] = (a0 * b7 + a1 * b6 - a2 * b5 + a3 * b4
-              + a4 * b3 + a5 * b2 - a6 * b1 + a7 * b0)
-    return out
+    """Dual quaternion product of 8-vectors (primal then dual).
+
+    Leading axes broadcast.  Plain einsum sums the products over the
+    units of a and b in ascending order; a contraction path or a matmul
+    form would round differently.
+    """
+    return np.einsum("...a,...b,abc->...c", a, b, _PRODUCT)
 
 
 def poly_eval8(coeffs, t):

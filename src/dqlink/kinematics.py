@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .dq import _CONJ_SIGNS, CANONICAL_TOL, STUDY_TOL, TOL, DualQuaternion
 from .errors import InvalidPose, NoConvergence, StudyViolation
-from .motionpoly import INFINITY, MotionPolynomial, _derivative_rows, _polymul
+from .motionpoly import INFINITY, MotionPolynomial, _derivative_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -292,7 +292,7 @@ def _global_start(coeffs: np.ndarray, p8: np.ndarray):
     and infinity, where N/D tends to the ratio of the leading
     coefficients.  Returns INFINITY or a finite parameter.
     """
-    v = _polymul(coeffs, (p8 * _CONJ_SIGNS)[None, :])
+    v = _kernels.dq_mul8(coeffs, p8 * _CONJ_SIGNS)
     num = _sum_of_squares(v[:, _VECTOR_PARTS])
     den = _sum_of_squares(coeffs) * float(np.dot(p8, p8))
     crit = np.convolve(_derivative_rows(num), den) - np.convolve(

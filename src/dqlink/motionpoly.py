@@ -54,37 +54,17 @@ def _coeff_array(coeffs) -> np.ndarray:
 
 
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Convolution product of two dual quaternion coefficient arrays."""
-    la, lb = a.shape[0], b.shape[0]
-    out = np.zeros((la + lb - 1, 8))
-    for i in range(la):
-        for j in range(lb):
-            out[i + j] += _kernels.dq_mul8(a[i], b[j])
-    return out
+    """Product of dual quaternion polynomials a (..., m, 8) and b (..., k, 8).
 
-
-# quaternion units multiply as e_a * e_b = sign * e_(a xor b); the table
-# holds that sign at [a, b, a xor b] and zeros elsewhere
-_UNITS = np.arange(4)
-_QUATERNION_TABLE = np.zeros((4, 4, 4))
-_QUATERNION_TABLE[_UNITS[:, None], _UNITS, _UNITS[:, None] ^ _UNITS] = [
-    [1, 1, 1, 1],
-    [1, -1, 1, -1],
-    [1, -1, -1, 1],
-    [1, 1, -1, -1],
-]
-
-
-def _quaternion_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of quaternion polynomials a (..., m, 4) and b (k, 4).
-
-    Coefficients ascend along the second to last axis; every product of
-    a coefficient pair is formed in one call and summed by total power.
+    Coefficients ascend along the second to last axis, and leading axes
+    broadcast.  One dq_mul8 call forms the products of all coefficient
+    pairs, which are then summed by total power.
     """
-    terms = np.einsum("...ia,kb,abc->...ikc", a, b, _QUATERNION_TABLE)
-    out = np.zeros(a.shape[:-2] + (a.shape[-2] + b.shape[0] - 1, 4))
+    terms = _kernels.dq_mul8(a[..., :, None, :], b[..., None, :, :])
+    k = b.shape[-2]
+    out = np.zeros(terms.shape[:-3] + (a.shape[-2] + k - 1, 8))
     for i in range(a.shape[-2]):
-        out[..., i : i + b.shape[0], :] += terms[..., i, :, :]
+        out[..., i : i + k, :] += terms[..., i, :, :]
     return out
 
 
@@ -257,27 +237,16 @@ class MotionPolynomial:
     def _action(self) -> np.ndarray:
         """Read-only (4, 2*degree + 1, 8) basis of the point action.
 
-        Row 0 is the image of the origin, rows 1-3 those of the unit dual
-        directions eps*i, eps*j, eps*k; built on the first call.  Row 0
-        is the dual quaternion product chain, which keeps x0 and with it
-        path_poles() exactly as the convolution computes it.  With
-        C = P + eps*Q the dual part cancels from rows 1-3, which are
-        eps * P * e_j * conj(P): one quaternion convolution of the
-        primal parts for all three.
+        Rows are the images of the origin and of the unit dual directions
+        eps*i, eps*j, eps*k, built on the first call as one pair of
+        polynomial products eps_conj(C) * units * conj(C).
         """
         if self._act is None:
-            origin = np.zeros((1, 8))
-            origin[0, 0] = 1.0
-            primal = self._coeffs[:, :4]
-            act = np.zeros((4, 2 * self.degree + 1, 8))
-            act[0] = _polymul(
-                _polymul(_eps_conj_rows(self._coeffs), origin), _conj_rows(self._coeffs)
-            )
-            # P * e_j for the units i, j, k
-            turned = np.einsum(
-                "ia,jb,abc->jic", primal, np.eye(4)[1:], _QUATERNION_TABLE
-            )
-            act[1:, :, 4:] = _quaternion_convolution(turned, primal * _CONJ_SIGNS[:4])
+            c = self._coeffs
+            units = np.zeros((4, 1, 8))
+            units[0, 0, 0] = 1.0
+            units[1:, 0, 5:] = np.eye(3)
+            act = _polymul(_polymul(_eps_conj_rows(c), units), _conj_rows(c))
             act.flags.writeable = False
             self._act = act
         return self._act

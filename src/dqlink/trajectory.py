@@ -35,18 +35,19 @@ takes safeguarded Newton steps, with the speed as derivative, inside
 the panel that holds its target length.
 
 Profiles sample a duration T at frequency f into n = round(T*f) steps,
-n+1 samples with timestamps i/f.  Every profile is a timing fraction
-per sample composed with a space map: the joint sweep theta0 + delta*u
-for the linear and quintic profiles, or the inversion of the tool path
-length table for the equidistant one.  Reported joint velocities are
-forward differences omega_i = (theta_{i+1} - theta_i) * f with the
-last value repeated, so they are exactly consistent with the returned
-angles.
+n+1 samples with timestamps i/f; n above _MAX_SAMPLES raises
+ValueError.  Every profile is a timing fraction per sample composed
+with a space map: the joint sweep theta0 + delta*u for the linear and
+quintic profiles, or the inversion of the tool path length table for
+the equidistant one.  Reported joint velocities are forward
+differences omega_i = (theta_{i+1} - theta_i) * f with the last value
+repeated, so they are exactly consistent with the returned angles.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,9 @@ _MAX_PANELS = 4096
 # neighbouring knot errors cannot add up beyond it)
 _INVERSION_MAX_ITER = 50
 _KNOT_TOL = 0.5e-8
+# most steps round(T*f) of one profile, about 17 minutes at 1 kHz; an
+# equidistant profile peaks at about 3 KB of memory per sample
+_MAX_SAMPLES = 10**6
 # columns of x0, x1, x2, x3 in an acted point
 _POINT_COLUMNS = [0, 5, 6, 7]
 # time fraction over which a blended profile ramps its speed in and out
@@ -375,9 +379,10 @@ def equidistant_params(
 
     Interior knots come from one inversion of the cumulative length
     table, each resolved to 0.5e-8 times the segment length.  Non-finite
-    parameters, or a span that overflows, raise ValueError.
+    parameters, or a span that overflows, raise ValueError; n must be an
+    integer (TypeError otherwise) of at least 1.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("need at least one segment")
     a, b = float(t0), float(t1)
@@ -534,6 +539,11 @@ def _profile(mode, theta0, theta1, duration, frequency, direction, space):
     n = int(round(T * f))
     if n < 1:
         raise ValueError("duration times frequency must round to at least one step")
+    if n > _MAX_SAMPLES:
+        raise ValueError(
+            "duration*frequency must round to at most %d steps, got %r"
+            % (_MAX_SAMPLES, T * f)
+        )
     delta = resolve_arc(theta0, theta1, direction)
     steps = np.arange(n + 1)
     times = steps / f

@@ -1,5 +1,8 @@
+import copy
+import functools
 import io
 import math
+import operator
 import pathlib
 
 import numpy as np
@@ -397,3 +400,89 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     argv = ["ik", SIXBAR, "--pose", "1", "0", "0", "0", "0", "0.05", "0", "0"]
     assert main(argv) == 5
     capsys.readouterr()
+
+
+def test_cli_traj_sample_cap_exits_4(capsys):
+    argv = ["traj", SIXBAR, "--theta0", "0.1", "--theta1", "1"]
+    argv += ["--duration", "1e9", "--freq", "1e9", "--mode", "linear"]
+    assert main(argv) == 4
+    assert "duration*frequency" in capsys.readouterr().err
+
+
+def test_save_load_roundtrip_random_linkages(tmp_path, random_linkage):
+    # generated chains of 2-4 axes, each with a random tool displacement
+    rng = np.random.default_rng(4242)
+    out = tmp_path / "random.mech"
+    for _ in range(60):
+        base = random_linkage(rng, int(rng.integers(2, 5)))
+        turn = rng.normal(size=4)
+        tool = DualQuaternion.from_translation(rng.normal(size=3)) * DualQuaternion(
+            np.concatenate([turn / np.linalg.norm(turn), np.zeros(4)])
+        )
+        mech = Mechanism(base.motion, base.driving_axis, tool_home=tool)
+        save_mechanism(mech, out)
+        back = load_mechanism(out)
+        assert back.motion.coeffs.tobytes() == mech.motion.coeffs.tobytes()
+        assert back.driving_axis.tobytes() == mech.driving_axis.tobytes()
+        assert back.tool_home.coeffs.tobytes() == tool.coeffs.tobytes()
+        assert back.motion.study_tol == mech.motion.study_tol
+
+
+_DELETE = object()
+
+
+def _fixture_mutations(doc, rng):
+    """(label, copy of the document with one defect) pairs."""
+
+    def edit(path, value):
+        bad = copy.deepcopy(doc)
+        parent = functools.reduce(operator.getitem, path[:-1], bad)
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return bad
+
+    rows = "axes" if "axes" in doc else "coefficients"
+    numeric_lists = [("driving_axis",)] + [(rows, i) for i in range(len(doc[rows]))]
+    for key in doc:
+        yield "without %s" % key, edit((key,), _DELETE)
+    for path in [(rows,)] + numeric_lists:
+        yield "scalar at %s" % (path,), edit(path, 5)
+        yield "mapping at %s" % (path,), edit(path, {"x": 1})
+    for path in numeric_lists:
+        row = functools.reduce(operator.getitem, path, doc)
+        yield "short %s" % (path,), edit(path, row[:-1])
+        yield "long %s" % (path,), edit(path, row + [0.0])
+        for value in ("x", None, True, [1.0]):
+            spot = path + (int(rng.integers(len(row))),)
+            yield "%r at %s" % (value, spot), edit(spot, value)
+    if "study_tol" in doc:
+        for value in ("x", None, True, [1.0]):
+            yield "%r study_tol" % (value,), edit(("study_tol",), value)
+
+
+def test_cli_exit_codes_on_mutated_fixtures(tmp_path, capsys):
+    # every defect is a schema error (exit 3) except a missing metadata,
+    # which is optional, and Bennett without its relaxed study_tol, whose
+    # rounded coefficients then fail the Study check (exit 4)
+    rng = np.random.default_rng(77)
+    special = {
+        ("sixbar", "without metadata"): 0,
+        ("bennett", "without metadata"): 0,
+        ("bennett", "without study_tol"): 4,
+    }
+    seen = 0
+    for name, path in (("sixbar", SIXBAR), ("bennett", BENNETT)):
+        doc = yaml.safe_load(pathlib.Path(path).read_text())
+        for label, bad in _fixture_mutations(doc, rng):
+            file = str(write_doc(tmp_path, bad))
+            want = special.get((name, label), 3)
+            for argv in (
+                ["dk", file, "--theta", "0.7"],
+                ["arclen", file, "--theta0", "0.2", "--theta1", "1.1"],
+            ):
+                assert main(argv) == want, (name, label, argv[0])
+                capsys.readouterr()
+            seen += 1
+    assert seen == 81

@@ -133,6 +133,19 @@ def test_equidistant_params_validation(circle_path):
     assert one.params == (0.0, 1.0)
 
 
+def test_equidistant_params_segment_count_is_an_integer(circle_path):
+    # a float, a string or infinity is not a segment count; numpy
+    # integers are
+    for bad in (2.7, 3.0, "3", math.inf, None):
+        with pytest.raises(TypeError):
+            equidistant_params(circle_path, 0.0, 1.0, bad)
+    for bad in (0, -2, np.int64(0)):
+        with pytest.raises(ValueError, match="at least one segment"):
+            equidistant_params(circle_path, 0.0, 1.0, bad)
+    seg = equidistant_params(circle_path, 0.0, 1.0, np.int32(3))
+    assert seg.params == equidistant_params(circle_path, 0.0, 1.0, 3).params
+
+
 def test_resolve_arc_directions():
     th0, th1 = math.pi / 3, 1.5 * math.pi
     inc = th1 - th0
@@ -224,6 +237,24 @@ def test_profile_argument_validation(bennett):
             resolve_arc(theta0, theta1)
         with pytest.raises(ValueError, match="%s must be finite" % name):
             arc_length_between(bennett, theta0, theta1)
+
+
+def test_profile_sample_count_is_capped(monkeypatch, bennett):
+    profiles = (
+        linear_profile,
+        quintic_profile,
+        lambda *args: equidistant_profile(bennett, *args),
+    )
+    # 1e18 steps would need exabytes; the cap raises before any array
+    for profile in profiles:
+        with pytest.raises(ValueError, match=r"duration\*frequency must round to at most"):
+            profile(0.1, 1.0, 1e9, 1e9)
+    monkeypatch.setattr(trajectory, "_MAX_SAMPLES", 10)
+    for profile in profiles:
+        assert len(profile(0.1, 1.0, 1.0, 10.0).thetas) == 11
+        assert len(profile(0.1, 1.0, 1.0, 10.4).thetas) == 11
+        with pytest.raises(ValueError, match=r"duration\*frequency .* 10 steps"):
+            profile(0.1, 1.0, 1.0, 10.6)
 
 
 def test_omegas_are_forward_differences():
