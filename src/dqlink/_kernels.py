@@ -2,13 +2,14 @@
 
 The dual quaternion product is one multiplication table; ``dq_mul8``
 broadcasts over it, so one call multiplies any number of pairs.
-Library code calls these as ``_kernels.name(...)``, so a profiler or a
-test that replaces a module attribute sees every call.
+``poly_eval8`` evaluates the columns of an ascending coefficient array
+at once, by Horner's rule.  Library code calls these as
+``_kernels.name(...)``, so a profiler or a test that replaces a module
+attribute sees every call.
 
-``horner`` and ``path_speed`` evaluate a point path one parameter at a
-time, and ``arc_simpson`` integrates its speed by adaptive Simpson.  The
-arc length code no longer calls ``arc_simpson``; it stays because the
-per-layer benchmark tracer still looks it up by name.
+``arc_simpson`` integrates the speed ``path_speed`` of a point path by
+adaptive Simpson.  No library code calls either: they stay only because
+the per-layer benchmark tracer still looks ``arc_simpson`` up by name.
 """
 
 import numpy as np
@@ -37,31 +38,19 @@ def dq_mul8(a, b):
 
 
 def poly_eval8(coeffs, t):
-    """Horner evaluation of an (n+1, 8) ascending coefficient array."""
+    """Horner evaluation of the columns of an (n+1, k) ascending coefficient array."""
     out = coeffs[-1].copy()
     for row in coeffs[-2::-1]:
         out = out * t + row
     return out
 
 
-def horner(c, t):
-    acc = 0.0
-    for k in range(c.shape[0] - 1, -1, -1):
-        acc = acc * t + c[k]
-    return acc
-
-
 def path_speed(x0, x0d, xi, xid, t):
     """Euclidean speed of the rational curve (x1/x0, x2/x0, x3/x0)."""
-    w = horner(x0, t)
-    wd = horner(x0d, t)
-    acc = 0.0
-    for i in range(3):
-        v = horner(xi[i], t)
-        vd = horner(xid[i], t)
-        num = vd * w - v * wd
-        acc += num * num
-    return np.sqrt(acc) / (w * w)
+    h = poly_eval8(np.column_stack([x0, xi.T]), t)
+    d = poly_eval8(np.column_stack([x0d, xid.T]), t)
+    num = d[1:] * h[0] - h[1:] * d[0]
+    return np.sqrt(num @ num) / (h[0] * h[0])
 
 
 def arc_simpson(x0, x0d, xi, xid, a, b, tol, max_depth):

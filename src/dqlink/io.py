@@ -79,7 +79,9 @@ def load_mechanism(path) -> Mechanism:
         raise ParseError("invalid YAML in %s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("mechanism file must be a YAML mapping")
-    if doc.get("format") != 1:
+    # YAML's true and 1.0 compare equal to 1 but are not the integer 1
+    fmt = doc.get("format")
+    if type(fmt) is not int or fmt != 1:
         raise SchemaError("missing or unsupported format (expected 1)")
     axes = doc.get("axes")
     coefficients = doc.get("coefficients")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .dq import _CONJ_SIGNS, _EPS_SIGNS, STUDY_TOL, TOL, DualQuaternion
-from .errors import OnBorderOfDomain, StudyViolation
+from .errors import OnBorderOfDomain, PoleOnPath, StudyViolation
 
 
 class _Infinity:
@@ -96,8 +96,8 @@ def _eps_conj_rows(a: np.ndarray) -> np.ndarray:
 def _derivative_rows(c: np.ndarray) -> np.ndarray:
     """Formal derivative of ascending coefficients stored along axis 0.
 
-    Takes a real coefficient vector or an (n+1, 8) array of dual
-    quaternion rows; a constant gives a single zero row.
+    Takes a real coefficient vector or an (n+1, k) array of coefficient
+    rows; a constant gives a single zero row.
     """
     if c.shape[0] == 1:
         return np.zeros_like(c, dtype=float)
@@ -283,7 +283,7 @@ class MotionPolynomial:
         """
         p = self.act_poly(x)
         _check_point_action(p, self._study_tol)
-        return RationalPointPath(p[:, 0].copy(), p[:, 5:8].T.copy())
+        return RationalPointPath(p[:, 0], p[:, 5:8].T)
 
 
 def _affine_action(basis: np.ndarray, x) -> np.ndarray:
@@ -319,73 +319,69 @@ class RationalPointPath:
     """Homogeneous rational curve (x0 : x1 : x2 : x3) in 3-space.
 
     x0 is the homogeneous coordinate; the Euclidean point at parameter t
-    is (x1/x0, x2/x0, x3/x0).  Derivative coefficient arrays are
-    precomputed for the speed kernel.
+    is (x1/x0, x2/x0, x3/x0).  The ascending coefficients of x0..x3 and
+    of their derivatives are the columns of two read-only arrays, which
+    hom and speed evaluate by Horner's rule; x0, xi, x0d and xid view them.
     """
 
-    __slots__ = ("_x0", "_xi", "_x0d", "_xid")
+    __slots__ = ("_hom", "_dhom")
 
     def __init__(self, x0, xi):
-        x0 = np.ascontiguousarray(np.asarray(x0, dtype=float))
-        xi = np.ascontiguousarray(np.asarray(xi, dtype=float))
+        x0 = np.asarray(x0, dtype=float)
+        xi = np.asarray(xi, dtype=float)
         if x0.ndim != 1 or xi.shape != (3, x0.shape[0]):
             raise ValueError("expected x0 of shape (n,) and xi of shape (3, n)")
         if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(xi))):
             raise ValueError("coefficients must be finite")
         if float(np.max(np.abs(x0))) == 0.0:
             raise ValueError("homogeneous coordinate is identically zero")
-        self._x0 = x0
-        self._xi = xi
-        self._x0d = _derivative_rows(x0)
-        self._xid = np.ascontiguousarray(_derivative_rows(xi.T).T)
-        for a in (self._x0, self._xi, self._x0d, self._xid):
+        self._hom = np.column_stack([x0, xi.T])
+        self._dhom = _derivative_rows(self._hom)
+        for a in (self._hom, self._dhom):
             a.flags.writeable = False
 
     @property
     def x0(self) -> np.ndarray:
-        return self._x0
+        return self._hom[:, 0]
 
     @property
     def xi(self) -> np.ndarray:
-        return self._xi
+        return self._hom[:, 1:].T
 
     @property
     def x0d(self) -> np.ndarray:
         """Coefficients of the derivative of x0."""
-        return self._x0d
+        return self._dhom[:, 0]
 
     @property
     def xid(self) -> np.ndarray:
         """Coefficients of the derivatives of x1, x2, x3, shape (3, n)."""
-        return self._xid
+        return self._dhom[:, 1:].T
 
     @property
     def degree(self) -> int:
-        return self._x0.shape[0] - 1
+        return self._hom.shape[0] - 1
 
     def __repr__(self):
         return "RationalPointPath(degree=%d)" % (self.degree,)
 
     def hom(self, t: float) -> np.ndarray:
         """Homogeneous coordinates (x0, x1, x2, x3) at t."""
-        out = np.empty(4)
-        out[0] = _kernels.horner(self._x0, float(t))
-        for i in range(3):
-            out[i + 1] = _kernels.horner(self._xi[i], float(t))
-        return out
+        return _kernels.poly_eval8(self._hom, float(t))
 
     def point(self, t: float) -> np.ndarray:
         """Euclidean point at t.  Raises PoleOnPath where x0 vanishes."""
-        from .errors import PoleOnPath
-
         h = self.hom(t)
         scale = float(np.max(np.abs(h)))
         if scale == 0.0 or abs(h[0]) <= 1e-14 * scale:
             raise PoleOnPath("path has a pole at t = %r" % (t,))
         return h[1:] / h[0]
 
-    def speed(self, t: float) -> float:
-        """Norm of the Euclidean velocity at t."""
-        return float(
-            _kernels.path_speed(self._x0, self._x0d, self._xi, self._xid, float(t))
-        )
+    def speed(self, t):
+        """Norm of the Euclidean velocity at t, a float or an array of them."""
+        t = np.asarray(t, dtype=float)
+        h, d = (_kernels.poly_eval8(c, t[..., None]) for c in (self._hom, self._dhom))
+        num = d[..., 1:] * h[..., :1] - h[..., 1:] * d[..., :1]
+        out = np.sqrt(np.sum(num * num, axis=-1)) / (h[..., 0] * h[..., 0])
+        # a constant path evaluates to one row whatever the shape of t
+        return float(out) if t.ndim == 0 else np.broadcast_to(out, t.shape).copy()

@@ -2,37 +2,39 @@
 
 A tool point path is a rational curve (x1 : x2 : x3) / x0 of degree D.
 It is integrated either in its curve parameter t or, for arcs between
-joint angles, in the unwrapped driving angle phi.  Both are charts
+joint angles, in the unwrapped driving angle phi.  The t chart
+integrates the path's own speed, RationalPointPath.speed, a Horner
+evaluation of its monomial coefficients.  The angle chart is
 (a : s) = (r*cos(psi) + q0*sin(psi) : sin(psi)) of the parameter line,
-on which t = a/s: the angle chart has psi = phi/2 with q0 and r the
-scalar part and the vector length of the driving axis quaternion, so
-the home configuration (phi a multiple of 2*pi, t at infinity) is an
-ordinary point of it; the t chart has q0 = 0, r = 1 and
-psi = atan2(1, t).
+on which t = a/s, with psi = phi/2 and q0 and r the scalar part and
+the vector length of the driving axis quaternion, so the home
+configuration (phi a multiple of 2*pi, t at infinity) is an ordinary
+point of it.
 
-The homogeneous coordinates are forms of degree D in (a, s), hence in
-(cos(psi), sin(psi)), so each is a trigonometric sum of cos(h*psi) and
-sin(h*psi) over h = D, D-2, ...: D+1 coefficients, the same space as
-the D+1 polynomial coefficients in another basis.  A discrete Fourier
-transform on D+1 equispaced samples gives the map between the two
-bases.  A mechanism builds its angle chart on first use and keeps it
-read-only in a private slot: that map, its point action composed with
-the tool frame, and the pole angles, which are the roots of x0 that a
-motion finds once and phi = 0 when x0 drops degree.  A tool point then
-costs one affine combination and one small matrix product, and each
-speed evaluation |dP/dphi| or |dP/dt| one complex exponential, a short
-cumulative product for the higher harmonics and one matrix product.
-Poles inside an interval are rejected with PoleOnPath.
+There the homogeneous coordinates are forms of degree D in (a, s),
+hence in (cos(psi), sin(psi)), so each is a trigonometric sum of
+cos(h*psi) and sin(h*psi) over h = D, D-2, ...: D+1 coefficients, the
+same space as the D+1 polynomial coefficients in another basis.  A
+discrete Fourier transform on D+1 equispaced samples gives the map
+between the two bases.  A mechanism builds its angle chart on first
+use and keeps it read-only in a private slot: that map, its point
+action composed with the tool frame, and the pole angles, which are
+the roots of x0 that a motion finds once and phi = 0 when x0 drops
+degree.  A tool point then costs one affine combination and one small
+matrix product, and each speed evaluation |dP/dphi| one complex
+exponential, a short cumulative product for the higher harmonics and
+one matrix product.  Poles inside an interval are rejected with
+PoleOnPath.
 
 Lengths come from composite Gauss-Legendre panels.  All panels of one
 refinement level are evaluated in a single numpy call; a panel whose
 value differs from the sum of its two halves by more than the panel
 tolerance (_PANEL_TOL, or arc_length's tol) is split, otherwise its
 halves are kept, for at most _MAX_DEPTH levels; the first level's
-panels are evaluated in the same call as their halves.  Equidistant knots
-invert the resulting cumulative length table in one pass: each knot
-takes safeguarded Newton steps, with the speed as derivative, inside
-the panel that holds its target length.
+panels are evaluated in the same call as their halves.  Equidistant
+knots invert the resulting cumulative length table, _KNOT_BLOCK knots
+per pass: each knot takes safeguarded Newton steps, with the speed as
+derivative, inside the panel that holds its target length.
 
 Profiles sample a duration T at frequency f into n = round(T*f) steps,
 n+1 samples with timestamps i/f; n above _MAX_SAMPLES raises
@@ -100,8 +102,11 @@ _MAX_PANELS = 4096
 # neighbouring knot errors cannot add up beyond it)
 _INVERSION_MAX_ITER = 50
 _KNOT_TOL = 0.5e-8
+# knots per Newton pass: one pass evaluates 13 speed nodes per knot
+_KNOT_BLOCK = 1024
 # most steps round(T*f) of one profile, about 17 minutes at 1 kHz; an
-# equidistant profile peaks at about 3 KB of memory per sample
+# equidistant profile peaks at about 2 MB for one Newton pass plus about
+# 120 bytes per sample
 _MAX_SAMPLES = 10**6
 # columns of x0, x1, x2, x3 in an acted point
 _POINT_COLUMNS = [0, 5, 6, 7]
@@ -185,41 +190,34 @@ def _harmonic_map(degree: int, q0: float, r: float) -> np.ndarray:
 
 
 class _Speed:
-    """Vectorized speed of a rational point path along a chart.
+    """Vectorized speed of a tool point path in the angle chart.
 
-    Both charts use this one evaluator on the trigonometric form of the
-    module docstring.  maps comes from _harmonic_map for the chart and
-    coords holds the ascending monomial coefficients of X0..X3 as
-    columns; their harmonic coefficients, and those of dX/dpsi, are
-    formed once here.  In the angle chart the variable x is the
-    unwrapped driving angle, psi = x/2; in the t chart x is t, with
-    psi = atan2(1, t) and dpsi/dt = -1/(1 + t**2).  Calling the object
-    with offsets from start along the orientation sigma returns
-    |dpsi/dx| * |X0 * dX - X * dX0| / X0**2 over x1, x2, x3, at the cost
-    of one complex exponential, one cumulative product and one matrix
+    The evaluator of the trigonometric form of the module docstring.
+    maps comes from _harmonic_map for the chart and coords holds the
+    ascending monomial coefficients of X0..X3 as columns; their harmonic
+    coefficients, and those of dX/dpsi, are formed once here.  The
+    variable x is the unwrapped driving angle, psi = x/2.  Calling the
+    object with offsets from start along the orientation sigma returns
+    0.5 * |X0 * dX - X * dX0| / X0**2 over x1, x2, x3, at the cost of
+    one complex exponential, one cumulative product and one matrix
     product for all nodes.
     """
 
-    def __init__(self, maps, coords, start, sigma, t_chart: bool = False):
+    def __init__(self, maps, coords, start, sigma):
         self.degree = maps.shape[2] - 1
         self.coef = np.hstack(maps @ coords)
         self.start = float(start)
         self.sigma = float(sigma)
-        self.t_chart = t_chart
 
     def __call__(self, offsets):
-        x = self.start + self.sigma * offsets
-        if self.t_chart:
-            psi, rate = np.arctan2(1.0, x), 1.0 / (1.0 + x * x)
-        else:
-            psi, rate = 0.5 * x, 0.5
+        psi = 0.5 * (self.start + self.sigma * offsets)
         both = _harmonics(psi, self.degree) @ self.coef
         w = both[:, :1]
         num = both[:, 5:] * w - both[:, 1:4] * both[:, 4:5]
-        return rate * np.sqrt(np.sum(num * num, axis=1)) / (w[:, 0] * w[:, 0])
+        return 0.5 * np.sqrt(np.sum(num * num, axis=1)) / (w[:, 0] * w[:, 0])
 
 
-def _gauss(speed: _Speed, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+def _gauss(speed, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
     """Gauss-Legendre integrals of speed over [lo, lo + width], per panel."""
     x = lo[:, None] + width[:, None] * _GL_NODES
     f = speed(x.ravel()).reshape(x.shape)
@@ -233,7 +231,7 @@ def _halve(lo: np.ndarray, width: np.ndarray) -> tuple:
 
 
 class _Table:
-    """Cumulative arc length over [0, span] in accepted panels.
+    """Cumulative arc length over [0, span] of the speed at offsets into it.
 
     Panels are refined level by level until each one agrees with the
     sum of its halves to tol; the halves are kept.  The first level's
@@ -242,7 +240,7 @@ class _Table:
     when a panel still misses tol after _MAX_DEPTH levels.
     """
 
-    def __init__(self, speed: _Speed, span: float, pieces: int, tol: float):
+    def __init__(self, speed, span: float, pieces: int, tol: float):
         self.speed = speed
         edges = np.linspace(0.0, span, pieces + 1)
         first, size = edges[:-1], np.diff(edges)
@@ -283,7 +281,9 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
     fractions runs from 0 to 1 over n+1 knots; each interior knot is
     resolved to _KNOT_TOL times the segment length total/n.  Safeguarded
     Newton inside the panel holding each target: a step that leaves the
-    panel's shrinking bracket is replaced by bisection.  Raises
+    panel's shrinking bracket is replaced by bisection.  Knots are
+    iterated in blocks of _KNOT_BLOCK, which bounds the memory of one
+    speed evaluation whatever the number of knots.  Raises
     QuadratureFailure when some knot misses its tolerance after
     _INVERSION_MAX_ITER iterates.
     """
@@ -297,46 +297,40 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
     frac = np.divide(want, value, out=np.full_like(want, 0.5), where=value > 0.0)
     x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
     base = lo.copy()
-    todo = np.arange(targets.size)
-    for _ in range(_INVERSION_MAX_ITER):
-        if not todo.size:
-            return x
-        # length from the panel start to x by the panel's own rule,
-        # and the speed at x, in one evaluation
-        xt, bt = x[todo], base[todo]
-        f = table.speed(
-            np.concatenate([(bt[:, None] + (xt - bt)[:, None] * _GL_NODES).ravel(), xt])
-        )
-        got = (f[: -todo.size].reshape(todo.size, -1) @ _GL_WEIGHTS) * (xt - bt)
-        miss = got - want[todo]
-        open_ = np.abs(miss) > tol
-        todo, miss, slope = todo[open_], miss[open_], f[-xt.size:][open_]
-        if not todo.size:
-            return x
-        xt = x[todo]
-        lo[todo] = np.where(miss < 0.0, xt, lo[todo])
-        hi[todo] = np.where(miss > 0.0, xt, hi[todo])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = xt - miss / slope
-        inside = (step > lo[todo]) & (step < hi[todo])
-        x[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
-    raise QuadratureFailure(
-        "arc length inversion left %d knots above tolerance %g after %d "
-        "iterations" % (todo.size, tol, _INVERSION_MAX_ITER)
-    )
+    for first in range(0, targets.size, _KNOT_BLOCK):
+        todo = np.arange(first, min(first + _KNOT_BLOCK, targets.size))
+        for _ in range(_INVERSION_MAX_ITER):
+            # length from the panel start to x by the panel's own rule,
+            # and the speed at x, in one evaluation
+            xt, bt = x[todo], base[todo]
+            nodes = bt[:, None] + (xt - bt)[:, None] * _GL_NODES
+            f = table.speed(np.concatenate([nodes.ravel(), xt]))
+            got = (f[: -todo.size].reshape(todo.size, -1) @ _GL_WEIGHTS) * (xt - bt)
+            miss = got - want[todo]
+            open_ = np.abs(miss) > tol
+            todo, miss, slope = todo[open_], miss[open_], f[-xt.size:][open_]
+            if not todo.size:
+                break
+            xt = x[todo]
+            lo[todo] = np.where(miss < 0.0, xt, lo[todo])
+            hi[todo] = np.where(miss > 0.0, xt, hi[todo])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = xt - miss / slope
+            inside = (step > lo[todo]) & (step < hi[todo])
+            x[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
+        else:
+            raise QuadratureFailure(
+                "arc length inversion left %d knots above tolerance %g after %d "
+                "iterations" % (todo.size, tol, _INVERSION_MAX_ITER)
+            )
+    return x
 
 
 def _t_table(path: RationalPointPath, a: float, b: float, tol: float) -> _Table:
     """Length table of the path from parameter a towards b != a."""
     _check_poles(_real_roots(path.x0), min(a, b), max(a, b))
-    speed = _Speed(
-        _harmonic_map(path.degree, 0.0, 1.0),
-        np.column_stack([path.x0, path.xi.T]),
-        a,
-        math.copysign(1.0, b - a),
-        t_chart=True,
-    )
-    return _Table(speed, abs(b - a), 1, tol)
+    sigma = math.copysign(1.0, b - a)
+    return _Table(lambda u: path.speed(a + sigma * u), abs(b - a), 1, tol)
 
 
 def arc_length(

@@ -382,6 +382,20 @@ def test_mechanism_file_reads_exponent_numbers(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_format_must_be_the_integer_one(tmp_path, capsys):
+    # true and 1.0 compare equal to 1 but are not integers; +1 and 0x1 are integers
+    text = pathlib.Path(SIXBAR).read_text()
+    assert text.startswith("format: 1\n")
+    for value, want in (("true", 3), ("1.0", 3), ("1", 0), ("+1", 0), ("0x1", 0)):
+        file = tmp_path / "m.mech"
+        file.write_text(text.replace("format: 1\n", "format: %s\n" % value, 1))
+        assert main(["dk", str(file), "--theta", "0.7"]) == want, value
+        capsys.readouterr()
+        if want:
+            with pytest.raises(SchemaError):
+                load_mechanism(file)
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["dk", str(tmp_path / "ghost.mech"), "--theta", "1"]) == 3
 

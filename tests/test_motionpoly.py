@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -225,12 +226,41 @@ def test_path_speed_matches_finite_difference(cubic, rng):
         assert math.isclose(path.speed(t), fd, rel_tol=1e-6)
 
 
+def exact_speed(path, t):
+    """|X0 * dX - X * dX0| / X0**2 from an exact rational evaluation at t."""
+
+    def value(coeffs):
+        acc = Fraction(0)
+        for c in coeffs[::-1]:
+            acc = acc * Fraction(t) + Fraction(float(c))
+        return acc
+
+    w, wd = value(path.x0), value(path.x0d)
+    num = [value(path.xid[i]) * w - value(path.xi[i]) * wd for i in range(3)]
+    return math.sqrt(float(sum(n * n for n in num) / w**4))
+
+
+def test_path_speed_on_arrays_matches_exact_evaluation(sixbar, bennett):
+    rng = np.random.default_rng(31)
+    for mech in (sixbar, bennett):
+        for _ in range(4):
+            tool = rng.normal(scale=0.5, size=3)
+            path = mech.motion.point_path(mech.tool_home.act_on_point(tool))
+            t = rng.uniform(-3.0, 3.0, size=(5, 10))
+            got = path.speed(t)
+            assert got.shape == t.shape
+            assert np.array_equal(got.ravel(), [path.speed(x) for x in t.ravel()])
+            want = np.array([[exact_speed(path, x) for x in row] for row in t])
+            assert np.max(np.abs(got - want) / want) <= 3e-13
+
+
 def test_constant_path():
     ident = MotionPolynomial(np.array([[1, 0, 0, 0, 0, 0, 0, 0.0]]))
     path = ident.point_path([1.0, 2.0, 3.0])
     assert path.degree == 0
     assert np.allclose(path.point(5.0), [1, 2, 3])
     assert path.speed(5.0) == 0.0
+    assert np.array_equal(path.speed(np.arange(3.0)), np.zeros(3))
 
 
 def test_rational_point_path_shape_checks():

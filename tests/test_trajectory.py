@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -475,6 +476,26 @@ def test_angle_chart_agrees_with_t_chart(linkages):
         assert abs(arc_length(path, t0, t1) - by_angle) <= 1e-9 * by_angle
 
 
+def test_knot_blocks_bound_memory_and_keep_the_knots(monkeypatch, sixbar):
+    # the Newton pass takes the knots in fixed blocks, so its memory does
+    # not grow with the sample count; the block size moves the knots by
+    # no more than the rounding of the batched speed evaluations
+    args = (sixbar, 0.331, 5.893, 1.0)
+    equidistant_profile(*args, frequency=10.0)
+    tracemalloc.start()
+    try:
+        big = equidistant_profile(*args, frequency=2e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert big.thetas.size == 20001
+    assert peak <= 16e6
+    whole = equidistant_profile(*args, frequency=40.0, blend=True).thetas
+    monkeypatch.setattr(trajectory, "_KNOT_BLOCK", 3)
+    blocked = equidistant_profile(*args, frequency=40.0, blend=True).thetas
+    assert np.max(np.abs(blocked - whole)) <= 1e-12
+
+
 def test_inversion_raises_when_capped(monkeypatch, bennett, circle_path):
     monkeypatch.setattr(trajectory, "_INVERSION_MAX_ITER", 1)
     with pytest.raises(QuadratureFailure):
@@ -527,9 +548,7 @@ def test_trig_speed_matches_homogeneous_evaluation(random_linkage):
             phi = rng.uniform(-2 * math.pi, 2 * math.pi, size=40)
             speed = trajectory._Speed(maps, acted[:, [0, 5, 6, 7]], 0.0, 1.0)
             assert_speeds(speed, phi, coords, axis)
-            t_maps = trajectory._harmonic_map(path.degree, 0.0, 1.0)
-            speed = trajectory._Speed(t_maps, coords, 0.0, 1.0, t_chart=True)
-            assert_speeds(speed, rng.uniform(-3.0, 3.0, size=40), coords)
+            assert_speeds(path.speed, rng.uniform(-3.0, 3.0, size=40), coords)
     # an odd degree, which no motion produces, takes the odd harmonics
     path = RationalPointPath([2.0, 0.0, 1.0, 0.1], rng.normal(size=(3, 4)))
     coords = np.column_stack([path.x0, path.xi.T])
@@ -537,8 +556,7 @@ def test_trig_speed_matches_homogeneous_evaluation(random_linkage):
     for axis in ((0.0, 1.0), (0.3, 0.8)):
         speed = trajectory._Speed(trajectory._harmonic_map(3, *axis), coords, 0.0, 1.0)
         assert_speeds(speed, 2.0 * np.arctan2(axis[1], t - axis[0]), coords, axis)
-    t_maps = trajectory._harmonic_map(3, 0.0, 1.0)
-    assert_speeds(trajectory._Speed(t_maps, coords, 0.0, 1.0, t_chart=True), t, coords)
+    assert_speeds(path.speed, t, coords)
 
 
 def test_pole_at_home_when_x0_drops_degree():
