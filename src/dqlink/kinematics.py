@@ -9,7 +9,9 @@ which maps theta = 0 to the point at infinity and theta = pi to q0.
 Inverse kinematics starts from the global minimiser of an algebraic
 pose distance, found among the real roots of one polynomial and the
 point at infinity, and polishes it with a damped Gauss-Newton iteration
-on the squared distance between normalized pose representatives.
+on the squared distance between normalized pose representatives.  The
+start polynomials come from a per-motion quadratic form, so per pose
+the start is one matrix product and one eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -127,9 +129,18 @@ def direct_kinematics(mechanism: Mechanism, theta) -> DualQuaternion:
 
 @dataclass(frozen=True)
 class IKOptions:
-    """Acceptance threshold of inverse_kinematics on the polished residual."""
+    """Acceptance threshold of inverse_kinematics on the polished residual.
+
+    success_tol must be finite and not negative (ValueError otherwise).
+    """
 
     success_tol: float = 1e-10
+
+    def __post_init__(self):
+        if not (math.isfinite(self.success_tol) and self.success_tol >= 0.0):
+            raise ValueError(
+                "success_tol must be finite and >= 0, got %r" % (self.success_tol,)
+            )
 
 
 @dataclass(frozen=True)
@@ -280,32 +291,68 @@ def _sum_of_squares(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _global_start(coeffs: np.ndarray, p8: np.ndarray):
+def _start_form(motion: MotionPolynomial) -> tuple:
+    """Read-only per-motion form (A, L, S) of the start polynomials.
+
+    V(t) = C(t) * conj(p) is linear in p, with coefficients G_k p where
+    column b of G_k is C_k * conj(e_b).  So N(t), the sum of the squares
+    of V's vector and dual vector parts, has coefficients N_m = p^T A_m p
+    with A_m = sum over k + l = m of G_k G_l^T restricted to those
+    parts.  D(t) = S(t) |p|^2 with S = |C(t)|^2, and N'S - NS' = L N,
+    whose top coefficient cancels in exact arithmetic and is left out
+    of L.  Built on the first call and kept on the motion.
+    """
+    if motion._ik_form is None:
+        coeffs = motion.coeffs
+        g = _kernels.dq_mul8(coeffs[:, None, :], np.diag(_CONJ_SIGNS))
+        g = g[..., _VECTOR_PARTS]
+        gt = g.swapaxes(1, 2)
+        n = coeffs.shape[0]
+        a = np.zeros((2 * n - 1, 8, 8))
+        for k, gk in enumerate(g):
+            a[k : k + n] += gk @ gt
+        s = _sum_of_squares(coeffs)
+        # L[m, i] = (2i - m - 1) S[m + 1 - i] where that index exists
+        m = np.arange(2 * s.size - 3)[:, None]
+        i = np.arange(s.size)
+        j = m + 1 - i
+        inside = (j >= 0) & (j < s.size)
+        crit_map = np.where(inside, (2 * i - m - 1) * s[np.where(inside, j, 0)], 0.0)
+        for arr in (a, crit_map, s):
+            arr.flags.writeable = False
+        motion._ik_form = (a, crit_map, s)
+    return motion._ik_form
+
+
+def _global_start(motion: MotionPolynomial, p8: np.ndarray):
     """Global minimiser of N(t)/D(t) over the projective parameter line.
 
     V(t) = C(t) * conj(p); N sums the squares of V's vector and dual
     vector parts, which vanish where C(t) is a multiple of p, and
     D(t) = |C(t)|^2 |p|^2.  The dual scalar would vanish there too for
     exact displacements; leaving it out keeps a Study defect of rounded
-    data from shifting the minimiser.  The candidates are the real parts
-    of all roots of N'D - ND', a superset of the real critical points,
-    and infinity, where N/D tends to the ratio of the leading
-    coefficients.  Returns INFINITY or a finite parameter.
+    data from shifting the minimiser.  N and N'D - ND' come from the
+    motion's start form, so per pose the start is one matrix product and
+    one eigenvalue solve; the common factor |p|^2 is dropped.  The
+    candidates are the real parts of all roots of N'D - ND', a superset
+    of the real critical points, and infinity, where N/D tends to the
+    ratio of the leading coefficients.  Returns INFINITY or a finite
+    parameter.
     """
-    v = _kernels.dq_mul8(coeffs, p8 * _CONJ_SIGNS)
-    num = _sum_of_squares(v[:, _VECTOR_PARTS])
-    den = _sum_of_squares(coeffs) * float(np.dot(p8, p8))
-    crit = np.convolve(_derivative_rows(num), den) - np.convolve(
-        num, _derivative_rows(den)
-    )
-    # the top coefficient of N'D - ND' cancels in exact arithmetic
-    ts = np.roots(crit[-2::-1]).real
-    best_value = num[-1] / den[-1]
+    a, crit_map, s = _start_form(motion)
+    num = (a @ p8) @ p8
+    crit = crit_map @ num
     best = INFINITY
-    if ts.size:
-        values = np.polyval(num[::-1], ts) / np.polyval(den[::-1], ts)
+    # exactly-zero leading coefficients are trimmed, as np.roots does
+    top = np.flatnonzero(crit)[-1:]
+    if top.size and top[0] > 0:
+        desc = crit[top[0] :: -1]
+        companion = np.eye(desc.size - 1, k=-1)
+        companion[0] = -desc[1:] / desc[0]
+        ts = np.linalg.eigvals(companion).real
+        values = np.polyval(num[::-1], ts) / np.polyval(s[::-1], ts)
         k = int(np.argmin(values))
-        if values[k] <= best_value:
+        if values[k] <= num[-1] / s[-1]:
             best = float(ts[k])
     return best
 
@@ -322,7 +369,9 @@ def inverse_kinematics(
     in the t chart from a finite start, and from u = 0 in the
     reciprocal chart u = 1/t when the start is at infinity (joint angle
     zero).  The result is accepted when the polished residual is at most
-    success_tol.
+    success_tol.  The pose is first scaled by the power of two that
+    brings its largest coefficient into [0.5, 1), which is exact, so
+    every nonzero float scale of a pose gives the same answer.
 
     Raises InvalidPose for targets that are clearly not displacements
     and NoConvergence, carrying the polished iterate as best, when the
@@ -335,6 +384,8 @@ def inverse_kinematics(
     opt = options if options is not None else IKOptions()
     if not isinstance(pose, DualQuaternion):
         pose = DualQuaternion(pose)
+    top = float(np.max(np.abs(pose.coeffs)))
+    pose = DualQuaternion(np.ldexp(pose.coeffs, -math.frexp(top)[1]))
     tol = min(0.1, 100.0 * max(mechanism.motion.study_tol, STUDY_TOL))
     if not pose.is_study(tol):
         raise InvalidPose(
@@ -348,7 +399,7 @@ def inverse_kinematics(
     target = _Target(curve_target)
     coeffs = mechanism.motion.coeffs
 
-    start = _global_start(coeffs, curve_target)
+    start = _global_start(mechanism.motion, curve_target)
     reciprocal = start is INFINITY
     if reciprocal:
         coeffs = np.ascontiguousarray(coeffs[::-1])

@@ -120,11 +120,14 @@ class MotionPolynomial:
         Skip the norm check when False (used for derivatives, which are
         generally not motion polynomials themselves).
 
-    The point action and the poles of its point paths are built on first
+    The point action, the poles of its point paths and the start form of
+    inverse kinematics (filled by dqlink.kinematics) are built on first
     use and kept; the coefficients are read-only, so they stay valid.
     """
 
-    __slots__ = ("_coeffs", "_study_tol", "_validated", "_act", "_poles")
+    __slots__ = (
+        "_coeffs", "_study_tol", "_validated", "_act", "_poles", "_ik_form"
+    )
 
     def __init__(self, coeffs, study_tol: float = STUDY_TOL, validate: bool = True):
         arr = _coeff_array(coeffs)
@@ -133,6 +136,7 @@ class MotionPolynomial:
         self._validated = False
         self._act = None
         self._poles = None
+        self._ik_form = None
         if validate:
             lead = arr[-1]
             scale = float(np.max(np.abs(arr)))

@@ -242,6 +242,7 @@ class _Table:
 
     def __init__(self, speed, span: float, pieces: int, tol: float):
         self.speed = speed
+        self.span = span
         edges = np.linspace(0.0, span, pieces + 1)
         first, size = edges[:-1], np.diff(edges)
         lo, width = _halve(first, size)
@@ -285,8 +286,11 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
     iterated in blocks of _KNOT_BLOCK, which bounds the memory of one
     speed evaluation whatever the number of knots.  Raises
     QuadratureFailure when some knot misses its tolerance after
-    _INVERSION_MAX_ITER iterates.
+    _INVERSION_MAX_ITER iterates.  A path of zero length has no arc to
+    follow, so its knots sit at the fractions of the span instead.
     """
+    if table.total == 0.0:
+        return fractions[1:-1] * table.span
     targets = fractions[1:-1] * table.total
     tol = _KNOT_TOL * table.total / (fractions.size - 1)
     idx = np.minimum(np.searchsorted(table.ends, targets), table.ends.size - 1)
@@ -372,7 +376,8 @@ def equidistant_params(
     """Split [t0, t1] into n pieces of equal arc length.
 
     Interior knots come from one inversion of the cumulative length
-    table, each resolved to 0.5e-8 times the segment length.  Non-finite
+    table, each resolved to 0.5e-8 times the segment length; a path of
+    zero length over the span gets evenly spread parameters.  Non-finite
     parameters, or a span that overflows, raise ValueError; n must be an
     integer (TypeError otherwise) of at least 1.
     """

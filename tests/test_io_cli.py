@@ -416,6 +416,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_ik_rejects_negative_success_tol(capsys):
+    argv = ["ik", SIXBAR, "--pose", "1", "0", "0", "0", "0", "0", "0", "0"]
+    assert main(argv + ["--success-tol", "-1"]) == 4
+    assert "success_tol" in capsys.readouterr().err
+    assert main(argv + ["--success-tol", "0"]) == 0
+
+
 def test_cli_traj_sample_cap_exits_4(capsys):
     argv = ["traj", SIXBAR, "--theta0", "0.1", "--theta1", "1"]
     argv += ["--duration", "1e9", "--freq", "1e9", "--mode", "linear"]

@@ -1,4 +1,6 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,20 +252,31 @@ def test_gauss_newton_step_matches_finite_difference(sixbar):
 HOME_OFFSETS = [s * d for d in (1e-5, 1e-8, 1e-13) for s in (1.0, -1.0)]
 
 
+def _check_roundtrip(mech, rng, joints):
+    thetas = list(rng.uniform(0.0, 2 * math.pi, size=8)) + HOME_OFFSETS + [math.pi]
+    for theta in thetas:
+        scale = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.0)
+        pose = DualQuaternion(scale * direct_kinematics(mech, theta).coeffs)
+        r = inverse_kinematics(mech, pose)
+        gap = abs(r.theta - theta) % (2 * math.pi)
+        assert min(gap, 2 * math.pi - gap) <= 1e-6, (joints, theta, r)
+
+
 def test_roundtrip_on_generated_linkages(random_linkage):
     # scaled DK poses of random 2-, 3- and 4-axis chains, with angles
     # next to home on both sides and at pi
     rng = np.random.default_rng(31)
     for joints in (2, 3, 4):
         for _ in range(4):
-            mech = random_linkage(rng, joints)
-            thetas = list(rng.uniform(0.0, 2 * math.pi, size=8)) + HOME_OFFSETS + [math.pi]
-            for theta in thetas:
-                scale = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.0)
-                pose = DualQuaternion(scale * direct_kinematics(mech, theta).coeffs)
-                r = inverse_kinematics(mech, pose)
-                gap = abs(r.theta - theta) % (2 * math.pi)
-                assert min(gap, 2 * math.pi - gap) <= 1e-6, (joints, theta, r)
+            _check_roundtrip(random_linkage(rng, joints), rng, joints)
+
+
+def test_roundtrip_on_one_joint_chains(random_linkage):
+    # a single revolute joint: N and D are quadratics and the critical
+    # polynomial has degree at most two
+    rng = np.random.default_rng(33)
+    for _ in range(4):
+        _check_roundtrip(random_linkage(rng, 1), rng, 1)
 
 
 def test_unreachable_pose_on_generated_linkages(random_linkage):
@@ -277,3 +290,89 @@ def test_unreachable_pose_on_generated_linkages(random_linkage):
         best = info.value.best
         assert isinstance(best, IKResult)
         assert 1e-10 < best.residual < math.inf
+
+
+def _reference_start_polynomials(coeffs, p8):
+    """N and N'S - NS' of the start, built from products of the components
+    of V(t) = C(t) * conj(p) with numpy.polynomial, padded to full length."""
+    P = np.polynomial.polynomial
+    d = 2 * (coeffs.shape[0] - 1)
+
+    def squares(rows, columns):
+        total = functools.reduce(P.polyadd, (P.polymul(rows[:, j], rows[:, j]) for j in columns))
+        return np.pad(total, (0, d + 1 - total.size))
+
+    conj_p = DualQuaternion(p8).conjugate()
+    v = np.array([(DualQuaternion(c) * conj_p).coeffs for c in coeffs])
+    num = squares(v, (1, 2, 3, 5, 6, 7))
+    s = squares(coeffs, range(8))
+    crit = P.polysub(P.polymul(P.polyder(num), s), P.polymul(num, P.polyder(s)))
+    return num, np.pad(crit, (0, 2 * d - crit.size))
+
+
+def test_start_form_matches_independent_products(sixbar, bennett, random_linkage):
+    rng = np.random.default_rng(34)
+    mechs = [sixbar, bennett]
+    for joints in (1, 2, 3, 4):
+        mechs += [random_linkage(rng, joints) for _ in range(3)]
+    for mech in mechs:
+        a, crit_map, _ = kinematics._start_form(mech.motion)
+        poses = [direct_kinematics(mech, th).coeffs for th in rng.uniform(0, 2 * math.pi, 4)]
+        poses += [rng.normal(size=8) for _ in range(2)]
+        for p8 in poses:
+            p8 = p8 * 10.0 ** rng.uniform(-1.0, 1.0)
+            want_num, want_crit = _reference_start_polynomials(mech.motion.coeffs, p8)
+            num = (a @ p8) @ p8
+            crit = crit_map @ num
+            assert num.shape == want_num.shape
+            # the top coefficient of the critical polynomial cancels
+            assert crit.shape == (want_crit.size - 1,)
+            assert abs(want_crit[-1]) <= 1e-12 * np.max(np.abs(want_crit))
+            assert np.max(np.abs(num - want_num)) <= 1e-12 * np.max(np.abs(want_num))
+            scale = np.max(np.abs(want_crit))
+            assert np.max(np.abs(crit - want_crit[:-1])) <= 1e-12 * scale
+
+
+def test_start_form_is_built_once_and_read_only(random_linkage, monkeypatch):
+    mech = random_linkage(np.random.default_rng(35), 3)
+    assert mech.motion._ik_form is None
+    pose = direct_kinematics(mech, 1.0)
+    inverse_kinematics(mech, pose)
+    form = mech.motion._ik_form
+    assert form is not None
+    inverse_kinematics(mech, direct_kinematics(mech, 2.0))
+    assert mech.motion._ik_form is form
+    assert kinematics._start_form(mech.motion) is form
+    for arr in form:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # per pose the start makes no dual quaternion product
+    calls = []
+    multiply = _kernels.dq_mul8
+    monkeypatch.setattr(_kernels, "dq_mul8", lambda a, b: calls.append(1) or multiply(a, b))
+    kinematics._global_start(mech.motion, pose.coeffs)
+    assert calls == []
+
+
+def test_success_tol_must_be_finite_and_non_negative():
+    for bad in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="success_tol"):
+            IKOptions(success_tol=bad)
+    assert IKOptions(success_tol=0.0).success_tol == 0.0
+
+
+@pytest.mark.parametrize("fixture, theta", [("sixbar", 1.0), ("bennett", 1.351)])
+def test_inverse_kinematics_at_any_float_scale(fixture, theta, request):
+    mech = request.getfixturevalue(fixture)
+    pose = direct_kinematics(mech, theta).coeffs
+    base = inverse_kinematics(mech, DualQuaternion(pose)).theta
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for exponent in (-664, -40, 266, 664):
+            # a power of two scales exactly: the same bits come back
+            r = inverse_kinematics(mech, DualQuaternion(np.ldexp(pose, exponent)))
+            assert r.theta == base
+        for scale in (1e-200, 1e-12, 1e80, 1e200):
+            # a decimal scale rounds every coefficient once
+            r = inverse_kinematics(mech, DualQuaternion(scale * pose))
+            assert abs(r.theta - base) <= 2.0 * math.ulp(base)

@@ -654,3 +654,19 @@ def test_import_and_arc_leave_numpy_fft_and_polynomial_unloaded(tmp_path):
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_zero_length_paths_get_evenly_spread_knots():
+    # a point that never moves: the parameters and the joint angles are
+    # spread like the span itself instead of piling up on one knot
+    still = MotionPolynomial(np.array([[1, 0, 0, 0, 0, 0, 0, 0.0]]))
+    seg = equidistant_params(still.point_path([1.0, 2.0, 3.0]), 0.0, 1.0, 4)
+    assert seg.params == (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert seg.total_length == 0.0
+    # the origin on the axis of a pure rotation about z stays put
+    spin = MotionPolynomial.from_axes([[0, 0, 0, 1, 0, 0, 0, 0]])
+    mech = Mechanism(motion=spin, driving_axis=[0.0, 0.0, 0.0, 1.0])
+    got = equidistant_profile(mech, 0.5, 1.5, 1.0, 4.0)
+    want = linear_profile(0.5, 1.5, 1.0, 4.0)
+    assert np.max(np.abs(got.thetas - want.thetas)) <= 1e-12
+    assert np.max(np.abs(got.omegas - want.omegas)) <= 1e-12
