@@ -13,6 +13,8 @@ norm h * conj(h) is a nonzero real number.  Points embed as
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import _kernels
@@ -31,6 +33,12 @@ CANONICAL_TOL = 1e-6
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
 _EPS_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+
+
+def _binary_normalized(c: np.ndarray) -> np.ndarray:
+    """c scaled by the power of two that brings its largest coefficient
+    into [0.5, 1); exact, so it changes no ratio of coefficients."""
+    return np.ldexp(c, -math.frexp(float(np.max(np.abs(c))))[1])
 
 
 class DualQuaternion:
@@ -138,18 +146,21 @@ class DualQuaternion:
         n = _kernels.dq_mul8(self._c, (self._c * _CONJ_SIGNS))
         return float(n[0]), float(n[4])
 
+    def _norm_and_scale(self) -> tuple:
+        """Norm pair and squared magnitude of the binary normalized
+        coefficients: the same ratios, without overflow or underflow."""
+        c = _binary_normalized(self._c)
+        n = _kernels.dq_mul8(c, c * _CONJ_SIGNS)
+        return float(n[0]), float(n[4]), float(np.dot(c, c))
+
     def study_defect(self) -> float:
         """Dual norm part relative to the squared magnitude."""
-        np_, nd = self.norm_pair()
-        scale = float(np.dot(self._c, self._c))
-        if scale == 0.0:
-            return 0.0
-        return abs(nd) / scale
+        _, nd, scale = self._norm_and_scale()
+        return abs(nd) / scale if scale > 0.0 else 0.0
 
     def is_study(self, tol: float = STUDY_TOL) -> bool:
         """Whether h * conj(h) is real and nonzero within tolerance."""
-        np_, nd = self.norm_pair()
-        scale = float(np.dot(self._c, self._c))
+        np_, nd, scale = self._norm_and_scale()
         return scale > 0.0 and np_ > tol * scale and abs(nd) / scale <= tol
 
     def is_line(self, tol: float = TOL) -> bool:
@@ -195,15 +206,13 @@ class DualQuaternion:
         """
         as_dq = isinstance(x, DualQuaternion)
         pt = x if as_dq else DualQuaternion.from_point(x)
-        np_, _ = self.norm_pair()
-        scale = float(np.dot(self._c, self._c))
+        np_, _, scale = self._norm_and_scale()
         if scale == 0.0 or abs(np_) <= TOL * scale:
             raise DegenerateDisplacement(
                 "primal norm vanishes, element does not act on points"
             )
-        y = _kernels.dq_mul8(
-            _kernels.dq_mul8(self._c * _EPS_SIGNS, pt._c), self._c * _CONJ_SIGNS
-        )
+        c = _binary_normalized(self._c)
+        y = _kernels.dq_mul8(_kernels.dq_mul8(c * _EPS_SIGNS, pt._c), c * _CONJ_SIGNS)
         y = y / np_
         if as_dq:
             return DualQuaternion(y)
@@ -219,8 +228,8 @@ class DualQuaternion:
         scalar multiples.  Raises ZeroElement for the zero element.
         """
         c = self._c
-        n = float(np.sqrt(np.dot(c, c)))
-        if n <= TOL:
+        n = math.hypot(*c)  # scaled internally, so it cannot overflow
+        if n == 0.0:
             raise ZeroElement("cannot normalize a zero dual quaternion")
         if abs(c[0]) > tol * n:
             if c[0] == 1.0:

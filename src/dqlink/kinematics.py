@@ -6,10 +6,11 @@ The driving revolute joint has a rotation quaternion q0 + qx*i + qy*j
     t = |q_vec| / tan(theta / 2) + q0
 
 which maps theta = 0 to the point at infinity and theta = pi to q0.
-Inverse kinematics starts from the global minimiser of an algebraic
-pose distance, found among the real roots of one polynomial and the
-point at infinity, and polishes it with a damped Gauss-Newton iteration
-on the squared distance between normalized pose representatives.  The
+Inverse kinematics solves a pose against the tool motion C(t) *
+tool_home, which a mechanism builds once: it starts from the global
+minimiser of an algebraic pose distance, found among the real roots of
+one polynomial and the point at infinity, and polishes it with a damped
+Gauss-Newton iteration on normalized pose representatives.  The
 start polynomials come from a per-motion quadratic form, so per pose
 the start is one matrix product and one eigenvalue solve.
 """
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .dq import _CONJ_SIGNS, CANONICAL_TOL, STUDY_TOL, TOL, DualQuaternion
+from .dq import _binary_normalized
 from .errors import InvalidPose, NoConvergence, StudyViolation
 from .motionpoly import INFINITY, MotionPolynomial, _derivative_rows
 
@@ -92,14 +94,17 @@ class Mechanism:
         Displacement from the coupler frame to the tool frame, applied
         on the right of the evaluated motion.
 
-    The tool path chart of dqlink.trajectory, which depends only on the
-    motion and the driving axis, is built on first use and kept in the
-    private _chart slot.
+    The tool motion C(t) * tool_home, with tool_home scaled exactly by
+    a power of two, is built once into the private _tool_motion slot;
+    for the identity tool it is the motion itself, caches included.
+    The tool path chart of dqlink.trajectory, which depends only on it
+    and the driving axis, is built on first use into the _chart slot.
     """
 
     motion: MotionPolynomial
     driving_axis: np.ndarray
     tool_home: DualQuaternion = None
+    _tool_motion: MotionPolynomial = field(default=None, init=False, repr=False)
     _chart: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -119,6 +124,11 @@ class Mechanism:
         if not tool.is_study(max(self.motion.study_tol, STUDY_TOL)):
             raise StudyViolation("tool_home is not a displacement")
         object.__setattr__(self, "tool_home", tool)
+        motion, scaled = self.motion, _binary_normalized(tool.coeffs)
+        if np.any(scaled[1:]):
+            coeffs = _kernels.dq_mul8(motion.coeffs, scaled)
+            motion = MotionPolynomial(coeffs, motion.study_tol, validate=False)
+        object.__setattr__(self, "_tool_motion", motion)
 
 
 def direct_kinematics(mechanism: Mechanism, theta) -> DualQuaternion:
@@ -163,14 +173,13 @@ class IKResult:
 
 
 class _Target:
-    """Canonical and unit-norm representatives of a fixed target pose."""
+    """Canonical and unit-norm representatives of a fixed, nonzero
+    target pose."""
 
     __slots__ = ("can", "unit")
 
     def __init__(self, p8: np.ndarray):
         n = math.sqrt(float(np.dot(p8, p8)))
-        if n <= TOL:
-            raise InvalidPose("target pose is numerically zero")
         self.can = p8 / p8[0] if abs(p8[0]) > CANONICAL_TOL * n else None
         self.unit = (p8 / n) * _first_nonzero_sign(p8)
 
@@ -208,38 +217,37 @@ def _error_terms(c: np.ndarray, cd: np.ndarray, target: _Target):
     return err, chatd
 
 
-@dataclass
-class _Polish:
-    t: float
-    residual: float
-    iterations: int
-    trace: tuple
+def _residual_terms(coeffs, dcoeffs, target, t) -> tuple:
+    """Squared error f, error and curve derivative of _error_terms at t.
+
+    f is inf, and the other two None, where the curve value vanishes.
+    """
+    terms = _error_terms(
+        _kernels.poly_eval8(coeffs, t), _kernels.poly_eval8(dcoeffs, t), target
+    )
+    if terms is None:
+        return math.inf, None, None
+    err, chatd = terms
+    return float(np.dot(err, err)), err, chatd
 
 
 def _residual_at(coeffs, dcoeffs, target, t) -> float:
-    c = _kernels.poly_eval8(coeffs, t)
-    terms = _error_terms(c, _kernels.poly_eval8(dcoeffs, t), target)
-    if terms is None:
-        return math.inf
-    err, _ = terms
-    return float(np.dot(err, err))
+    return _residual_terms(coeffs, dcoeffs, target, t)[0]
 
 
-def _refine(coeffs, dcoeffs, target, t0) -> _Polish:
+def _refine(coeffs, dcoeffs, target, t0) -> tuple:
     """Damped Gauss-Newton from one start, run to stagnation.
 
-    Stops after _MAX_ITERATIONS accepted steps, when no step halving
-    lowers the residual before the step shrinks below _STEP_TOL (the
-    full step is always tried), or when a trial step would leave
-    |t| <= _DIVERGENCE_BOUND.
+    Returns the final t, its residual, the accepted steps and the
+    residual trace.  Stops after _MAX_ITERATIONS accepted steps, when no
+    step halving lowers the residual before the step shrinks below
+    _STEP_TOL (the full step is always tried), or when a trial step
+    would leave |t| <= _DIVERGENCE_BOUND.
     """
     t = float(t0)
-    c = _kernels.poly_eval8(coeffs, t)
-    terms = _error_terms(c, _kernels.poly_eval8(dcoeffs, t), target)
-    if terms is None:
-        return _Polish(t, math.inf, 0, ())
-    err, chatd = terms
-    f = float(np.dot(err, err))
+    f, err, chatd = _residual_terms(coeffs, dcoeffs, target, t)
+    if err is None:
+        return t, f, 0, ()
     trace = [f]
     iters = 0
     while iters < _MAX_ITERATIONS and f > _RESIDUAL_FLOOR:
@@ -256,29 +264,21 @@ def _refine(coeffs, dcoeffs, target, t0) -> _Polish:
             t_try = t + lam * step
             if abs(t_try) > _DIVERGENCE_BOUND:
                 break
-            c_try = _kernels.poly_eval8(coeffs, t_try)
-            terms_try = _error_terms(
-                c_try, _kernels.poly_eval8(dcoeffs, t_try), target
-            )
-            if terms_try is not None:
-                err_try, chatd_try = terms_try
-                f_try = float(np.dot(err_try, err_try))
-                if f_try < f:
-                    accepted = True
-                    break
+            trial = _residual_terms(coeffs, dcoeffs, target, t_try)
+            if trial[0] < f:
+                accepted = True
+                break
             lam *= 0.5
         if not accepted:
             break
         moved = abs(t_try - t)
         t = t_try
-        f = f_try
-        err = err_try
-        chatd = chatd_try
+        f, err, chatd = trial
         trace.append(f)
         iters += 1
         if moved <= _STEP_TOL * (1.0 + abs(t)):
             break
-    return _Polish(t, f, iters, tuple(trace))
+    return t, f, iters, tuple(trace)
 
 
 def _sum_of_squares(rows: np.ndarray) -> np.ndarray:
@@ -362,9 +362,11 @@ def inverse_kinematics(
 ) -> IKResult:
     """Joint angle of the driving axis that reproduces a tool pose.
 
-    The start is the global minimiser of an algebraic pose distance
-    N(t)/D(t) on the projective parameter line, taken from the real
-    roots of one polynomial and the point at infinity.  A damped
+    The pose is solved against the mechanism's tool motion, which
+    already carries tool_home, so no tool is divided out.  The start is
+    the global minimiser of an algebraic pose distance N(t)/D(t) on the
+    projective parameter line, taken from the real roots of one
+    polynomial and the point at infinity.  A damped
     Gauss-Newton iteration in the normalized metric then polishes it:
     in the t chart from a finite start, and from u = 0 in the
     reciprocal chart u = 1/t when the start is at infinity (joint angle
@@ -384,42 +386,36 @@ def inverse_kinematics(
     opt = options if options is not None else IKOptions()
     if not isinstance(pose, DualQuaternion):
         pose = DualQuaternion(pose)
-    top = float(np.max(np.abs(pose.coeffs)))
-    pose = DualQuaternion(np.ldexp(pose.coeffs, -math.frexp(top)[1]))
+    pose = DualQuaternion(_binary_normalized(pose.coeffs))
     tol = min(0.1, 100.0 * max(mechanism.motion.study_tol, STUDY_TOL))
     if not pose.is_study(tol):
         raise InvalidPose(
             "target pose is not a displacement (Study defect above %.1e)" % tol
         )
-    # divide the tool out on the right; the scale of conj(tool) is
-    # irrelevant because representatives are normalized
-    curve_target = _kernels.dq_mul8(
-        pose.coeffs, mechanism.tool_home.conjugate().coeffs
-    )
-    target = _Target(curve_target)
-    coeffs = mechanism.motion.coeffs
-
-    start = _global_start(mechanism.motion, curve_target)
+    motion = mechanism._tool_motion
+    coeffs = motion.coeffs
+    start = _global_start(motion, pose.coeffs)
     reciprocal = start is INFINITY
     if reciprocal:
         coeffs = np.ascontiguousarray(coeffs[::-1])
         start = 0.0
-    run = _refine(coeffs, _derivative_rows(coeffs), target, start)
-    t = run.t
+    t, residual, iterations, trace = _refine(
+        coeffs, _derivative_rows(coeffs), _Target(pose.coeffs), start
+    )
     if reciprocal:
         t = INFINITY if t == 0.0 else 1.0 / t
     result = IKResult(
         t=t,
         theta=param_to_angle(t, mechanism.driving_axis),
-        residual=run.residual,
-        iterations=run.iterations,
+        residual=residual,
+        iterations=iterations,
         branch="reciprocal" if reciprocal else "direct",
-        residual_trace=run.trace,
+        residual_trace=trace,
     )
-    if run.residual <= opt.success_tol:
+    if residual <= opt.success_tol:
         return result
     raise NoConvergence(
         "inverse kinematics did not reach success_tol=%.1e (best residual %r)"
-        % (opt.success_tol, run.residual),
+        % (opt.success_tol, residual),
         best=result,
     )

@@ -17,13 +17,13 @@ cos(h*psi) and sin(h*psi) over h = D, D-2, ...: D+1 coefficients, the
 same space as the D+1 polynomial coefficients in another basis.  A
 discrete Fourier transform on D+1 equispaced samples gives the map
 between the two bases.  A mechanism builds its angle chart on first
-use and keeps it read-only in a private slot: that map, its point
-action composed with the tool frame, and the pole angles, which are
-the roots of x0 that a motion finds once and phi = 0 when x0 drops
-degree.  A tool point then costs one affine combination and one small
-matrix product, and each speed evaluation |dP/dphi| one complex
-exponential, a short cumulative product for the higher harmonics and
-one matrix product.  Poles inside an interval are rejected with
+use and keeps it read-only in a private slot: that map, the point
+action of the tool motion, and the pole angles, which are the roots
+of x0 that a motion finds once and phi = 0 when x0 drops degree.  A
+tool point then costs one affine combination and one small matrix
+product, and each speed evaluation |dP/dphi| one complex exponential,
+a short cumulative product for the higher harmonics and one matrix
+product.  Poles inside an interval are rejected with
 PoleOnPath.
 
 Lengths come from composite Gauss-Legendre panels.  All panels of one
@@ -435,29 +435,21 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
 
     None of them depends on the tool point.  The action maps a point x
     of the tool frame to the acted point action[0] + x @ action[1:],
-    the point action of the motion composed with tool_home, which is
-    affine in x.  The pole angles are those of the roots of x0, the
-    primal norm of the motion, and phi = 0 when x0 drops degree.  Built
-    on first use and kept, read-only, in the mechanism's _chart slot.
+    the point action of the mechanism's tool motion, which is affine in
+    x.  The pole angles are those of the roots of x0, the primal norm of
+    the tool motion, and phi = 0 when x0 drops degree.  Built on first
+    use and kept, read-only, in the mechanism's _chart slot.
     """
     if mechanism._chart is None:
-        motion = mechanism.motion
-        basis = motion._action()
-        # the tool frame's origin and its unit points in the coupler frame
-        unit = np.vstack([np.zeros(3), np.eye(3)])
-        frame = np.array([mechanism.tool_home.act_on_point(x) for x in unit])
-        turn = frame[1:] - frame[0]
-        action = np.empty_like(basis)
-        action[0] = motion.act_poly(frame[0])
-        action[1:] = (turn @ basis[1:].reshape(3, -1)).reshape(basis[1:].shape)
-        x0 = basis[0, :, 0]
+        motion = mechanism._tool_motion
+        action = motion._action()
+        x0 = action[0, :, 0]
         q0, r = _axis_parts(mechanism.driving_axis)
         poles = (2.0 * np.arctan2(r, motion.path_poles() - q0)) % TWO_PI
         if abs(x0[-1]) <= 1e-14 * float(np.max(np.abs(x0))):
             # x0 drops degree: its homogeneous form vanishes at home
             poles = np.append(poles, 0.0)
-        for arr in (action, poles):
-            arr.flags.writeable = False
+        poles.flags.writeable = False
         chart = (_harmonic_map(x0.size - 1, q0, r), action, poles)
         object.__setattr__(mechanism, "_chart", chart)
     return mechanism._chart

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,29 @@ def test_study_condition(rng):
         h = random_displacement(rng)
         assert h.study_defect() <= 1e-12
         assert (3.7 * h).is_study()
+
+
+def test_study_condition_at_extreme_scales(rng):
+    h = random_displacement(rng)
+    bent = DualQuaternion(h.coeffs + [0, 0, 0, 0, 1e-3, 0, 0, 0])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for scale in (1e160, 1e-10, 1e-160):
+            assert np.allclose(
+                (scale * h).canonical().coeffs, h.canonical().coeffs, rtol=1e-14, atol=0.0
+            )
+            assert np.allclose(
+                (scale * h).act_on_point([0.1, 0.2, 0.3]),
+                h.act_on_point([0.1, 0.2, 0.3]),
+                rtol=1e-14,
+                atol=1e-15,
+            )
+            assert (scale * h).is_study()
+            assert (scale * h).study_defect() <= 1e-12
+            assert not (scale * bent).is_study()
+            assert math.isclose(
+                (scale * bent).study_defect(), bent.study_defect(), rel_tol=1e-12
+            )
 
 
 def test_point_embedding_roundtrip():

@@ -17,7 +17,9 @@ from dqlink import (
     StudyViolation,
     _kernels,
     angle_to_param,
+    arc_length_between,
     direct_kinematics,
+    equidistant_profile,
     inverse_kinematics,
     kinematics,
     param_to_angle,
@@ -166,6 +168,37 @@ def test_inverse_kinematics_divides_tool_out(sixbar):
     pose = direct_kinematics(with_tool, theta)
     r = inverse_kinematics(with_tool, pose)
     assert abs(r.theta - theta) <= 1e-9
+
+
+@pytest.mark.parametrize("fixture", ["sixbar", "bennett"])
+def test_tool_scale_is_irrelevant(fixture, request):
+    base = request.getfixturevalue(fixture)
+    tool = (0.1, -0.2, 0.05)
+
+    def run(scale):
+        mech = Mechanism(
+            motion=base.motion,
+            driving_axis=base.driving_axis,
+            tool_home=DualQuaternion(scale * SHIFT.coeffs),
+        )
+        theta = inverse_kinematics(mech, direct_kinematics(mech, 2.3)).theta
+        length = arc_length_between(mech, 0.4, 2.9, tool=tool)
+        profile = equidistant_profile(mech, 0.4, 2.9, 1.0, 30.0, tool=tool)
+        return theta, length, np.array(profile.thetas)
+
+    _, length, thetas = run(1.0)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for scale in (2.0**-40, 2.0**40, 1e-10, 1e160):
+            got_theta, got_length, got_thetas = run(scale)
+            assert abs(got_theta - 2.3) <= 1e-12
+            if math.frexp(scale)[0] == 0.5:
+                # a power of two scales the tool exactly
+                assert got_length == length
+                assert np.array_equal(got_thetas, thetas)
+            else:
+                assert abs(got_length - length) <= 1e-12 * length
+                assert np.max(np.abs(got_thetas - thetas)) <= 1e-12
 
 
 def test_inverse_kinematics_rejects_non_study_pose(sixbar):

@@ -534,21 +534,25 @@ def assert_speeds(speed, xs, coords, axis=None):
     assert np.allclose(speed(xs), want, rtol=1e-12, atol=0.0)
 
 
+def check_chart_speeds(mech, rng):
+    axis = (mech.driving_axis[0], np.linalg.norm(mech.driving_axis[1:]))
+    maps, action, _ = trajectory._angle_chart(mech)
+    for _ in range(3):
+        tool = rng.normal(scale=0.5, size=3)
+        acted = action[0] + (tool @ action[1:].reshape(3, -1)).reshape(action.shape[1:])
+        path = mech.motion.point_path(mech.tool_home.act_on_point(tool))
+        coords = np.column_stack([path.x0, path.xi.T])
+        phi = rng.uniform(-2 * math.pi, 2 * math.pi, size=40)
+        speed = trajectory._Speed(maps, acted[:, [0, 5, 6, 7]], 0.0, 1.0)
+        assert_speeds(speed, phi, coords, axis)
+        assert_speeds(path.speed, rng.uniform(-3.0, 3.0, size=40), coords)
+
+
 def test_trig_speed_matches_homogeneous_evaluation(random_linkage):
     rng = np.random.default_rng(21)
     for joints in (2, 3, 4):
         mech = random_linkage(rng, joints)
-        axis = (mech.driving_axis[0], np.linalg.norm(mech.driving_axis[1:]))
-        maps, action, _ = trajectory._angle_chart(mech)
-        for _ in range(3):
-            tool = rng.normal(scale=0.5, size=3)
-            acted = action[0] + (tool @ action[1:].reshape(3, -1)).reshape(action.shape[1:])
-            path = mech.motion.point_path(mech.tool_home.act_on_point(tool))
-            coords = np.column_stack([path.x0, path.xi.T])
-            phi = rng.uniform(-2 * math.pi, 2 * math.pi, size=40)
-            speed = trajectory._Speed(maps, acted[:, [0, 5, 6, 7]], 0.0, 1.0)
-            assert_speeds(speed, phi, coords, axis)
-            assert_speeds(path.speed, rng.uniform(-3.0, 3.0, size=40), coords)
+        check_chart_speeds(mech, rng)
     # an odd degree, which no motion produces, takes the odd harmonics
     path = RationalPointPath([2.0, 0.0, 1.0, 0.1], rng.normal(size=(3, 4)))
     coords = np.column_stack([path.x0, path.xi.T])
@@ -557,6 +561,12 @@ def test_trig_speed_matches_homogeneous_evaluation(random_linkage):
         speed = trajectory._Speed(trajectory._harmonic_map(3, *axis), coords, 0.0, 1.0)
         assert_speeds(speed, 2.0 * np.arctan2(axis[1], t - axis[0]), coords, axis)
     assert_speeds(path.speed, t, coords)
+    # a tool frame that turns and shifts, so the chart acts through the
+    # tool motion rather than the motion itself
+    rng = np.random.default_rng(23)
+    turn = DualQuaternion(rng.normal(size=4).tolist() + [0.0] * 4)
+    tool_home = turn * DualQuaternion.from_translation(rng.normal(size=3))
+    check_chart_speeds(dataclasses.replace(mech, tool_home=tool_home), rng)
 
 
 def test_pole_at_home_when_x0_drops_degree():
