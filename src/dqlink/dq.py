@@ -41,6 +41,12 @@ def _binary_normalized(c: np.ndarray) -> np.ndarray:
     return np.ldexp(c, -math.frexp(float(np.max(np.abs(c))))[1])
 
 
+def _first_nonzero_sign(v: np.ndarray, n: float) -> float:
+    """Sign of the first coefficient of v above TOL * n, 1.0 if none."""
+    first = next((x for x in v if abs(x) > TOL * n), 1.0)
+    return -1.0 if first < 0.0 else 1.0
+
+
 class DualQuaternion:
     """Immutable dual quaternion over the reals.
 
@@ -181,18 +187,18 @@ class DualQuaternion:
             return False
         return abs(float(np.dot(d, m))) <= tol * s * s
 
-    def point(self, tol: float = CANONICAL_TOL):
+    def point(self):
         """Coordinates of an embedded point s + eps*(s*x1*i + ...).
 
         Accepts any scalar multiple of the standard embedding.  Raises
-        ValueError when the element is not a point within tolerance.
+        ValueError when the element is not a point within CANONICAL_TOL.
         """
         c = self._c
         s = c[0]
         scale = float(np.max(np.abs(c)))
-        if scale == 0.0 or abs(s) <= tol * scale:
+        if scale == 0.0 or abs(s) <= CANONICAL_TOL * scale:
             raise ValueError("element is not an embedded point: zero scalar part")
-        if float(np.max(np.abs(c[1:5]))) > tol * scale:
+        if float(np.max(np.abs(c[1:5]))) > CANONICAL_TOL * scale:
             raise ValueError("element is not an embedded point: nonscalar part")
         return c[5:8] / s
 
@@ -218,32 +224,27 @@ class DualQuaternion:
             return DualQuaternion(y)
         return y[5:8].copy()
 
-    def canonical(self, tol: float = CANONICAL_TOL) -> "DualQuaternion":
+    def canonical(self) -> "DualQuaternion":
         """Canonical representative of the projective class.
 
-        Divides by c0 when |c0| exceeds tol relative to the magnitude,
-        otherwise scales to unit norm with the first nonzero coordinate
-        positive.  The test on c0 is scale relative, which makes the
-        branch choice and hence the result invariant under nonzero
-        scalar multiples.  Raises ZeroElement for the zero element.
+        Divides by c0 when |c0| exceeds CANONICAL_TOL relative to the
+        magnitude, otherwise scales to unit norm with the first nonzero
+        coordinate positive.  The scale relative test on c0 makes the
+        result invariant under nonzero scalar multiples.  Raises
+        ZeroElement for the zero element.
         """
         c = self._c
         n = math.hypot(*c)  # scaled internally, so it cannot overflow
         if n == 0.0:
             raise ZeroElement("cannot normalize a zero dual quaternion")
-        if abs(c[0]) > tol * n:
+        if abs(c[0]) > CANONICAL_TOL * n:
             if c[0] == 1.0:
                 return self
             return DualQuaternion(c / c[0])
         # skip the division when already unit so the map is idempotent
         # down to the last bit
         scaled = c if abs(n - 1.0) <= 4e-16 else c / n
-        for v in scaled:
-            if abs(v) > TOL:
-                if v < 0.0:
-                    scaled = -scaled
-                break
-        return DualQuaternion(scaled)
+        return DualQuaternion(scaled * _first_nonzero_sign(scaled, 1.0))
 
 
 def line_from_point_direction(direction, point, normalized: bool = False) -> DualQuaternion:
@@ -251,16 +252,17 @@ def line_from_point_direction(direction, point, normalized: bool = False) -> Dua
 
     The primal part carries the direction and the dual part the moment
     point x direction.  With normalized=True the direction is scaled to
-    unit length first.  Raises ZeroDirection when the direction vanishes.
+    unit length first, at any float scale.  Raises ZeroDirection when
+    the direction is zero.
     """
     d = np.asarray(direction, dtype=float)
     q = np.asarray(point, dtype=float)
     if d.shape != (3,) or q.shape != (3,):
         raise ValueError("direction and point must have 3 components")
-    n = float(np.sqrt(np.dot(d, d)))
-    if n <= TOL:
+    if not np.any(d):
         raise ZeroDirection("line direction must be nonzero")
     if normalized:
-        d = d / n
+        d = _binary_normalized(d)
+        d = d / math.sqrt(float(np.dot(d, d)))
     m = np.cross(q, d)
     return DualQuaternion([0.0, d[0], d[1], d[2], 0.0, m[0], m[1], m[2]])

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .dq import _CONJ_SIGNS, CANONICAL_TOL, STUDY_TOL, TOL, DualQuaternion
-from .dq import _binary_normalized
+from .dq import _binary_normalized, _first_nonzero_sign
 from .errors import InvalidPose, NoConvergence, StudyViolation
 from .motionpoly import INFINITY, MotionPolynomial, _derivative_rows
 
@@ -46,10 +46,14 @@ def _axis_parts(axis) -> tuple:
     q = np.asarray(axis, dtype=float)
     if q.shape != (4,):
         raise ValueError("driving axis must be a quaternion of 4 coefficients")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("driving axis must be finite")
-    r = float(np.sqrt(np.dot(q[1:], q[1:])))
-    if r <= TOL:
+    # |q_vec| of exactly power-of-two scaled entries, scaled back; entries
+    # below 2**1023 keep it below sqrt(3) * 2**1023, inside the float range
+    e = math.frexp(float(np.max(np.abs(q[1:]))))[1]
+    if not (np.all(np.isfinite(q)) and e <= 1023):
+        raise ValueError("driving axis must be finite, with entries below 2**1023")
+    v = np.ldexp(q[1:], -e)
+    r = math.ldexp(math.sqrt(float(np.dot(v, v))), e)
+    if r <= TOL * math.hypot(q[0], r):
         raise ValueError("driving axis needs a nonzero vector part")
     return float(q[0]), r
 
@@ -95,8 +99,7 @@ class Mechanism:
         on the right of the evaluated motion.
 
     The tool motion C(t) * tool_home, with tool_home scaled exactly by
-    a power of two, is built once into the private _tool_motion slot;
-    for the identity tool it is the motion itself, caches included.
+    a power of two, is built once into the private _tool_motion slot.
     The tool path chart of dqlink.trajectory, which depends only on it
     and the driving axis, is built on first use into the _chart slot.
     """
@@ -116,18 +119,14 @@ class Mechanism:
         _axis_parts(axis)
         axis.flags.writeable = False
         object.__setattr__(self, "driving_axis", axis)
-        tool = self.tool_home
-        if tool is None:
-            tool = DualQuaternion.identity()
+        tool = DualQuaternion.identity() if self.tool_home is None else self.tool_home
         if not isinstance(tool, DualQuaternion):
             tool = DualQuaternion(tool)
         if not tool.is_study(max(self.motion.study_tol, STUDY_TOL)):
             raise StudyViolation("tool_home is not a displacement")
         object.__setattr__(self, "tool_home", tool)
-        motion, scaled = self.motion, _binary_normalized(tool.coeffs)
-        if np.any(scaled[1:]):
-            coeffs = _kernels.dq_mul8(motion.coeffs, scaled)
-            motion = MotionPolynomial(coeffs, motion.study_tol, validate=False)
+        coeffs = _kernels.dq_mul8(self.motion.coeffs, _binary_normalized(tool.coeffs))
+        motion = MotionPolynomial(coeffs, self.motion.study_tol, validate=False)
         object.__setattr__(self, "_tool_motion", motion)
 
 
@@ -181,15 +180,7 @@ class _Target:
     def __init__(self, p8: np.ndarray):
         n = math.sqrt(float(np.dot(p8, p8)))
         self.can = p8 / p8[0] if abs(p8[0]) > CANONICAL_TOL * n else None
-        self.unit = (p8 / n) * _first_nonzero_sign(p8)
-
-
-def _first_nonzero_sign(v: np.ndarray) -> float:
-    n = math.sqrt(float(np.dot(v, v)))
-    for x in v:
-        if abs(x) > TOL * n:
-            return -1.0 if x < 0.0 else 1.0
-    return 1.0
+        self.unit = (p8 / n) * _first_nonzero_sign(p8, n)
 
 
 def _error_terms(c: np.ndarray, cd: np.ndarray, target: _Target):
@@ -210,7 +201,7 @@ def _error_terms(c: np.ndarray, cd: np.ndarray, target: _Target):
         chatd = (cd * c[0] - c * cd[0]) / (c[0] * c[0])
         err = target.can - chat
     else:
-        s = _first_nonzero_sign(c)
+        s = _first_nonzero_sign(c, n)
         chat = (s / n) * c
         chatd = (s / n) * (cd - c * (float(np.dot(c, cd)) / n2))
         err = target.unit - chat

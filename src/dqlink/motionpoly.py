@@ -34,6 +34,9 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
+# relative zero of a polynomial's top coefficients and of a path's x0
+_REL_ZERO = 1e-14
+
 
 def _coeff_array(coeffs) -> np.ndarray:
     """Normalize input to a read-only (n+1, 8) float array."""
@@ -68,19 +71,18 @@ def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _degree(coeffs: np.ndarray) -> int:
+    """Highest power with a coefficient above _REL_ZERO times the largest."""
+    size = np.abs(coeffs)
+    big = np.flatnonzero(size > _REL_ZERO * float(np.max(size)))
+    return int(big[-1]) if big.size else 0
+
+
 def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots of an ascending real coefficient polynomial."""
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
+    if not np.any(coeffs):
         return np.array([math.nan])
-    desc = coeffs[::-1]
-    lead = 0
-    while lead < desc.shape[0] - 1 and abs(desc[lead]) <= 1e-14 * scale:
-        lead += 1
-    desc = desc[lead:]
-    if desc.shape[0] <= 1:
-        return np.empty(0)
-    roots = np.roots(desc)
+    roots = np.roots(coeffs[_degree(coeffs) :: -1])
     real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))].real
     return real
 
@@ -377,7 +379,7 @@ class RationalPointPath:
         """Euclidean point at t.  Raises PoleOnPath where x0 vanishes."""
         h = self.hom(t)
         scale = float(np.max(np.abs(h)))
-        if scale == 0.0 or abs(h[0]) <= 1e-14 * scale:
+        if scale == 0.0 or abs(h[0]) <= _REL_ZERO * scale:
             raise PoleOnPath("path has a pole at t = %r" % (t,))
         return h[1:] / h[0]
 

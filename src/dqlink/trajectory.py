@@ -55,15 +55,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleOnPath, QuadratureFailure
-from .kinematics import Mechanism, _axis_parts, param_to_angle
+from .kinematics import TWO_PI, Mechanism, _axis_parts, param_to_angle
 from .motionpoly import (
     RationalPointPath,
     _affine_action,
     _check_point_action,
+    _degree,
     _real_roots,
 )
-
-TWO_PI = 2.0 * math.pi
 
 ARC_DIRECTIONS = ("short", "long", "increasing", "decreasing")
 
@@ -288,6 +287,11 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
     QuadratureFailure when some knot misses its tolerance after
     _INVERSION_MAX_ITER iterates.  A path of zero length has no arc to
     follow, so its knots sit at the fractions of the span instead.
+
+    Knots are defined to _KNOT_TOL, not to the bit: the speed's matrix
+    product rounds by batch shape, so _KNOT_BLOCK or the count of open
+    knots can move a knot by a few ulp (1.1e-16 rad measured), which
+    test_knot_blocks_bound_memory_and_keep_the_knots bounds by 1e-12.
     """
     if table.total == 0.0:
         return fractions[1:-1] * table.span
@@ -446,7 +450,7 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
         x0 = action[0, :, 0]
         q0, r = _axis_parts(mechanism.driving_axis)
         poles = (2.0 * np.arctan2(r, motion.path_poles() - q0)) % TWO_PI
-        if abs(x0[-1]) <= 1e-14 * float(np.max(np.abs(x0))):
+        if _degree(x0) < x0.size - 1:
             # x0 drops degree: its homogeneous form vanishes at home
             poles = np.append(poles, 0.0)
         poles.flags.writeable = False

@@ -294,6 +294,27 @@ def test_line_normalization_and_errors():
         line_from_point_direction([1, 0], [0, 0, 0])
 
 
+def test_line_direction_at_any_float_scale(rng):
+    point = np.array([1.0, 2.0, 3.0])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for scale in (1e200, 1e-200, 1e-310):
+            h = line_from_point_direction([scale, 0, 0], point, normalized=True)
+            assert np.array_equal(h.coeffs, [0, 1, 0, 0, 0, 0, 3, -2])
+        # an exact power of two leaves the normalized line's bits unchanged
+        for _ in range(10):
+            d, q = rng.normal(size=3), rng.normal(size=3)
+            want = line_from_point_direction(d, q, normalized=True).coeffs
+            for exponent in (-1000, -300, 300, 1000):
+                got = line_from_point_direction(np.ldexp(d, exponent), q, normalized=True)
+                assert np.array_equal(got.coeffs, want)
+    # a tiny direction is a direction; only the zero vector is not
+    h = line_from_point_direction([0, 1e-10, 0], point)
+    assert h.coeffs[2] == 1e-10
+    with pytest.raises(ZeroDirection):
+        line_from_point_direction([0.0, -0.0, 0.0], point, normalized=True)
+
+
 def test_is_line(rng):
     assert line_from_point_direction([0, 3, 0], [1 / 3, 0, 0]).is_line()
     # moment not orthogonal to direction

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dqlink import (
+    CANONICAL_TOL,
     INFINITY,
     DualQuaternion,
     IKOptions,
@@ -79,6 +80,24 @@ def test_axis_validation():
             angle_to_param(1.0, bad)
         with pytest.raises(ValueError):
             param_to_angle(1.0, bad)
+
+
+def test_axis_length_at_any_float_scale():
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for scale in (1e200, 1e-10, 1e-200):
+            axis = [0.0, scale, 0.0, 0.0]
+            t = angle_to_param(1.0, axis)
+            assert t == scale / math.tan(0.5)
+            assert param_to_angle(t, axis) == pytest.approx(1.0, rel=1e-15)
+            Mechanism(MotionPolynomial.from_axes([[0, 1, 0, 0, 0, 0, 0, 0]]), axis)
+    # the vector part is zero relative to the whole quaternion, or exactly
+    for bad in ([1.0, 1e-10, 0.0, 0.0], [1e-200, 0.0, 0.0, 0.0], [0.0, 0.0, -0.0, 0.0]):
+        with pytest.raises(ValueError, match="nonzero vector part"):
+            angle_to_param(1.0, bad)
+    # a vector part whose length would overflow is rejected, not made inf
+    with pytest.raises(ValueError, match="below 2"):
+        angle_to_param(1.0, [0.0, 1.5e308, 1.5e308, 0.0])
 
 
 def test_mechanism_construction(sixbar):
@@ -368,14 +387,16 @@ def test_start_form_matches_independent_products(sixbar, bennett, random_linkage
 
 def test_start_form_is_built_once_and_read_only(random_linkage, monkeypatch):
     mech = random_linkage(np.random.default_rng(35), 3)
-    assert mech.motion._ik_form is None
+    assert mech._tool_motion._ik_form is None
     pose = direct_kinematics(mech, 1.0)
     inverse_kinematics(mech, pose)
-    form = mech.motion._ik_form
+    form = mech._tool_motion._ik_form
     assert form is not None
     inverse_kinematics(mech, direct_kinematics(mech, 2.0))
-    assert mech.motion._ik_form is form
-    assert kinematics._start_form(mech.motion) is form
+    assert mech._tool_motion._ik_form is form
+    assert kinematics._start_form(mech._tool_motion) is form
+    # the caller's motion keeps no cache of the solves
+    assert mech.motion._ik_form is None
     for arr in form:
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -383,8 +404,25 @@ def test_start_form_is_built_once_and_read_only(random_linkage, monkeypatch):
     calls = []
     multiply = _kernels.dq_mul8
     monkeypatch.setattr(_kernels, "dq_mul8", lambda a, b: calls.append(1) or multiply(a, b))
-    kinematics._global_start(mech.motion, pose.coeffs)
+    kinematics._global_start(mech._tool_motion, pose.coeffs)
     assert calls == []
+
+
+def test_inverse_kinematics_at_half_turn_poses(sixbar):
+    # the scalar part c0(t) of the sixbar's tool motion vanishes at
+    # t = -2, 0 and 2, so poses there and close by have no usable
+    # canonical representative and IK compares unit-norm ones
+    motion = sixbar._tool_motion
+    for t in (-2.0, 0.0, 2.0):
+        assert motion.evaluate(t).coeffs[0] == 0.0
+        root = param_to_angle(t, sixbar.driving_axis)
+        pose = direct_kinematics(sixbar, root).coeffs
+        assert abs(pose[0]) <= CANONICAL_TOL * np.linalg.norm(pose)
+        for offset in (0.0, 1e-9, -1e-9, 1e-7, -1e-7):
+            theta = root + offset
+            r = inverse_kinematics(sixbar, direct_kinematics(sixbar, theta))
+            gap = (r.theta - theta + math.pi) % (2.0 * math.pi) - math.pi
+            assert abs(gap) <= 1e-12
 
 
 def test_success_tol_must_be_finite_and_non_negative():
