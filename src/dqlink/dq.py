@@ -173,9 +173,10 @@ class DualQuaternion:
         """Whether this element is a Pluecker line.
 
         Requires vanishing scalar parts, a nonzero direction and a
-        direction orthogonal to the moment.
+        direction orthogonal to the moment.  The tests run on the binary
+        normalized coefficients, so the verdict holds at any float scale.
         """
-        c = self._c
+        c = _binary_normalized(self._c)
         s = float(np.sqrt(np.dot(c, c)))
         if s == 0.0:
             return False

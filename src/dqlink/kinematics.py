@@ -11,8 +11,9 @@ tool_home, which a mechanism builds once: it starts from the global
 minimiser of an algebraic pose distance, found among the real roots of
 one polynomial and the point at infinity, and polishes it with a damped
 Gauss-Newton iteration on normalized pose representatives.  The
-start polynomials come from a per-motion quadratic form, so per pose
-the start is one matrix product and one eigenvalue solve.
+start polynomials come from a quadratic form that the mechanism builds
+with its tool motion, so per pose the start is one matrix product and
+one eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -99,15 +100,18 @@ class Mechanism:
         on the right of the evaluated motion.
 
     The tool motion C(t) * tool_home, with tool_home scaled exactly by
-    a power of two, is built once into the private _tool_motion slot.
-    The tool path chart of dqlink.trajectory, which depends only on it
-    and the driving axis, is built on first use into the _chart slot.
+    a power of two, and the read-only start form of inverse kinematics
+    for it are built once, into the private _tool_motion and _ik_form
+    slots.  The tool path chart of dqlink.trajectory, which depends only
+    on the tool motion and the driving axis, is built on first use into
+    the _chart slot.
     """
 
     motion: MotionPolynomial
     driving_axis: np.ndarray
     tool_home: DualQuaternion = None
     _tool_motion: MotionPolynomial = field(default=None, init=False, repr=False)
+    _ik_form: tuple = field(default=None, init=False, repr=False)
     _chart: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -128,6 +132,7 @@ class Mechanism:
         coeffs = _kernels.dq_mul8(self.motion.coeffs, _binary_normalized(tool.coeffs))
         motion = MotionPolynomial(coeffs, self.motion.study_tol, validate=False)
         object.__setattr__(self, "_tool_motion", motion)
+        object.__setattr__(self, "_ik_form", _start_form(motion))
 
 
 def direct_kinematics(mechanism: Mechanism, theta) -> DualQuaternion:
@@ -283,7 +288,7 @@ def _sum_of_squares(rows: np.ndarray) -> np.ndarray:
 
 
 def _start_form(motion: MotionPolynomial) -> tuple:
-    """Read-only per-motion form (A, L, S) of the start polynomials.
+    """Read-only form (A, L, S) of the start polynomials of a motion.
 
     V(t) = C(t) * conj(p) is linear in p, with coefficients G_k p where
     column b of G_k is C_k * conj(e_b).  So N(t), the sum of the squares
@@ -291,31 +296,29 @@ def _start_form(motion: MotionPolynomial) -> tuple:
     with A_m = sum over k + l = m of G_k G_l^T restricted to those
     parts.  D(t) = S(t) |p|^2 with S = |C(t)|^2, and N'S - NS' = L N,
     whose top coefficient cancels in exact arithmetic and is left out
-    of L.  Built on the first call and kept on the motion.
+    of L.
     """
-    if motion._ik_form is None:
-        coeffs = motion.coeffs
-        g = _kernels.dq_mul8(coeffs[:, None, :], np.diag(_CONJ_SIGNS))
-        g = g[..., _VECTOR_PARTS]
-        gt = g.swapaxes(1, 2)
-        n = coeffs.shape[0]
-        a = np.zeros((2 * n - 1, 8, 8))
-        for k, gk in enumerate(g):
-            a[k : k + n] += gk @ gt
-        s = _sum_of_squares(coeffs)
-        # L[m, i] = (2i - m - 1) S[m + 1 - i] where that index exists
-        m = np.arange(2 * s.size - 3)[:, None]
-        i = np.arange(s.size)
-        j = m + 1 - i
-        inside = (j >= 0) & (j < s.size)
-        crit_map = np.where(inside, (2 * i - m - 1) * s[np.where(inside, j, 0)], 0.0)
-        for arr in (a, crit_map, s):
-            arr.flags.writeable = False
-        motion._ik_form = (a, crit_map, s)
-    return motion._ik_form
+    coeffs = motion.coeffs
+    g = _kernels.dq_mul8(coeffs[:, None, :], np.diag(_CONJ_SIGNS))
+    g = g[..., _VECTOR_PARTS]
+    gt = g.swapaxes(1, 2)
+    n = coeffs.shape[0]
+    a = np.zeros((2 * n - 1, 8, 8))
+    for k, gk in enumerate(g):
+        a[k : k + n] += gk @ gt
+    s = _sum_of_squares(coeffs)
+    # L[m, i] = (2i - m - 1) S[m + 1 - i] where that index exists
+    m = np.arange(2 * s.size - 3)[:, None]
+    i = np.arange(s.size)
+    j = m + 1 - i
+    inside = (j >= 0) & (j < s.size)
+    crit_map = np.where(inside, (2 * i - m - 1) * s[np.where(inside, j, 0)], 0.0)
+    for arr in (a, crit_map, s):
+        arr.flags.writeable = False
+    return a, crit_map, s
 
 
-def _global_start(motion: MotionPolynomial, p8: np.ndarray):
+def _global_start(form: tuple, p8: np.ndarray):
     """Global minimiser of N(t)/D(t) over the projective parameter line.
 
     V(t) = C(t) * conj(p); N sums the squares of V's vector and dual
@@ -323,14 +326,14 @@ def _global_start(motion: MotionPolynomial, p8: np.ndarray):
     D(t) = |C(t)|^2 |p|^2.  The dual scalar would vanish there too for
     exact displacements; leaving it out keeps a Study defect of rounded
     data from shifting the minimiser.  N and N'D - ND' come from the
-    motion's start form, so per pose the start is one matrix product and
+    form of _start_form, so per pose the start is one matrix product and
     one eigenvalue solve; the common factor |p|^2 is dropped.  The
     candidates are the real parts of all roots of N'D - ND', a superset
     of the real critical points, and infinity, where N/D tends to the
     ratio of the leading coefficients.  Returns INFINITY or a finite
     parameter.
     """
-    a, crit_map, s = _start_form(motion)
+    a, crit_map, s = form
     num = (a @ p8) @ p8
     crit = crit_map @ num
     best = INFINITY
@@ -383,9 +386,8 @@ def inverse_kinematics(
         raise InvalidPose(
             "target pose is not a displacement (Study defect above %.1e)" % tol
         )
-    motion = mechanism._tool_motion
-    coeffs = motion.coeffs
-    start = _global_start(motion, pose.coeffs)
+    coeffs = mechanism._tool_motion.coeffs
+    start = _global_start(mechanism._ik_form, pose.coeffs)
     reciprocal = start is INFINITY
     if reciprocal:
         coeffs = np.ascontiguousarray(coeffs[::-1])

@@ -122,23 +122,18 @@ class MotionPolynomial:
         Skip the norm check when False (used for derivatives, which are
         generally not motion polynomials themselves).
 
-    The point action, the poles of its point paths and the start form of
-    inverse kinematics (filled by dqlink.kinematics) are built on first
-    use and kept; the coefficients are read-only, so they stay valid.
+    A motion is a plain value: nothing is set after construction, and
+    the point action and the poles of its point paths are computed on
+    each call.
     """
 
-    __slots__ = (
-        "_coeffs", "_study_tol", "_validated", "_act", "_poles", "_ik_form"
-    )
+    __slots__ = ("_coeffs", "_study_tol", "_validated")
 
     def __init__(self, coeffs, study_tol: float = STUDY_TOL, validate: bool = True):
         arr = _coeff_array(coeffs)
         self._coeffs = arr
         self._study_tol = float(study_tol)
         self._validated = False
-        self._act = None
-        self._poles = None
-        self._ik_form = None
         if validate:
             lead = arr[-1]
             scale = float(np.max(np.abs(arr)))
@@ -241,51 +236,41 @@ class MotionPolynomial:
         )
 
     def _action(self) -> np.ndarray:
-        """Read-only (4, 2*degree + 1, 8) basis of the point action.
+        """(4, 2*degree + 1, 8) basis of the point action.
 
         Rows are the images of the origin and of the unit dual directions
-        eps*i, eps*j, eps*k, built on the first call as one pair of
-        polynomial products eps_conj(C) * units * conj(C).
+        eps*i, eps*j, eps*k, formed as one pair of polynomial products
+        eps_conj(C) * units * conj(C).
         """
-        if self._act is None:
-            c = self._coeffs
-            units = np.zeros((4, 1, 8))
-            units[0, 0, 0] = 1.0
-            units[1:, 0, 5:] = np.eye(3)
-            act = _polymul(_polymul(_eps_conj_rows(c), units), _conj_rows(c))
-            act.flags.writeable = False
-            self._act = act
-        return self._act
+        c = self._coeffs
+        units = np.zeros((4, 1, 8))
+        units[0, 0, 0] = 1.0
+        units[1:, 0, 5:] = np.eye(3)
+        return _polymul(_polymul(_eps_conj_rows(c), units), _conj_rows(c))
 
     def act_poly(self, x) -> np.ndarray:
         """Coefficients of eps_conj(C) * (1 + eps x) * conj(C).
 
         The action is affine in x: B0 + x1*B1 + x2*B2 + x3*B3, with B0 the
         image of the origin and Bj that of eps times the j-th unit vector.
-        The basis is built on the first call and reused by every later
-        one.
         """
         return _affine_action(self._action(), x)
 
     def path_poles(self) -> np.ndarray:
-        """Read-only real roots of x0, shared by every point path.
+        """Real roots of x0, shared by every point path.
 
         x0 is the primal norm of C(t), so it does not depend on the point;
-        the roots are found with one eigenvalue solve on the first call.
+        the roots come from one eigenvalue solve.
         """
-        if self._poles is None:
-            poles = _real_roots(self._action()[0, :, 0])
-            poles.flags.writeable = False
-            self._poles = poles
-        return self._poles
+        return _real_roots(self._action()[0, :, 0])
 
     def point_path(self, x) -> "RationalPointPath":
         """Rational path traced by a point under the motion.
 
         Returns homogeneous coordinates (x0 : x1 : x2 : x3) as real
         polynomials of degree at most 2*degree, read off the affine point
-        action of act_poly, whose basis the motion builds once.  The
-        acted point is checked by _check_point_action.
+        action of act_poly.  The acted point is checked by
+        _check_point_action.
         """
         p = self.act_poly(x)
         _check_point_action(p, self._study_tol)
@@ -319,6 +304,13 @@ def _check_point_action(p: np.ndarray, study_tol: float):
             "acted point has non-point components: relative defect %.3e"
             % (junk / scale)
         )
+
+
+def _speed(h: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """|X0 * dX - X * dX0| / X0**2 from the values h = (X0, X1, X2, X3)
+    and the derivatives d along the last axis."""
+    num = d[..., 1:] * h[..., :1] - h[..., 1:] * d[..., :1]
+    return np.sqrt(np.sum(num * num, axis=-1)) / (h[..., 0] * h[..., 0])
 
 
 class RationalPointPath:
@@ -387,7 +379,6 @@ class RationalPointPath:
         """Norm of the Euclidean velocity at t, a float or an array of them."""
         t = np.asarray(t, dtype=float)
         h, d = (_kernels.poly_eval8(c, t[..., None]) for c in (self._hom, self._dhom))
-        num = d[..., 1:] * h[..., :1] - h[..., 1:] * d[..., :1]
-        out = np.sqrt(np.sum(num * num, axis=-1)) / (h[..., 0] * h[..., 0])
+        out = _speed(h, d)
         # a constant path evaluates to one row whatever the shape of t
         return float(out) if t.ndim == 0 else np.broadcast_to(out, t.shape).copy()

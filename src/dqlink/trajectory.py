@@ -18,8 +18,8 @@ same space as the D+1 polynomial coefficients in another basis.  A
 discrete Fourier transform on D+1 equispaced samples gives the map
 between the two bases.  A mechanism builds its angle chart on first
 use and keeps it read-only in a private slot: that map, the point
-action of the tool motion, and the pole angles, which are the roots
-of x0 that a motion finds once and phi = 0 when x0 drops degree.  A
+action of the tool motion, and the pole angles, those of the real
+roots of x0 and phi = 0 when x0 drops degree.  A
 tool point then costs one affine combination and one small matrix
 product, and each speed evaluation |dP/dphi| one complex exponential,
 a short cumulative product for the higher harmonics and one matrix
@@ -62,6 +62,7 @@ from .motionpoly import (
     _check_point_action,
     _degree,
     _real_roots,
+    _speed,
 )
 
 ARC_DIRECTIONS = ("short", "long", "increasing", "decreasing")
@@ -197,7 +198,7 @@ class _Speed:
     coefficients, and those of dX/dpsi, are formed once here.  The
     variable x is the unwrapped driving angle, psi = x/2.  Calling the
     object with offsets from start along the orientation sigma returns
-    0.5 * |X0 * dX - X * dX0| / X0**2 over x1, x2, x3, at the cost of
+    0.5 * |X0 * dX - X * dX0| / X0**2 (motionpoly._speed), at the cost of
     one complex exponential, one cumulative product and one matrix
     product for all nodes.
     """
@@ -211,9 +212,7 @@ class _Speed:
     def __call__(self, offsets):
         psi = 0.5 * (self.start + self.sigma * offsets)
         both = _harmonics(psi, self.degree) @ self.coef
-        w = both[:, :1]
-        num = both[:, 5:] * w - both[:, 1:4] * both[:, 4:5]
-        return 0.5 * np.sqrt(np.sum(num * num, axis=1)) / (w[:, 0] * w[:, 0])
+        return 0.5 * _speed(both[:, :4], both[:, 4:])
 
 
 def _gauss(speed, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -440,21 +439,21 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
     None of them depends on the tool point.  The action maps a point x
     of the tool frame to the acted point action[0] + x @ action[1:],
     the point action of the mechanism's tool motion, which is affine in
-    x.  The pole angles are those of the roots of x0, the primal norm of
-    the tool motion, and phi = 0 when x0 drops degree.  Built on first
-    use and kept, read-only, in the mechanism's _chart slot.
+    x.  The pole angles are those of the real roots of x0, the primal
+    norm of the tool motion, and phi = 0 when x0 drops degree.  Built on
+    first use and kept, read-only, in the mechanism's _chart slot.
     """
     if mechanism._chart is None:
-        motion = mechanism._tool_motion
-        action = motion._action()
+        action = mechanism._tool_motion._action()
         x0 = action[0, :, 0]
         q0, r = _axis_parts(mechanism.driving_axis)
-        poles = (2.0 * np.arctan2(r, motion.path_poles() - q0)) % TWO_PI
+        poles = (2.0 * np.arctan2(r, _real_roots(x0) - q0)) % TWO_PI
         if _degree(x0) < x0.size - 1:
             # x0 drops degree: its homogeneous form vanishes at home
             poles = np.append(poles, 0.0)
-        poles.flags.writeable = False
         chart = (_harmonic_map(x0.size - 1, q0, r), action, poles)
+        for arr in chart:
+            arr.flags.writeable = False
         object.__setattr__(mechanism, "_chart", chart)
     return mechanism._chart
 

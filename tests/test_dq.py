@@ -325,3 +325,30 @@ def test_is_line(rng):
     for _ in range(10):
         d, q = rng.normal(size=3), rng.normal(size=3)
         assert line_from_point_direction(d, q).is_line(1e-12)
+
+
+def test_is_line_at_any_float_scale():
+    line = np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=float)
+    moment = np.array([0, 0, 0, 0, 0, 1, 0, 0], dtype=float)
+    scalar = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=float)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for scale in (1.0, 1e200, 1e-200, 2.0**-1000):
+            assert DualQuaternion(scale * line).is_line()
+            # a pure moment has no direction, and a line has no scalar part
+            assert not DualQuaternion(scale * moment).is_line()
+            assert not DualQuaternion(scale * scalar).is_line()
+
+
+def test_embeddings_need_three_numbers():
+    with pytest.raises(ValueError):
+        DualQuaternion.from_point([1.0, 2.0])
+    with pytest.raises(ValueError):
+        DualQuaternion.from_translation([1.0, 2.0])
+
+
+def test_unsupported_operands_raise_type_error():
+    h = DualQuaternion.identity()
+    for operation in (lambda: h - 1, lambda: h / h, lambda: None * h):
+        with pytest.raises(TypeError):
+            operation()

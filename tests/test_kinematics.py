@@ -122,6 +122,16 @@ def test_mechanism_construction(sixbar):
             Mechanism(motion=sixbar.motion, driving_axis=bad)
 
 
+def test_plain_sequences_for_tool_and_pose(sixbar):
+    tool = DualQuaternion.from_translation([0.1, -0.2, 0.3]) * DualQuaternion(
+        [0.6, 0.0, 0.8, 0.0, 0.0, 0.0, 0.0, 0.0]
+    )
+    mech = Mechanism(sixbar.motion, sixbar.driving_axis, tool_home=list(tool.coeffs))
+    assert isinstance(mech.tool_home, DualQuaternion)
+    pose = np.array(direct_kinematics(mech, 1.0).coeffs)
+    assert abs(inverse_kinematics(mech, pose).theta - 1.0) <= 1e-12
+
+
 def test_direct_kinematics_known_poses(sixbar):
     pose = direct_kinematics(sixbar, math.pi / 3)
     assert canonical_gap(pose, POSE_SQRT3) <= 1e-12
@@ -387,16 +397,11 @@ def test_start_form_matches_independent_products(sixbar, bennett, random_linkage
 
 def test_start_form_is_built_once_and_read_only(random_linkage, monkeypatch):
     mech = random_linkage(np.random.default_rng(35), 3)
-    assert mech._tool_motion._ik_form is None
+    form = mech._ik_form
     pose = direct_kinematics(mech, 1.0)
     inverse_kinematics(mech, pose)
-    form = mech._tool_motion._ik_form
-    assert form is not None
     inverse_kinematics(mech, direct_kinematics(mech, 2.0))
-    assert mech._tool_motion._ik_form is form
-    assert kinematics._start_form(mech._tool_motion) is form
-    # the caller's motion keeps no cache of the solves
-    assert mech.motion._ik_form is None
+    assert mech._ik_form is form
     for arr in form:
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -404,7 +409,7 @@ def test_start_form_is_built_once_and_read_only(random_linkage, monkeypatch):
     calls = []
     multiply = _kernels.dq_mul8
     monkeypatch.setattr(_kernels, "dq_mul8", lambda a, b: calls.append(1) or multiply(a, b))
-    kinematics._global_start(mech._tool_motion, pose.coeffs)
+    kinematics._global_start(mech._ik_form, pose.coeffs)
     assert calls == []
 
 

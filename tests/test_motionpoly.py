@@ -12,7 +12,6 @@ from dqlink import (
     PoleOnPath,
     RationalPointPath,
     StudyViolation,
-    _kernels,
     motionpoly,
 )
 
@@ -146,23 +145,15 @@ def test_acted_point_components_vanish_identically(rng):
             assert np.max(np.abs(acted[:, 1:5])) <= 1e-12 * np.max(np.abs(acted))
 
 
-def test_point_paths_share_one_action_basis(monkeypatch):
-    # the first path builds the action with dual quaternion products and
-    # the later ones only combine it; each path is checked pointwise
-    # against evaluate(t).act_on_point(x), which does not use the basis
-    calls = []
-    mul = _kernels.dq_mul8
-    monkeypatch.setattr(_kernels, "dq_mul8", lambda a, b: calls.append(1) or mul(a, b))
+def test_point_paths_share_one_action_basis():
+    # every path combines the same affine action basis; each path is
+    # checked pointwise against evaluate(t).act_on_point(x), which does
+    # not use the basis
     motion = MotionPolynomial(SIXBAR_COEFFS)
-    calls.clear()
-    motion.point_path([0.5, 0.5, 0.5])
-    assert calls
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rng.uniform(-2.0, 2.0, size=3)
-        calls.clear()
         path = motion.point_path(x)
-        assert calls == []
         for t in (-1.0, 0.3, SQRT3, 2.5):
             direct = motion.evaluate(t).act_on_point(x)
             assert np.allclose(path.point(t), direct, rtol=0.0, atol=1e-9)
@@ -189,13 +180,7 @@ def test_act_poly_matches_direct_convolution(rng):
 
 def test_cached_action_and_poles_are_read_only(cubic):
     act = cubic._action()
-    poles = cubic.path_poles()
     assert act.shape == (4, 2 * cubic.degree + 1, 8)
-    assert cubic._action() is act and cubic.path_poles() is poles
-    for arr in (act, poles):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
     # B1..B3 hold no x0, so every point path shares the poles of x0
     assert np.all(act[1:, :, 0] == 0.0)
     path = cubic.point_path([0.25, -1.0, 2.0])
@@ -261,6 +246,43 @@ def test_constant_path():
     assert np.allclose(path.point(5.0), [1, 2, 3])
     assert path.speed(5.0) == 0.0
     assert np.array_equal(path.speed(np.arange(3.0)), np.zeros(3))
+
+
+def test_motion_polynomial_input_checks():
+    with pytest.raises(ValueError):
+        MotionPolynomial(np.zeros((2, 7)))
+    for bad in (math.nan, math.inf):
+        coeffs = SIXBAR_COEFFS.astype(float)
+        coeffs[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MotionPolynomial(coeffs)
+    with pytest.raises(ValueError):
+        MotionPolynomial.from_axes([])
+    with pytest.raises(ValueError):
+        MotionPolynomial.from_axes([[0.0, 1.0, 0.0]])
+    with pytest.raises(StudyViolation, match="numerically zero"):
+        MotionPolynomial([[0, 0, 0, 0, 1, 0, 0, 0]])
+
+
+def test_motion_polynomial_keeps_no_state_beyond_its_coefficients(cubic):
+    assert MotionPolynomial.__slots__ == ("_coeffs", "_study_tol", "_validated")
+    poles = cubic.path_poles()
+    cubic.point_path([0.25, -1.0, 2.0])
+    assert np.array_equal(cubic.path_poles(), poles)
+    with pytest.raises(AttributeError):
+        cubic._poles = poles
+
+
+def test_point_action_input_checks(cubic):
+    with pytest.raises(ValueError):
+        cubic.act_poly([1.0, 2.0])
+    zero = MotionPolynomial(np.zeros((1, 8)), validate=False)
+    with pytest.raises(StudyViolation):
+        zero.point_path([0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        RationalPointPath(np.array([1.0, math.nan]), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="identically zero"):
+        RationalPointPath(np.zeros(2), np.ones((3, 2)))
 
 
 def test_rational_point_path_shape_checks():

@@ -18,6 +18,7 @@ from dqlink import (
     QuadratureFailure,
     RationalPointPath,
     StudyViolation,
+    TrajectoryProfile,
     _kernels,
     angle_to_param,
     arc_length,
@@ -86,7 +87,6 @@ def test_pole_check_is_unchanged_when_poles_are_kept():
         with pytest.raises(PoleOnPath):
             arc_length_between(border, 3.0, 3.3, tool=(0.1, 0, 0), direction="increasing")
     assert math.isfinite(arc_length_between(border, 0.5, 1.0, tool=(0.1, 0, 0)))
-    assert border.motion.path_poles() is border.motion.path_poles()
 
 
 def test_arc_length_quadrature_failure(monkeypatch, circle_path):
@@ -680,3 +680,11 @@ def test_zero_length_paths_get_evenly_spread_knots():
     want = linear_profile(0.5, 1.5, 1.0, 4.0)
     assert np.max(np.abs(got.thetas - want.thetas)) <= 1e-12
     assert np.max(np.abs(got.omegas - want.omegas)) <= 1e-12
+
+
+def test_trajectory_profile_needs_equal_shapes():
+    with pytest.raises(ValueError, match="equal shapes"):
+        TrajectoryProfile(
+            times=[0.0, 1.0], thetas=[0.0], omegas=[0.0, 0.0],
+            duration=1.0, frequency=1.0, mode="linear",
+        )
