@@ -59,13 +59,7 @@ def _axis_parts(axis) -> tuple:
     return float(q[0]), r
 
 
-def angle_to_param(theta, axis):
-    """Curve parameter for a joint angle of the driving revolute axis.
-
-    The angle is taken modulo 2*pi.  Zero maps to INFINITY and pi maps
-    exactly to the scalar part of the axis quaternion.
-    """
-    q0, r = _axis_parts(axis)
+def _angle_to_t(theta, q0: float, r: float):
     th = float(theta) % TWO_PI
     if th == 0.0:
         return INFINITY
@@ -74,13 +68,25 @@ def angle_to_param(theta, axis):
     return r / math.tan(0.5 * th) + q0
 
 
-def param_to_angle(t, axis) -> float:
-    """Joint angle in [0, 2*pi) for a curve parameter, inverse of
-    angle_to_param."""
-    q0, r = _axis_parts(axis)
+def _t_to_angle(t, q0: float, r: float) -> float:
     if t is INFINITY:
         return 0.0
     return (2.0 * math.atan2(r, float(t) - q0)) % TWO_PI
+
+
+def angle_to_param(theta, axis):
+    """Curve parameter for a joint angle of the driving revolute axis.
+
+    The angle is taken modulo 2*pi.  Zero maps to INFINITY and pi maps
+    exactly to the scalar part of the axis quaternion.
+    """
+    return _angle_to_t(theta, *_axis_parts(axis))
+
+
+def param_to_angle(t, axis) -> float:
+    """Joint angle in [0, 2*pi) for a curve parameter, inverse of
+    angle_to_param."""
+    return _t_to_angle(t, *_axis_parts(axis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +108,10 @@ class Mechanism:
     The tool motion C(t) * tool_home, with tool_home scaled exactly by
     a power of two, and the read-only start form of inverse kinematics
     for it are built once, into the private _tool_motion and _ik_form
-    slots.  The tool path chart of dqlink.trajectory, which depends only
-    on the tool motion and the driving axis, is built on first use into
-    the _chart slot.
+    slots, and the scalar part q0 and vector length r of the driving
+    axis into _axis.  The tool path chart of dqlink.trajectory, which
+    depends only on the tool motion and the driving axis, is built on
+    first use into the _chart slot.
     """
 
     motion: MotionPolynomial
@@ -112,6 +119,7 @@ class Mechanism:
     tool_home: DualQuaternion = None
     _tool_motion: MotionPolynomial = field(default=None, init=False, repr=False)
     _ik_form: tuple = field(default=None, init=False, repr=False)
+    _axis: tuple = field(default=None, init=False, repr=False)
     _chart: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -120,7 +128,7 @@ class Mechanism:
         if not self.motion.validated:
             raise ValueError("mechanism needs a validated motion polynomial")
         axis = np.array(self.driving_axis, dtype=float)
-        _axis_parts(axis)
+        object.__setattr__(self, "_axis", _axis_parts(axis))
         axis.flags.writeable = False
         object.__setattr__(self, "driving_axis", axis)
         tool = DualQuaternion.identity() if self.tool_home is None else self.tool_home
@@ -137,7 +145,7 @@ class Mechanism:
 
 def direct_kinematics(mechanism: Mechanism, theta) -> DualQuaternion:
     """Pose of the tool at a joint angle of the driving axis."""
-    t = angle_to_param(theta, mechanism.driving_axis)
+    t = _angle_to_t(theta, *mechanism._axis)
     return mechanism.motion.evaluate(t) * mechanism.tool_home
 
 
@@ -399,7 +407,7 @@ def inverse_kinematics(
         t = INFINITY if t == 0.0 else 1.0 / t
     result = IKResult(
         t=t,
-        theta=param_to_angle(t, mechanism.driving_axis),
+        theta=_t_to_angle(t, *mechanism._axis),
         residual=residual,
         iterations=iterations,
         branch="reciprocal" if reciprocal else "direct",

@@ -31,10 +31,16 @@ refinement level are evaluated in a single numpy call; a panel whose
 value differs from the sum of its two halves by more than the panel
 tolerance (_PANEL_TOL, or arc_length's tol) is split, otherwise its
 halves are kept, for at most _MAX_DEPTH levels; the first level's
-panels are evaluated in the same call as their halves.  Equidistant
-knots invert the resulting cumulative length table, _KNOT_BLOCK knots
-per pass: each knot takes safeguarded Newton steps, with the speed as
-derivative, inside the panel that holds its target length.
+panels are evaluated in the same call as their halves, and the table
+keeps the speeds at every accepted panel's nodes.  Equidistant knots
+invert the resulting cumulative length table, _KNOT_BLOCK knots per
+pass.  A knot's first guess comes from the panel that holds its target
+length: a few Newton steps on the length of the degree-11 interpolant
+of the panel's node speeds, one fixed antiderivative matrix applied to
+the kept speeds, with no speed evaluation.  The true-integral check is
+the unchanged postcondition: each knot takes safeguarded Newton steps,
+with the panel's Gauss length as value and the speed as derivative,
+inside that panel until it meets its tolerance.
 
 Profiles sample a duration T at frequency f into n = round(T*f) steps,
 n+1 samples with timestamps i/f; n above _MAX_SAMPLES raises
@@ -55,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleOnPath, QuadratureFailure
-from .kinematics import TWO_PI, Mechanism, _axis_parts, param_to_angle
+from .kinematics import TWO_PI, Mechanism, _axis_parts, _t_to_angle
 from .motionpoly import (
     RationalPointPath,
     _affine_action,
@@ -88,6 +94,35 @@ def _gauss_legendre(order: int) -> tuple:
 _GL_ORDER = 12
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(_GL_ORDER)
 
+
+def _antiderivative_matrix(nodes: np.ndarray) -> np.ndarray:
+    """Map from speeds at the nodes to the integral of their interpolant.
+
+    Column j holds the ascending coefficients, in the centred variable
+    s = 2*tau - 1, of the integral over [0, tau] of the Lagrange basis
+    polynomial of node j, so the matrix has one row more than there are
+    nodes.  Each basis polynomial is a product of linear factors formed
+    with np.convolve; integrating in s halves it, since dtau = ds/2, and
+    the constant row makes the integral vanish at s = -1.  At s = 1 the
+    columns sum to the quadrature weights of the nodes.  Like
+    _gauss_legendre, it leaves numpy.polynomial and numpy.linalg
+    unloaded.
+    """
+    s = 2.0 * nodes - 1.0
+    powers = np.arange(1, s.size + 1)
+    out = np.empty((s.size + 1, s.size))
+    for j, sj in enumerate(s):
+        basis = np.ones(1)
+        for sm in np.delete(s, j):
+            basis = np.convolve(basis, [-sm, 1.0]) / (sj - sm)
+        out[1:, j] = 0.5 * basis / powers
+        out[0, j] = -np.dot(out[1:, j], (-1.0) ** powers)
+    out.flags.writeable = False
+    return out
+
+
+_GL_ANTIDERIVATIVE = _antiderivative_matrix(_GL_NODES)
+
 # initial panel width in the angle chart; the t chart starts from one panel
 _ANGLE_PANEL = math.pi / 8.0
 # absolute tolerance per panel, and the refinement levels allowed to meet it
@@ -102,6 +137,8 @@ _MAX_PANELS = 4096
 # neighbouring knot errors cannot add up beyond it)
 _INVERSION_MAX_ITER = 50
 _KNOT_TOL = 0.5e-8
+# Newton steps on each panel's interpolant for the first guess of a knot
+_GUESS_STEPS = 3
 # knots per Newton pass: one pass evaluates 13 speed nodes per knot
 _KNOT_BLOCK = 1024
 # most steps round(T*f) of one profile, about 17 minutes at 1 kHz; an
@@ -215,11 +252,12 @@ class _Speed:
         return 0.5 * _speed(both[:, :4], both[:, 4:])
 
 
-def _gauss(speed, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre integrals of speed over [lo, lo + width], per panel."""
+def _gauss(speed, lo: np.ndarray, width: np.ndarray) -> tuple:
+    """Gauss-Legendre integrals of speed over [lo, lo + width], per panel,
+    and the speeds at the panels' nodes, one row per panel."""
     x = lo[:, None] + width[:, None] * _GL_NODES
     f = speed(x.ravel()).reshape(x.shape)
-    return (f @ _GL_WEIGHTS) * width
+    return (f @ _GL_WEIGHTS) * width, f
 
 
 def _halve(lo: np.ndarray, width: np.ndarray) -> tuple:
@@ -232,10 +270,12 @@ class _Table:
     """Cumulative arc length over [0, span] of the speed at offsets into it.
 
     Panels are refined level by level until each one agrees with the
-    sum of its halves to tol; the halves are kept.  The first level's
-    panels are evaluated together with their halves, and every later
-    level already holds its panels' values.  Raises QuadratureFailure
-    when a panel still misses tol after _MAX_DEPTH levels.
+    sum of its halves to tol; the halves are kept, and so are the speeds
+    at their Gauss nodes, which speeds() returns for the first guesses of
+    _knots.  The first level's panels are evaluated together with their
+    halves, and every later level already holds its panels' values.
+    Raises QuadratureFailure when a panel still misses tol after
+    _MAX_DEPTH levels.
     """
 
     def __init__(self, speed, span: float, pieces: int, tol: float):
@@ -244,16 +284,17 @@ class _Table:
         edges = np.linspace(0.0, span, pieces + 1)
         first, size = edges[:-1], np.diff(edges)
         lo, width = _halve(first, size)
-        values = _gauss(
+        values, nodes = _gauss(
             speed, np.concatenate([first, lo]), np.concatenate([size, width])
         )
-        whole, halves = values[:pieces], values[pieces:]
-        done = []
+        whole, halves, nodes = values[:pieces], values[pieces:], nodes[pieces:]
+        done, levels = [], []
         for depth in range(_MAX_DEPTH + 1):
             pair = halves.reshape(-1, 2)
             ok = np.abs(pair[:, 0] + pair[:, 1] - whole) <= tol
             keep = np.repeat(ok, 2)
             done.append((lo[keep], width[keep], halves[keep]))
+            levels.append((nodes, keep))
             if ok.all():
                 break
             open_ = ~keep
@@ -264,7 +305,7 @@ class _Table:
                     "at depth %d" % (float(lo[0]), float(lo[0] + width[0]), tol, depth)
                 )
             lo, width = _halve(lo, width)
-            halves = _gauss(speed, lo, width)
+            halves, nodes = _gauss(speed, lo, width)
         lo, width, value = (np.concatenate(parts) for parts in zip(*done))
         order = np.argsort(lo)
         self.lo = lo[order]
@@ -272,20 +313,55 @@ class _Table:
         self.value = value[order]
         self.ends = np.cumsum(self.value)
         self.total = float(self.ends[-1])
+        # the node speeds are gathered only on demand, so that a table
+        # that is never inverted costs no more than its lengths
+        self._levels, self._order = levels, order
+
+    def speeds(self) -> np.ndarray:
+        """Speeds at the Gauss nodes of the kept panels, one row per panel."""
+        return np.concatenate([nodes[keep] for nodes, keep in self._levels])[self._order]
+
+
+def _newton_in_panel(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """_GUESS_STEPS Newton steps from s towards a root of each row's polynomial.
+
+    Row i of coef holds ascending coefficients in s.  Each step takes one
+    power matrix of the current iterates, is clipped to [-1, 1], and
+    leaves an iterate as it is where the polynomial's slope is not
+    positive.
+    """
+    slope_coef = coef[:, 1:] * np.arange(1, coef.shape[1])
+    for _ in range(_GUESS_STEPS):
+        powers = np.vander(s, coef.shape[1], increasing=True)
+        miss = np.einsum("ij,ij->i", powers, coef)
+        slope = np.einsum("ij,ij->i", powers[:, :-1], slope_coef)
+        rising = slope > 0.0
+        step = miss * rising / np.where(rising, slope, 1.0)
+        s = np.minimum(np.maximum(s - step, -1.0), 1.0)
+    return s
 
 
 def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
     """Offsets of the interior knots at fractions of the table's length.
 
     fractions runs from 0 to 1 over n+1 knots; each interior knot is
-    resolved to _KNOT_TOL times the segment length total/n.  Safeguarded
-    Newton inside the panel holding each target: a step that leaves the
-    panel's shrinking bracket is replaced by bisection.  Knots are
-    iterated in blocks of _KNOT_BLOCK, which bounds the memory of one
-    speed evaluation whatever the number of knots.  Raises
-    QuadratureFailure when some knot misses its tolerance after
-    _INVERSION_MAX_ITER iterates.  A path of zero length has no arc to
-    follow, so its knots sit at the fractions of the span instead.
+    resolved to _KNOT_TOL times the segment length total/n.  The first
+    guess of a knot comes from the panel that holds its target: the
+    degree-11 interpolant of the panel's node speeds integrates to the
+    panel's own table value, its length from the panel start is a
+    polynomial whose coefficients _GL_ANTIDERIVATIVE gives, and
+    _GUESS_STEPS Newton steps on that polynomial (_newton_in_panel),
+    from the linear guess, place the knot.  The interpolant may miss the
+    true length by about the knot tolerance, so the true-integral check
+    stays the postcondition: safeguarded Newton inside the panel, with
+    the Gauss length from the panel start as value and the speed as
+    derivative, where a step that leaves the panel's shrinking bracket
+    is replaced by bisection.  Knots are guessed and iterated in blocks
+    of _KNOT_BLOCK, which bounds the memory of one speed evaluation
+    whatever the number of knots.  Raises QuadratureFailure when some
+    knot misses its tolerance after _INVERSION_MAX_ITER iterates.  A
+    path of zero length has no arc to follow, so its knots sit at the
+    fractions of the span instead.
 
     Knots are defined to _KNOT_TOL, not to the bit: the speed's matrix
     product rounds by batch shape, so _KNOT_BLOCK or the count of open
@@ -297,15 +373,22 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
     targets = fractions[1:-1] * table.total
     tol = _KNOT_TOL * table.total / (fractions.size - 1)
     idx = np.minimum(np.searchsorted(table.ends, targets), table.ends.size - 1)
-    lo = table.lo[idx]
-    hi = lo + table.width[idx]
+    base = table.lo[idx]
     value = table.value[idx]
     want = targets - (table.ends[idx] - value)
     frac = np.divide(want, value, out=np.full_like(want, 0.5), where=value > 0.0)
-    x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
-    base = lo.copy()
+    # the interpolant's length from the panel start, a polynomial in the
+    # centred variable s = 2*frac - 1, per panel
+    coef = (table.speeds() @ _GL_ANTIDERIVATIVE.T) * table.width[:, None]
+    lo = base.copy()
+    hi = base + table.width[idx]
+    x = np.empty_like(base)
     for first in range(0, targets.size, _KNOT_BLOCK):
         todo = np.arange(first, min(first + _KNOT_BLOCK, targets.size))
+        poly = coef[idx[todo]]
+        poly[:, 0] -= want[todo]
+        s = _newton_in_panel(poly, 2.0 * np.clip(frac[todo], 0.0, 1.0) - 1.0)
+        x[todo] = base[todo] + 0.5 * (s + 1.0) * (hi[todo] - base[todo])
         for _ in range(_INVERSION_MAX_ITER):
             # length from the panel start to x by the panel's own rule,
             # and the speed at x, in one evaluation
@@ -400,7 +483,8 @@ def equidistant_params(
     params = tuple(float(p) for p in params)
     angles = None
     if driving_axis is not None:
-        angles = tuple(param_to_angle(p, driving_axis) for p in params)
+        q0, r = _axis_parts(driving_axis)
+        angles = tuple(_t_to_angle(p, q0, r) for p in params)
     return PathSegmentation(
         params=params,
         angles=angles,
@@ -446,7 +530,7 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
     if mechanism._chart is None:
         action = mechanism._tool_motion._action()
         x0 = action[0, :, 0]
-        q0, r = _axis_parts(mechanism.driving_axis)
+        q0, r = mechanism._axis
         poles = (2.0 * np.arctan2(r, _real_roots(x0) - q0)) % TWO_PI
         if _degree(x0) < x0.size - 1:
             # x0 drops degree: its homogeneous form vanishes at home

@@ -24,6 +24,7 @@ from dqlink import (
     inverse_kinematics,
     kinematics,
     param_to_angle,
+    trajectory,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -120,6 +121,26 @@ def test_mechanism_construction(sixbar):
     for bad in ([0.0, math.nan, 0.0, 1.0], [0.0, 1.0, -math.inf, 0.0]):
         with pytest.raises(ValueError):
             Mechanism(motion=sixbar.motion, driving_axis=bad)
+
+
+def test_mechanism_keeps_its_axis_parts(monkeypatch, sixbar):
+    # the driving axis is validated once, at construction; direct and
+    # inverse kinematics and the tool path chart read the kept (q0, r)
+    mech = Mechanism(sixbar.motion, sixbar.driving_axis, sixbar.tool_home)
+    assert mech._axis == kinematics._axis_parts(mech.driving_axis)
+    t = angle_to_param(2.3, mech.driving_axis)
+    want = sixbar.motion.evaluate(t) * sixbar.tool_home
+
+    def fail(axis):
+        raise AssertionError("driving axis validated again")
+
+    monkeypatch.setattr(kinematics, "_axis_parts", fail)
+    monkeypatch.setattr(trajectory, "_axis_parts", fail)
+    pose = direct_kinematics(mech, 2.3)
+    assert np.array_equal(pose.coeffs, want.coeffs)
+    assert abs(inverse_kinematics(mech, pose).theta - 2.3) <= 1e-12
+    assert arc_length_between(mech, 0.3, 2.0) > 0.0
+    assert equidistant_profile(mech, 0.3, 2.0, 1.0, 10.0).thetas.size == 11
 
 
 def test_plain_sequences_for_tool_and_pose(sixbar):

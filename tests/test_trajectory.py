@@ -26,7 +26,9 @@ from dqlink import (
     direct_kinematics,
     equidistant_params,
     equidistant_profile,
+    kinematics,
     linear_profile,
+    param_to_angle,
     quintic_profile,
     quintic_time_scaling,
     resolve_arc,
@@ -114,6 +116,21 @@ def test_equidistant_params_circle(circle_path):
     # equal path steps on a circle are equal angle steps
     want = [math.pi - i * (math.pi / 8) for i in range(5)]
     assert np.allclose(seg.angles, want, atol=1e-8)
+
+
+def test_equidistant_params_validate_the_axis_once(monkeypatch, circle_path):
+    # one validation per call, and per knot the angle of param_to_angle
+    # to the bit
+    calls = []
+    parts = trajectory._axis_parts
+    for module in (trajectory, kinematics):
+        monkeypatch.setattr(module, "_axis_parts", lambda axis: calls.append(1) or parts(axis))
+    seg = equidistant_params(circle_path, -2.0, 3.0, 16, driving_axis=X_AXIS)
+    assert len(calls) == 1
+    assert seg.angles == tuple(param_to_angle(p, X_AXIS) for p in seg.params)
+    for bad in ([1.0, 0.0, 0.0, 0.0], [0.0, math.nan, 0.0, 1.0], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="driving axis"):
+            equidistant_params(circle_path, -2.0, 3.0, 16, driving_axis=bad)
 
 
 def test_equidistant_params_segments_are_equal(sixbar):
@@ -497,11 +514,77 @@ def test_knot_blocks_bound_memory_and_keep_the_knots(monkeypatch, sixbar):
 
 
 def test_inversion_raises_when_capped(monkeypatch, bennett, circle_path):
+    # the first guesses meet the knot tolerance in one pass, so the cap is
+    # reached with a tolerance that no single pass can meet
     monkeypatch.setattr(trajectory, "_INVERSION_MAX_ITER", 1)
-    with pytest.raises(QuadratureFailure):
+    monkeypatch.setattr(trajectory, "_KNOT_TOL", 1e-300)
+    with pytest.raises(QuadratureFailure, match="after 1 iterations"):
         equidistant_profile(bennett, 0.331, 5.893, duration=4.0, frequency=20.0, direction="long")
-    with pytest.raises(QuadratureFailure):
+    with pytest.raises(QuadratureFailure, match="after 1 iterations"):
         equidistant_params(circle_path, -2.0, 3.0, 16)
+
+
+# the criterion 09 profile and a blended sixbar one, as fixture name,
+# positional and keyword arguments of equidistant_profile, and the most
+# speed nodes each may take
+GUESSED_PROFILES = [
+    ("bennett", (0.331, 5.893, 4.0, 20.0), dict(direction="long"), 1567),
+    ("sixbar", (0.331, 5.893, 1.0, 40.0), dict(blend=True), 579),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args, kwargs, most_nodes", GUESSED_PROFILES, ids=["crit09", "sixbar-blend"]
+)
+def test_knot_guesses_leave_one_newton_pass(monkeypatch, request, name, args, kwargs, most_nodes):
+    # one call builds the length table and one checks every knot: the
+    # interpolant's guesses already meet the knot tolerance (4 and 5
+    # calls, 3,608 and 1,970 nodes, from the linear guesses)
+    sizes = []
+    call = trajectory._Speed.__call__
+
+    def counted(self, offsets):
+        sizes.append(offsets.size)
+        return call(self, offsets)
+
+    monkeypatch.setattr(trajectory._Speed, "__call__", counted)
+    equidistant_profile(request.getfixturevalue(name), *args, **kwargs)
+    assert len(sizes) <= 2
+    assert sum(sizes) <= most_nodes
+
+
+@pytest.mark.parametrize(
+    "name, args, kwargs, most_nodes", GUESSED_PROFILES, ids=["crit09", "sixbar-blend"]
+)
+def test_knots_meet_their_tolerance(request, name, args, kwargs, most_nodes):
+    mech = request.getfixturevalue(name)
+    theta0, theta1, duration, frequency = args
+    delta = resolve_arc(theta0, theta1, kwargs.get("direction", "short"))
+    table = trajectory._angle_table(mech, (0.0, 0.0, 0.0), theta0, delta)
+    n = round(duration * frequency)
+    fractions = np.arange(n + 1) / n
+    if kwargs.get("blend"):
+        fractions = trajectory._blend_warp(fractions)
+    x = trajectory._knots(table, fractions)
+    targets = fractions[1:-1] * table.total
+    idx = np.searchsorted(table.ends, targets)
+    start = table.ends[idx] - table.value[idx]
+    got = trajectory._gauss(table.speed, table.lo[idx], x - table.lo[idx])[0]
+    miss = np.abs(start + got - targets)
+    assert np.all(miss <= trajectory._KNOT_TOL * table.total / n)
+
+
+def test_antiderivative_matrix_integrates_the_interpolant():
+    # node values of a monomial of degree <= 11 give its exact integral
+    # over [0, tau]; at the panel end the matrix gives the Gauss weights
+    anti = trajectory._GL_ANTIDERIVATIVE
+    assert anti.shape == (13, 12)
+    tau = np.linspace(0.0, 1.0, 41)
+    powers = np.vander(2.0 * tau - 1.0, 13, increasing=True)
+    for degree in range(12):
+        got = powers @ (anti @ trajectory._GL_NODES**degree)
+        assert np.max(np.abs(got - tau ** (degree + 1) / (degree + 1))) <= 1e-12
+    assert np.max(np.abs(anti.sum(axis=0) - trajectory._GL_WEIGHTS)) <= 1e-12
 
 
 def reference_speed(coords, x, axis=None):
