@@ -24,7 +24,8 @@ from .errors import (
     ZeroElement,
 )
 
-# structural zero tests (Pluecker scalars, point form, first nonzero scan)
+# structural zero tests (Pluecker scalars, point form, first nonzero scan,
+# a vanishing primal part)
 TOL = 1e-9
 # Study condition defect, relative to the element's squared magnitude
 STUDY_TOL = 1e-9
@@ -39,6 +40,18 @@ def _binary_normalized(c: np.ndarray) -> np.ndarray:
     """c scaled by the power of two that brings its largest coefficient
     into [0.5, 1); exact, so it changes no ratio of coefficients."""
     return np.ldexp(c, -math.frexp(float(np.max(np.abs(c))))[1])
+
+
+def _primal_vanishes(primal_sq: float, total_sq: float) -> bool:
+    """Whether |P| <= TOL * |c|, from |P|**2 and |c|**2 of binary
+    normalized coefficients c with primal part P.
+
+    This is the one zero test of a displacement's primal part.  It is
+    relative to the whole magnitude, not to a Study tolerance, so a
+    displacement far from the origin, whose dual part dominates |c|,
+    still counts as one.
+    """
+    return primal_sq <= TOL * TOL * total_sq
 
 
 def _first_nonzero_sign(v: np.ndarray, n: float) -> float:
@@ -165,9 +178,13 @@ class DualQuaternion:
         return abs(nd) / scale if scale > 0.0 else 0.0
 
     def is_study(self, tol: float = STUDY_TOL) -> bool:
-        """Whether h * conj(h) is real and nonzero within tolerance."""
+        """Whether h * conj(h) is real and nonzero within tolerance.
+
+        The primal part must not vanish (_primal_vanishes) and the dual
+        norm part must stay within tol of the squared magnitude.
+        """
         np_, nd, scale = self._norm_and_scale()
-        return scale > 0.0 and np_ > tol * scale and abs(nd) / scale <= tol
+        return not _primal_vanishes(np_, scale) and abs(nd) / scale <= tol
 
     def is_line(self, tol: float = TOL) -> bool:
         """Whether this element is a Pluecker line.
@@ -214,7 +231,7 @@ class DualQuaternion:
         as_dq = isinstance(x, DualQuaternion)
         pt = x if as_dq else DualQuaternion.from_point(x)
         np_, _, scale = self._norm_and_scale()
-        if scale == 0.0 or abs(np_) <= TOL * scale:
+        if _primal_vanishes(np_, scale):
             raise DegenerateDisplacement(
                 "primal norm vanishes, element does not act on points"
             )

@@ -9,12 +9,11 @@ evaluates to its leading coefficient.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import _kernels
 from .dq import _CONJ_SIGNS, _EPS_SIGNS, STUDY_TOL, TOL, DualQuaternion
+from .dq import _binary_normalized, _primal_vanishes
 from .errors import OnBorderOfDomain, PoleOnPath, StudyViolation
 
 
@@ -80,8 +79,6 @@ def _degree(coeffs: np.ndarray) -> int:
 
 def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots of an ascending real coefficient polynomial."""
-    if not np.any(coeffs):
-        return np.array([math.nan])
     roots = np.roots(coeffs[_degree(coeffs) :: -1])
     real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))].real
     return real
@@ -212,18 +209,17 @@ class MotionPolynomial:
     def evaluate(self, t) -> DualQuaternion:
         """Value at a parameter, with INFINITY giving the leading coefficient.
 
-        Raises OnBorderOfDomain when the primal norm of the value
-        vanishes relative to its magnitude, since no displacement is
-        defined there.
+        Raises OnBorderOfDomain when the primal part of the value
+        vanishes relative to its magnitude (dq._primal_vanishes), since
+        no displacement is defined there.
         """
         if t is INFINITY:
             value = self._coeffs[-1].copy()
         else:
             value = _kernels.poly_eval8(self._coeffs, float(t))
         if self._validated:
-            total = float(np.dot(value, value))
-            primal = float(np.dot(value[:4], value[:4]))
-            if total == 0.0 or primal <= self._study_tol * total:
+            c = _binary_normalized(value)
+            if _primal_vanishes(float(np.dot(c[:4], c[:4])), float(np.dot(c, c))):
                 raise OnBorderOfDomain(
                     "motion is undefined at t = %r (vanishing primal norm)" % (t,)
                 )
@@ -269,11 +265,10 @@ class MotionPolynomial:
 
         Returns homogeneous coordinates (x0 : x1 : x2 : x3) as real
         polynomials of degree at most 2*degree, read off the affine point
-        action of act_poly.  The acted point is checked by
-        _check_point_action.
+        action of act_poly.  Columns 1-4 of the action vanish for every
+        coefficient array, so they are not read.
         """
         p = self.act_poly(x)
-        _check_point_action(p, self._study_tol)
         return RationalPointPath(p[:, 0], p[:, 5:8].T)
 
 
@@ -283,27 +278,6 @@ def _affine_action(basis: np.ndarray, x) -> np.ndarray:
     if x.shape != (3,):
         raise ValueError("expected 3 point coordinates")
     return basis[0] + (x @ basis[1:].reshape(3, -1)).reshape(basis.shape[1:])
-
-
-def _check_point_action(p: np.ndarray, study_tol: float):
-    """Check that acted point coefficients p describe a point path.
-
-    The rotational and dual-scalar components (columns 1-4) must vanish;
-    a failure to do so beyond study_tol reports StudyViolation, and
-    non-finite coefficients raise ValueError.
-    """
-    size = np.abs(p)
-    scale = float(np.max(size))
-    if not math.isfinite(scale):
-        raise ValueError("point path coefficients must be finite")
-    if scale == 0.0:
-        raise StudyViolation("point path is identically zero")
-    junk = float(np.max(size[:, 1:5]))
-    if junk > study_tol * scale:
-        raise StudyViolation(
-            "acted point has non-point components: relative defect %.3e"
-            % (junk / scale)
-        )
 
 
 def _speed(h: np.ndarray, d: np.ndarray) -> np.ndarray:

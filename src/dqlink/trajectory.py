@@ -5,26 +5,27 @@ It is integrated either in its curve parameter t or, for arcs between
 joint angles, in the unwrapped driving angle phi.  The t chart
 integrates the path's own speed, RationalPointPath.speed, a Horner
 evaluation of its monomial coefficients.  The angle chart is
-(a : s) = (r*cos(psi) + q0*sin(psi) : sin(psi)) of the parameter line,
-on which t = a/s, with psi = phi/2 and q0 and r the scalar part and
-the vector length of the driving axis quaternion, so the home
-configuration (phi a multiple of 2*pi, t at infinity) is an ordinary
-point of it.
+(a : s) = (r*cos(phi/2) + q0*sin(phi/2) : sin(phi/2)) of the parameter
+line, on which t = a/s, with q0 and r the scalar part and the vector
+length of the driving axis quaternion, so the home configuration (phi
+a multiple of 2*pi, t at infinity) is an ordinary point of it.
 
-There the homogeneous coordinates are forms of degree D in (a, s),
-hence in (cos(psi), sin(psi)), so each is a trigonometric sum of
-cos(h*psi) and sin(h*psi) over h = D, D-2, ...: D+1 coefficients, the
-same space as the D+1 polynomial coefficients in another basis.  A
-discrete Fourier transform on D+1 equispaced samples gives the map
-between the two bases.  A mechanism builds its angle chart on first
-use and keeps it read-only in a private slot: that map, the point
-action of the tool motion, and the pole angles, those of the real
-roots of x0 and phi = 0 when x0 drops degree.  A
-tool point then costs one affine combination and one small matrix
-product, and each speed evaluation |dP/dphi| one complex exponential,
-a short cumulative product for the higher harmonics and one matrix
-product.  Poles inside an interval are rejected with
-PoleOnPath.
+The tool path of a degree-n motion has degree D = 2n, since x0 is the
+primal norm |C(t)|**2.  Its homogeneous coordinates are forms of
+degree 2n in (a, s), so in the angle chart each is a trigonometric
+polynomial of order n in phi: coefficients of cos(m*phi) and
+sin(m*phi) for m = 0..n, 2n+1 of them, the same space as the 2n+1
+polynomial coefficients in another basis.  A discrete Fourier
+transform on 2n+1 equispaced samples gives the map between the two
+bases.  A mechanism builds its angle chart on first use and keeps it
+read-only in a private slot: the harmonic coefficients of X0..X3 and
+of dX/dphi for each row of the point action of its tool motion, which
+is affine in the tool point, and the pole angles, those of the real
+roots of x0 and phi = 0 when x0 drops degree.  A tool point then costs
+one affine combination of that array and a finiteness check, and each
+speed evaluation |dP/dphi| one complex exponential, a short cumulative
+product for the higher harmonics and one matrix product.  Poles inside
+an interval are rejected with PoleOnPath.
 
 Lengths come from composite Gauss-Legendre panels.  All panels of one
 refinement level are evaluated in a single numpy call; a panel whose
@@ -65,7 +66,6 @@ from .kinematics import TWO_PI, Mechanism, _axis_parts, _t_to_angle
 from .motionpoly import (
     RationalPointPath,
     _affine_action,
-    _check_point_action,
     _degree,
     _real_roots,
     _speed,
@@ -78,8 +78,9 @@ def _gauss_legendre(order: int) -> tuple:
     """Gauss-Legendre nodes and weights mapped to the unit interval.
 
     Newton's method on the Legendre recurrence from the usual cosine
-    guesses; the same rule as numpy.polynomial.legendre.leggauss, which
-    would load numpy.polynomial and numpy.linalg on import.
+    guesses; the same rule as numpy.polynomial.legendre.leggauss, without
+    importing numpy.polynomial and without the LAPACK eigenvalue solve
+    that leggauss would make when this module is imported.
     """
     x = np.array([math.cos(math.pi * (i + 0.75) / (order + 0.5)) for i in range(order)])
     for _ in range(8):
@@ -105,8 +106,8 @@ def _antiderivative_matrix(nodes: np.ndarray) -> np.ndarray:
     with np.convolve; integrating in s halves it, since dtau = ds/2, and
     the constant row makes the integral vanish at s = -1.  At s = 1 the
     columns sum to the quadrature weights of the nodes.  Like
-    _gauss_legendre, it leaves numpy.polynomial and numpy.linalg
-    unloaded.
+    _gauss_legendre, it needs no numpy.polynomial import and no LAPACK
+    call when this module is imported.
     """
     s = 2.0 * nodes - 1.0
     powers = np.arange(1, s.size + 1)
@@ -165,8 +166,6 @@ def _check_poles(poles: np.ndarray, lo: float, hi: float, period=None):
     """
     if poles.size == 0:
         return
-    if np.any(np.isnan(poles)):
-        raise PoleOnPath("homogeneous coordinate vanishes identically")
     margin = 1e-12 * (1.0 + hi - lo)
     first = poles
     if period is not None:
@@ -179,77 +178,74 @@ def _check_poles(poles: np.ndarray, lo: float, hi: float, period=None):
         )
 
 
-def _harmonics(psi: np.ndarray, degree: int) -> np.ndarray:
-    """cos(h*psi), sin(h*psi) per node, interleaved, for h = degree, degree-2, ...
+def _harmonics(phi: np.ndarray, order: int) -> np.ndarray:
+    """cos(m*phi), sin(m*phi) per node, interleaved, for m = 0, 1, ..., order.
 
-    The harmonics ascend from degree mod 2 to degree, so each node has
-    2*(degree//2 + 1) columns; for even degree the sine of h = 0 is a
-    zero column.  cos(psi) and sin(psi) are taken once as exp(i*psi), and
-    each higher harmonic is the previous one turned by exp(2i*psi).
+    Each node has 2*(order + 1) columns; the sine of m = 0 is a zero
+    column.  cos(phi) and sin(phi) are taken once as exp(i*phi), and
+    each higher harmonic is the previous one turned by it.
     """
-    z = np.exp(1j * psi)
-    out = np.empty((psi.size, degree // 2 + 1), dtype=complex)
-    out[:, 0] = z if degree % 2 else 1.0
-    out[:, 1:] = (z * z)[:, None]
+    z = np.exp(1j * phi)
+    out = np.empty((phi.size, order + 1), dtype=complex)
+    out[:, 0] = 1.0
+    out[:, 1:] = z[:, None]
     np.cumprod(out, axis=1, out=out)
     return out.view(float)
 
 
-def _harmonic_map(degree: int, q0: float, r: float) -> np.ndarray:
-    """Read-only maps from a form of one degree to its harmonic coefficients.
+def _harmonic_map(order: int, q0: float, r: float) -> np.ndarray:
+    """Maps from a form of degree 2*order to its harmonic coefficients.
 
-    A homogeneous form X(a, s) = sum_k c_k a**k s**(degree-k), taken in
-    the chart (a : s) = (r*cos(psi) + q0*sin(psi) : sin(psi)), is a sum
-    of the harmonics of _harmonics.  Row 0 of the result maps the
-    ascending coefficients c_k to those harmonic coefficients, row 1 to
-    the coefficients of dX/dpsi.  The coefficients come from an explicit
-    discrete Fourier transform of degree+1 equispaced samples on
-    [0, pi), on which the harmonics are orthogonal.
+    A homogeneous form X(a, s) = sum_k c_k a**k s**(2*order - k), taken
+    in the chart (a : s) = (r*cos(phi/2) + q0*sin(phi/2) : sin(phi/2)),
+    is a sum of the harmonics of _harmonics up to order.  Row 0 of the
+    result maps the ascending coefficients c_k to those harmonic
+    coefficients, row 1 to the coefficients of dX/dphi.  The
+    coefficients come from an explicit discrete Fourier transform of
+    2*order + 1 equispaced samples on [0, 2*pi), on which the harmonics
+    are orthogonal.
     """
-    psi = np.arange(degree + 1) * (math.pi / (degree + 1))
-    s = np.sin(psi)
-    a = r * np.cos(psi) + q0 * s
-    k = np.arange(degree + 1)
-    samples = a[:, None] ** k * s[:, None] ** (degree - k)
-    # over the samples a harmonic h > 0 has squared sum (degree+1)/2,
-    # cos(0) has degree+1 and sin(0) vanishes
-    weight = np.full(degree + 2 - degree % 2, 2.0 / (degree + 1))
-    if degree % 2 == 0:
-        weight[:2] = 1.0 / (degree + 1)
-    value = weight[:, None] * (_harmonics(psi, degree).T @ samples)
-    value = value.reshape(-1, 2, degree + 1)
-    # d/dpsi takes (cos, sin) coefficients (u, v) of harmonic h to (h*v, -h*u)
-    h = np.arange(degree % 2, degree + 1, 2)[:, None]
-    slope = np.stack([h * value[:, 1], -h * value[:, 0]], axis=1)
-    maps = np.stack([value, slope]).reshape(2, -1, degree + 1)
-    maps.flags.writeable = False
-    return maps
+    size = 2 * order + 1
+    phi = np.arange(size) * (TWO_PI / size)
+    s = np.sin(0.5 * phi)
+    a = r * np.cos(0.5 * phi) + q0 * s
+    k = np.arange(size)
+    samples = a[:, None] ** k * s[:, None] ** (size - 1 - k)
+    # over the samples a harmonic m > 0 has squared sum size/2, cos(0)
+    # has size and sin(0) vanishes
+    weight = np.full(2 * order + 2, 2.0 / size)
+    weight[:2] = 1.0 / size
+    value = weight[:, None] * (_harmonics(phi, order).T @ samples)
+    value = value.reshape(order + 1, 2, size)
+    # d/dphi takes (cos, sin) coefficients (u, v) of harmonic m to (m*v, -m*u)
+    m = np.arange(order + 1)[:, None]
+    slope = np.stack([m * value[:, 1], -m * value[:, 0]], axis=1)
+    return np.stack([value, slope]).reshape(2, -1, size)
 
 
 class _Speed:
     """Vectorized speed of a tool point path in the angle chart.
 
     The evaluator of the trigonometric form of the module docstring.
-    maps comes from _harmonic_map for the chart and coords holds the
-    ascending monomial coefficients of X0..X3 as columns; their harmonic
-    coefficients, and those of dX/dpsi, are formed once here.  The
-    variable x is the unwrapped driving angle, psi = x/2.  Calling the
+    coef is the chart's affine combination for one tool point: the
+    harmonic coefficients, interleaved as _harmonics orders them, of
+    X0..X3 in its first four columns and of dX/dphi in the last four.
+    The variable is the unwrapped driving angle phi.  Calling the
     object with offsets from start along the orientation sigma returns
-    0.5 * |X0 * dX - X * dX0| / X0**2 (motionpoly._speed), at the cost of
-    one complex exponential, one cumulative product and one matrix
-    product for all nodes.
+    |X0 * dX - X * dX0| / X0**2 (motionpoly._speed), at the cost of one
+    complex exponential, one cumulative product and one matrix product
+    for all nodes.
     """
 
-    def __init__(self, maps, coords, start, sigma):
-        self.degree = maps.shape[2] - 1
-        self.coef = np.hstack(maps @ coords)
+    def __init__(self, coef, start, sigma):
+        self.order = coef.shape[0] // 2 - 1
+        self.coef = coef
         self.start = float(start)
         self.sigma = float(sigma)
 
     def __call__(self, offsets):
-        psi = 0.5 * (self.start + self.sigma * offsets)
-        both = _harmonics(psi, self.degree) @ self.coef
-        return 0.5 * _speed(both[:, :4], both[:, 4:])
+        both = _harmonics(self.start + self.sigma * offsets, self.order) @ self.coef
+        return _speed(both[:, :4], both[:, 4:])
 
 
 def _gauss(speed, lo: np.ndarray, width: np.ndarray) -> tuple:
@@ -431,11 +427,14 @@ def arc_length(
     tol is the absolute tolerance per Gauss-Legendre panel.  Raises
     PoleOnPath when x0 has a real root inside the interval and
     QuadratureFailure when some panel still misses tolerance after
-    _MAX_DEPTH refinement levels.  Non-finite parameters, or a span
-    that overflows, raise ValueError.
+    _MAX_DEPTH refinement levels.  Non-finite parameters, a span that
+    overflows, or a tol that is not positive and finite raise
+    ValueError.
     """
     a, b = float(t0), float(t1)
     _check_finite(("t0", a), ("t1", b), ("t1 - t0", b - a))
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if a == b:
         return 0.0
     # integrate forward from the lower end, whichever end comes first
@@ -518,14 +517,18 @@ def resolve_arc(theta0: float, theta1: float, direction: str = "short") -> float
 
 
 def _angle_chart(mechanism: Mechanism) -> tuple:
-    """Harmonic map, tool point action and pole angles of the tool paths.
+    """Harmonic point action and pole angles of the tool paths.
 
-    None of them depends on the tool point.  The action maps a point x
-    of the tool frame to the acted point action[0] + x @ action[1:],
-    the point action of the mechanism's tool motion, which is affine in
-    x.  The pole angles are those of the real roots of x0, the primal
-    norm of the tool motion, and phi = 0 when x0 drops degree.  Built on
-    first use and kept, read-only, in the mechanism's _chart slot.
+    The point action of the mechanism's tool motion maps a point x of
+    the tool frame to action[0] + x @ action[1:], affine in x.  Row i of
+    the (4, 2n+2, 8) harmonic array holds, for the columns x0..x3 of
+    action[i], the harmonic coefficients in phi of _harmonic_map and
+    then those of their phi-derivatives; its affine combination for a
+    tool point is the coefficient array of _Speed.  The pole angles are
+    those of the real roots of x0, the primal norm of the tool motion,
+    and phi = 0 when x0 drops degree.  Neither depends on the tool
+    point.  Built on first use and kept, read-only, in the mechanism's
+    _chart slot.
     """
     if mechanism._chart is None:
         action = mechanism._tool_motion._action()
@@ -535,7 +538,9 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
         if _degree(x0) < x0.size - 1:
             # x0 drops degree: its homogeneous form vanishes at home
             poles = np.append(poles, 0.0)
-        chart = (_harmonic_map(x0.size - 1, q0, r), action, poles)
+        maps = _harmonic_map(mechanism._tool_motion.degree, q0, r)
+        harmonic = np.concatenate(maps[:, None] @ action[..., _POINT_COLUMNS], axis=-1)
+        chart = (harmonic, poles)
         for arr in chart:
             arr.flags.writeable = False
         object.__setattr__(mechanism, "_chart", chart)
@@ -544,13 +549,14 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
 
 def _angle_table(mechanism: Mechanism, tool, start, delta) -> _Table:
     """Length table of the tool point path from start over delta radians."""
-    maps, action, poles = _angle_chart(mechanism)
-    acted = _affine_action(action, tool)
-    _check_point_action(acted, mechanism.motion.study_tol)
+    harmonic, poles = _angle_chart(mechanism)
+    coef = _affine_action(harmonic, tool)
+    if not np.all(np.isfinite(coef)):
+        raise ValueError("point path coefficients must be finite")
     end = start + delta
     _check_poles(poles, min(start, end), max(start, end), TWO_PI)
     span = abs(delta)
-    speed = _Speed(maps, acted[:, _POINT_COLUMNS], start, math.copysign(1.0, delta))
+    speed = _Speed(coef, start, math.copysign(1.0, delta))
     pieces = max(1, math.ceil(span / _ANGLE_PANEL))
     return _Table(speed, span, pieces, _PANEL_TOL)
 

@@ -158,6 +158,9 @@ def test_norm_pair_is_multiplicative(rng):
 
 def test_study_condition(rng):
     assert DualQuaternion.from_translation([-2, 0, 0]).is_study()
+    # far from the origin the dual part dominates, yet the primal part
+    # does not vanish
+    assert DualQuaternion.from_translation([1e5, 0, 0]).is_study()
     assert not DualQuaternion([1, 0, 0, 0, 1, 0, 0, 0]).is_study()
     # zero primal norm fails even though the defect vanishes
     assert not DualQuaternion([0, 0, 0, 0, 0, 1, 0, 0]).is_study()
@@ -210,6 +213,9 @@ def test_from_translation_moves_points(rng):
         v, x = rng.normal(size=3), rng.normal(size=3)
         got = DualQuaternion.from_translation(v).act_on_point(x)
         assert np.allclose(got, x + v, atol=1e-12)
+    for v in ([1e5, 0, 0], [0, -3e8, 2e8]):
+        got = DualQuaternion.from_translation(v).act_on_point([1.0, 2.0, 3.0])
+        assert np.allclose(got, np.add(v, [1.0, 2.0, 3.0]), rtol=1e-15, atol=0.0)
 
 
 def test_act_on_point_rotation():

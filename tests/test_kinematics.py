@@ -251,6 +251,29 @@ def test_tool_scale_is_irrelevant(fixture, request):
                 assert np.max(np.abs(got_thetas - thetas)) <= 1e-12
 
 
+def test_displacements_far_from_the_origin(sixbar, bennett):
+    # the primal part vanishes only relative to the whole magnitude, not
+    # to the Study tolerance, so a tool frame or a base far from the
+    # coupler frame still gives displacements that IK solves
+    far = DualQuaternion.from_translation
+
+    def moved(mech, v):
+        coeffs = [far(v) * mech.motion.coefficient(k) for k in range(mech.motion.degree + 1)]
+        return Mechanism(MotionPolynomial(coeffs, mech.motion.study_tol), mech.driving_axis)
+
+    cases = [
+        Mechanism(sixbar.motion, sixbar.driving_axis, far([1e4, 0, 0])),
+        Mechanism(sixbar.motion, sixbar.driving_axis, far([1e5, 0, 0])),
+        moved(bennett, [20, 0, 0]),
+        moved(sixbar, [1e5, 0, 0]),
+    ]
+    for mech in cases:
+        assert abs(inverse_kinematics(mech, direct_kinematics(mech, 1.0)).theta - 1.0) <= 1e-9
+    want = (far([1e5, 0, 0]) * direct_kinematics(sixbar, 1.0)).canonical().coeffs
+    got = direct_kinematics(cases[-1], 1.0).canonical().coeffs
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_inverse_kinematics_rejects_non_study_pose(sixbar):
     with pytest.raises(InvalidPose):
         inverse_kinematics(sixbar, DualQuaternion([1, 0, 0, 0, 1, 0, 0, 0]))

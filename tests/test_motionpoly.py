@@ -7,6 +7,7 @@ import pytest
 from dqlink import (
     INFINITY,
     DualQuaternion,
+    Mechanism,
     MotionPolynomial,
     OnBorderOfDomain,
     PoleOnPath,
@@ -134,12 +135,18 @@ def test_point_path_x0_is_primal_norm(cubic):
     assert math.isclose(path.hom(SQRT3)[0], np_, rel_tol=1e-12)
 
 
-def test_acted_point_components_vanish_identically(rng):
+def test_acted_point_components_vanish_identically(rng, sixbar, bennett):
     # the rotational and dual-scalar columns of the acted point cancel
-    # identically for any coefficients, Study or not, up to summation noise;
-    # the second point of each polynomial comes from the kept action basis
-    for _ in range(10):
-        poly = MotionPolynomial(rng.normal(size=(4, 8)), validate=False)
+    # identically for any coefficients, Study or not, up to summation
+    # noise, so point paths and the angle chart read only x0..x3: random
+    # polynomials, the tool motions of both fixtures, and one of a tool
+    # frame that turns and shifts
+    turned = DualQuaternion([0.3, -0.8, 0.5, 0.2, 0, 0, 0, 0])
+    tool_home = turned * DualQuaternion.from_translation([0.7, -1.2, 0.4])
+    shifted = Mechanism(sixbar.motion, sixbar.driving_axis, tool_home)
+    polys = [MotionPolynomial(rng.normal(size=(4, 8)), validate=False) for _ in range(10)]
+    polys += [m._tool_motion for m in (sixbar, bennett, shifted)]
+    for poly in polys:
         for _ in range(2):
             acted = poly.act_poly(rng.normal(size=3))
             assert np.max(np.abs(acted[:, 1:5])) <= 1e-12 * np.max(np.abs(acted))
@@ -277,7 +284,7 @@ def test_point_action_input_checks(cubic):
     with pytest.raises(ValueError):
         cubic.act_poly([1.0, 2.0])
     zero = MotionPolynomial(np.zeros((1, 8)), validate=False)
-    with pytest.raises(StudyViolation):
+    with pytest.raises(ValueError, match="identically zero"):
         zero.point_path([0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="finite"):
         RationalPointPath(np.array([1.0, math.nan]), np.zeros((3, 2)))

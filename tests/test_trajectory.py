@@ -17,7 +17,6 @@ from dqlink import (
     PoleOnPath,
     QuadratureFailure,
     RationalPointPath,
-    StudyViolation,
     TrajectoryProfile,
     _kernels,
     angle_to_param,
@@ -618,16 +617,18 @@ def assert_speeds(speed, xs, coords, axis=None):
 
 
 def check_chart_speeds(mech, rng):
+    # the chart's affine combination for a tool point is the speed's whole
+    # input; the oracle reads the monomial path of the same point
     axis = (mech.driving_axis[0], np.linalg.norm(mech.driving_axis[1:]))
-    maps, action, _ = trajectory._angle_chart(mech)
+    harmonic, _ = trajectory._angle_chart(mech)
+    assert harmonic.shape == (4, 2 * mech.motion.degree + 2, 8)
     for _ in range(3):
         tool = rng.normal(scale=0.5, size=3)
-        acted = action[0] + (tool @ action[1:].reshape(3, -1)).reshape(action.shape[1:])
+        coef = harmonic[0] + (tool @ harmonic[1:].reshape(3, -1)).reshape(harmonic.shape[1:])
         path = mech.motion.point_path(mech.tool_home.act_on_point(tool))
         coords = np.column_stack([path.x0, path.xi.T])
         phi = rng.uniform(-2 * math.pi, 2 * math.pi, size=40)
-        speed = trajectory._Speed(maps, acted[:, [0, 5, 6, 7]], 0.0, 1.0)
-        assert_speeds(speed, phi, coords, axis)
+        assert_speeds(trajectory._Speed(coef, 0.0, 1.0), phi, coords, axis)
         assert_speeds(path.speed, rng.uniform(-3.0, 3.0, size=40), coords)
 
 
@@ -636,12 +637,13 @@ def test_trig_speed_matches_homogeneous_evaluation(random_linkage):
     for joints in (2, 3, 4):
         mech = random_linkage(rng, joints)
         check_chart_speeds(mech, rng)
-    # an odd degree, which no motion produces, takes the odd harmonics
-    path = RationalPointPath([2.0, 0.0, 1.0, 0.1], rng.normal(size=(3, 4)))
+    # a bare quartic path through the harmonic map of order 2 itself
+    path = RationalPointPath([2.0, 0.0, 1.0, 0.1, 0.5], rng.normal(size=(3, 5)))
     coords = np.column_stack([path.x0, path.xi.T])
     t = rng.uniform(-3.0, 3.0, size=40)
     for axis in ((0.0, 1.0), (0.3, 0.8)):
-        speed = trajectory._Speed(trajectory._harmonic_map(3, *axis), coords, 0.0, 1.0)
+        coef = np.hstack(trajectory._harmonic_map(2, *axis) @ coords)
+        speed = trajectory._Speed(coef, 0.0, 1.0)
         assert_speeds(speed, 2.0 * np.arctan2(axis[1], t - axis[0]), coords, axis)
     assert_speeds(path.speed, t, coords)
     # a tool frame that turns and shifts, so the chart acts through the
@@ -688,20 +690,16 @@ def test_tool_path_chart_is_built_once_and_read_only(monkeypatch, random_linkage
     assert dataclasses.replace(mech, tool_home=shifted)._chart is None
 
 
-def test_point_check_reaches_arc_length_between(monkeypatch, random_linkage):
-    # a negative study_tol turns every acted point into a violation, so
-    # both point_path and the angle chart must report it
+def test_point_check_reaches_arc_length_between(random_linkage):
+    # a tool point that is not finite is rejected by point_path and by
+    # both angle chart entry points
     mech = random_linkage(np.random.default_rng(23), 2)
-    monkeypatch.setattr(mech.motion, "_study_tol", -1.0)
-    with pytest.raises(StudyViolation, match="non-point components"):
-        mech.motion.point_path([0.1, 0.2, 0.3])
-    with pytest.raises(StudyViolation, match="non-point components"):
-        arc_length_between(mech, 0.4, 2.0, tool=(0.1, 0.2, 0.3))
-    with pytest.raises(StudyViolation, match="non-point components"):
-        equidistant_profile(mech, 0.4, 2.0, duration=1.0, frequency=5.0)
-    # the same check rejects a tool point that is not finite
+    with pytest.raises(ValueError, match="finite"):
+        mech.motion.point_path([0.1, math.nan, 0.3])
     with pytest.raises(ValueError, match="finite"):
         arc_length_between(mech, 0.4, 2.0, tool=(math.nan, 0.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        equidistant_profile(mech, 0.4, 2.0, 1.0, 5.0, tool=(0.0, 0.0, math.nan))
 
 
 def test_arc_length_rejects_non_finite_parameters(circle_path):
@@ -711,6 +709,10 @@ def test_arc_length_rejects_non_finite_parameters(circle_path):
             arc_length(circle_path, t0, t1)
         with pytest.raises(ValueError, match="%s must be finite" % re.escape(name)):
             equidistant_params(circle_path, t0, t1, 4)
+    # a panel tolerance that no panel can meet, or that every panel meets
+    for tol in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            arc_length(circle_path, -1.0, 1.7, tol)
 
 
 def test_quintic_time_scaling_rejects_non_finite_arguments():
