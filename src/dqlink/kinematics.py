@@ -27,7 +27,7 @@ from . import _kernels
 from .dq import _CONJ_SIGNS, CANONICAL_TOL, STUDY_TOL, TOL, DualQuaternion
 from .dq import _binary_normalized, _first_nonzero_sign
 from .errors import InvalidPose, NoConvergence, StudyViolation
-from .motionpoly import INFINITY, MotionPolynomial, _derivative_rows
+from .motionpoly import INFINITY, MotionPolynomial, _coeff_array, _derivative_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -105,19 +105,21 @@ class Mechanism:
         Displacement from the coupler frame to the tool frame, applied
         on the right of the evaluated motion.
 
-    The tool motion C(t) * tool_home, with tool_home scaled exactly by
-    a power of two, and the read-only start form of inverse kinematics
-    for it are built once, into the private _tool_motion and _ik_form
-    slots, and the scalar part q0 and vector length r of the driving
-    axis into _axis.  The tool path chart of dqlink.trajectory, which
-    depends only on the tool motion and the driving axis, is built on
+    The motion has passed the norm check of MotionPolynomial, with a
+    study_tol that is finite and > 0.  The coefficients of the tool
+    motion C(t) * tool_home, with tool_home scaled exactly by a power
+    of two, are built once into the private read-only array
+    _tool_coeffs, and the read-only start form of inverse kinematics
+    for them into _ik_form; the scalar part q0 and vector length r of
+    the driving axis go into _axis.  The tool path chart of dqlink.trajectory, which depends
+    only on the tool coefficients and the driving axis, is built on
     first use into the _chart slot.
     """
 
     motion: MotionPolynomial
     driving_axis: np.ndarray
     tool_home: DualQuaternion = None
-    _tool_motion: MotionPolynomial = field(default=None, init=False, repr=False)
+    _tool_coeffs: np.ndarray = field(default=None, init=False, repr=False)
     _ik_form: tuple = field(default=None, init=False, repr=False)
     _axis: tuple = field(default=None, init=False, repr=False)
     _chart: tuple = field(default=None, init=False, repr=False)
@@ -125,8 +127,6 @@ class Mechanism:
     def __post_init__(self):
         if not isinstance(self.motion, MotionPolynomial):
             raise TypeError("motion must be a MotionPolynomial")
-        if not self.motion.validated:
-            raise ValueError("mechanism needs a validated motion polynomial")
         axis = np.array(self.driving_axis, dtype=float)
         object.__setattr__(self, "_axis", _axis_parts(axis))
         axis.flags.writeable = False
@@ -138,9 +138,9 @@ class Mechanism:
             raise StudyViolation("tool_home is not a displacement")
         object.__setattr__(self, "tool_home", tool)
         coeffs = _kernels.dq_mul8(self.motion.coeffs, _binary_normalized(tool.coeffs))
-        motion = MotionPolynomial(coeffs, self.motion.study_tol, validate=False)
-        object.__setattr__(self, "_tool_motion", motion)
-        object.__setattr__(self, "_ik_form", _start_form(motion))
+        coeffs = _coeff_array(coeffs)
+        object.__setattr__(self, "_tool_coeffs", coeffs)
+        object.__setattr__(self, "_ik_form", _start_form(coeffs))
 
 
 def direct_kinematics(mechanism: Mechanism, theta) -> DualQuaternion:
@@ -295,8 +295,10 @@ def _sum_of_squares(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _start_form(motion: MotionPolynomial) -> tuple:
+def _start_form(coeffs: np.ndarray) -> tuple:
     """Read-only form (A, L, S) of the start polynomials of a motion.
+
+    coeffs holds the motion's coefficients C_k, ascending.
 
     V(t) = C(t) * conj(p) is linear in p, with coefficients G_k p where
     column b of G_k is C_k * conj(e_b).  So N(t), the sum of the squares
@@ -306,7 +308,6 @@ def _start_form(motion: MotionPolynomial) -> tuple:
     whose top coefficient cancels in exact arithmetic and is left out
     of L.
     """
-    coeffs = motion.coeffs
     g = _kernels.dq_mul8(coeffs[:, None, :], np.diag(_CONJ_SIGNS))
     g = g[..., _VECTOR_PARTS]
     gt = g.swapaxes(1, 2)
@@ -394,7 +395,7 @@ def inverse_kinematics(
         raise InvalidPose(
             "target pose is not a displacement (Study defect above %.1e)" % tol
         )
-    coeffs = mechanism._tool_motion.coeffs
+    coeffs = mechanism._tool_coeffs
     start = _global_start(mechanism._ik_form, pose.coeffs)
     reciprocal = start is INFINITY
     if reciprocal:

@@ -9,6 +9,8 @@ evaluates to its leading coefficient.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import _kernels
@@ -104,6 +106,19 @@ def _derivative_rows(c: np.ndarray) -> np.ndarray:
     return c[1:] * k
 
 
+def _point_action(c: np.ndarray) -> np.ndarray:
+    """(4, 2*degree + 1, 8) basis of the point action of coefficients c.
+
+    Rows are the images of the origin and of the unit dual directions
+    eps*i, eps*j, eps*k, formed as one pair of polynomial products
+    eps_conj(C) * units * conj(C).
+    """
+    units = np.zeros((4, 1, 8))
+    units[0, 0, 0] = 1.0
+    units[1:, 0, 5:] = np.eye(3)
+    return _polymul(_polymul(_eps_conj_rows(c), units), _conj_rows(c))
+
+
 class MotionPolynomial:
     """Polynomial with dual quaternion coefficients, ascending powers.
 
@@ -112,32 +127,30 @@ class MotionPolynomial:
     coeffs : sequence of DualQuaternion or (n+1, 8) array_like
         Coefficient of t**k at index k.
     study_tol : float
-        Relative tolerance for the norm check; coefficients of the dual
-        and vector parts of C * conj(C) must stay below this fraction of
-        the largest real coefficient.
-    validate : bool
-        Skip the norm check when False (used for derivatives, which are
-        generally not motion polynomials themselves).
+        Relative tolerance for the norm check, finite and > 0
+        (ValueError otherwise); coefficients of the dual and vector
+        parts of C * conj(C) must stay below this fraction of the
+        largest real coefficient.
 
-    A motion is a plain value: nothing is set after construction, and
-    the point action and the poles of its point paths are computed on
-    each call.
+    Every instance is a motion: construction checks the leading
+    coefficient and the norm polynomial.  A motion is a plain value:
+    nothing is set after construction, and the point action and the
+    poles of its point paths are computed on each call.
     """
 
-    __slots__ = ("_coeffs", "_study_tol", "_validated")
+    __slots__ = ("_coeffs", "_study_tol")
 
-    def __init__(self, coeffs, study_tol: float = STUDY_TOL, validate: bool = True):
+    def __init__(self, coeffs, study_tol: float = STUDY_TOL):
+        study_tol = float(study_tol)
+        if not 0.0 < study_tol < math.inf:
+            raise ValueError("study_tol must be finite and > 0, got %r" % (study_tol,))
         arr = _coeff_array(coeffs)
+        scale = float(np.max(np.abs(arr)))
+        if scale == 0.0 or np.max(np.abs(arr[-1])) <= TOL * scale:
+            raise ValueError("leading coefficient must be nonzero")
         self._coeffs = arr
-        self._study_tol = float(study_tol)
-        self._validated = False
-        if validate:
-            lead = arr[-1]
-            scale = float(np.max(np.abs(arr)))
-            if scale == 0.0 or np.max(np.abs(lead)) <= TOL * scale:
-                raise ValueError("leading coefficient must be nonzero")
-            self._verify_norm()
-            self._validated = True
+        self._study_tol = study_tol
+        self._verify_norm()
 
     @classmethod
     def from_axes(cls, axes, study_tol: float = STUDY_TOL) -> "MotionPolynomial":
@@ -174,10 +187,6 @@ class MotionPolynomial:
     @property
     def study_tol(self) -> float:
         return self._study_tol
-
-    @property
-    def validated(self) -> bool:
-        return self._validated
 
     def __repr__(self):
         return "MotionPolynomial(degree=%d, study_tol=%g)" % (
@@ -217,32 +226,12 @@ class MotionPolynomial:
             value = self._coeffs[-1].copy()
         else:
             value = _kernels.poly_eval8(self._coeffs, float(t))
-        if self._validated:
-            c = _binary_normalized(value)
-            if _primal_vanishes(float(np.dot(c[:4], c[:4])), float(np.dot(c, c))):
-                raise OnBorderOfDomain(
-                    "motion is undefined at t = %r (vanishing primal norm)" % (t,)
-                )
+        c = _binary_normalized(value)
+        if _primal_vanishes(float(np.dot(c[:4], c[:4])), float(np.dot(c, c))):
+            raise OnBorderOfDomain(
+                "motion is undefined at t = %r (vanishing primal norm)" % (t,)
+            )
         return DualQuaternion(value)
-
-    def derivative(self) -> "MotionPolynomial":
-        """Formal derivative.  Not validated as a motion polynomial."""
-        return MotionPolynomial(
-            _derivative_rows(self._coeffs), study_tol=self._study_tol, validate=False
-        )
-
-    def _action(self) -> np.ndarray:
-        """(4, 2*degree + 1, 8) basis of the point action.
-
-        Rows are the images of the origin and of the unit dual directions
-        eps*i, eps*j, eps*k, formed as one pair of polynomial products
-        eps_conj(C) * units * conj(C).
-        """
-        c = self._coeffs
-        units = np.zeros((4, 1, 8))
-        units[0, 0, 0] = 1.0
-        units[1:, 0, 5:] = np.eye(3)
-        return _polymul(_polymul(_eps_conj_rows(c), units), _conj_rows(c))
 
     def act_poly(self, x) -> np.ndarray:
         """Coefficients of eps_conj(C) * (1 + eps x) * conj(C).
@@ -250,7 +239,7 @@ class MotionPolynomial:
         The action is affine in x: B0 + x1*B1 + x2*B2 + x3*B3, with B0 the
         image of the origin and Bj that of eps times the j-th unit vector.
         """
-        return _affine_action(self._action(), x)
+        return _affine_action(_point_action(self._coeffs), x)
 
     def path_poles(self) -> np.ndarray:
         """Real roots of x0, shared by every point path.
@@ -258,7 +247,7 @@ class MotionPolynomial:
         x0 is the primal norm of C(t), so it does not depend on the point;
         the roots come from one eigenvalue solve.
         """
-        return _real_roots(self._action()[0, :, 0])
+        return _real_roots(_point_action(self._coeffs)[0, :, 0])
 
     def point_path(self, x) -> "RationalPointPath":
         """Rational path traced by a point under the motion.
@@ -277,6 +266,8 @@ def _affine_action(basis: np.ndarray, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise ValueError("expected 3 point coordinates")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point coordinates must be finite")
     return basis[0] + (x @ basis[1:].reshape(3, -1)).reshape(basis.shape[1:])
 
 

@@ -45,12 +45,14 @@ inside that panel until it meets its tolerance.
 
 Profiles sample a duration T at frequency f into n = round(T*f) steps,
 n+1 samples with timestamps i/f; n above _MAX_SAMPLES raises
-ValueError.  Every profile is a timing fraction per sample composed
-with a space map: the joint sweep theta0 + delta*u for the linear and
-quintic profiles, or the inversion of the tool path length table for
-the equidistant one.  Reported joint velocities are forward
-differences omega_i = (theta_{i+1} - theta_i) * f with the last value
-repeated, so they are exactly consistent with the returned angles.
+ValueError.  Every profile maps the one timing fraction u = i/n of
+each sample to an angle: the joint sweep theta0 + delta*u for the
+linear profile, theta0 + delta*s(u) with the rest-to-rest quintic s
+for the quintic one, or the inversion of the tool path length table
+for the equidistant one, so each ends at theta0 + delta.  Reported
+joint velocities are forward differences omega_i = (theta_{i+1} -
+theta_i) * f with the last value repeated, so they are exactly
+consistent with the returned angles.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .motionpoly import (
     RationalPointPath,
     _affine_action,
     _degree,
+    _point_action,
     _real_roots,
     _speed,
 )
@@ -531,14 +534,14 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
     _chart slot.
     """
     if mechanism._chart is None:
-        action = mechanism._tool_motion._action()
+        action = _point_action(mechanism._tool_coeffs)
         x0 = action[0, :, 0]
         q0, r = mechanism._axis
         poles = (2.0 * np.arctan2(r, _real_roots(x0) - q0)) % TWO_PI
         if _degree(x0) < x0.size - 1:
             # x0 drops degree: its homogeneous form vanishes at home
             poles = np.append(poles, 0.0)
-        maps = _harmonic_map(mechanism._tool_motion.degree, q0, r)
+        maps = _harmonic_map(mechanism._tool_coeffs.shape[0] - 1, q0, r)
         harmonic = np.concatenate(maps[:, None] @ action[..., _POINT_COLUMNS], axis=-1)
         chart = (harmonic, poles)
         for arr in chart:
@@ -610,9 +613,9 @@ class TrajectoryProfile:
 def _profile(mode, theta0, theta1, duration, frequency, direction, space):
     """Sample one sweep of the chosen arc into a TrajectoryProfile.
 
-    space(start, delta, steps, tau) maps the sample indices 0..n and
-    their fractions tau = i/(f*T) of the duration to the unwrapped
-    angles of the sweep from start over delta radians.
+    space(start, delta, u) maps the fractions u = i/n of the samples
+    i = 0..n to the unwrapped angles of the sweep from start over delta
+    radians.
     """
     T, f = float(duration), float(frequency)
     # the product may overflow or underflow even when both factors are fine
@@ -631,7 +634,7 @@ def _profile(mode, theta0, theta1, duration, frequency, direction, space):
     delta = resolve_arc(theta0, theta1, direction)
     steps = np.arange(n + 1)
     times = steps / f
-    thetas = space(float(theta0), delta, steps, times / T)
+    thetas = space(float(theta0), delta, steps / n)
     omegas = np.empty(n + 1)
     omegas[:n] = np.diff(thetas) * f
     omegas[n] = omegas[n - 1]
@@ -650,7 +653,7 @@ def linear_profile(
     """Constant velocity sweep of the chosen arc."""
     return _profile(
         "linear", theta0, theta1, duration, frequency, direction,
-        lambda start, delta, steps, tau: start + delta * steps / steps[-1],
+        lambda start, delta, u: start + delta * u,
     )
 
 
@@ -701,9 +704,9 @@ def quintic_profile(
 ) -> TrajectoryProfile:
     """Rest-to-rest quintic sweep of the chosen arc, sampled uniformly."""
 
-    def space(start, delta, steps, tau):
-        # quintic_time_scaling(start, start + delta, duration) at the times i/f
-        return start + _quintic(tau)[0] * ((start + delta) - start)
+    def space(start, delta, u):
+        # quintic_time_scaling(start, start + delta, n/f) at the times i/f
+        return start + _quintic(u)[0] * ((start + delta) - start)
 
     return _profile("quintic", theta0, theta1, duration, frequency, direction, space)
 
@@ -746,11 +749,10 @@ def equidistant_profile(
     instead of starting at full speed.
     """
 
-    def space(start, delta, steps, tau):
-        thetas = np.full(steps.size, start)
+    def space(start, delta, u):
+        thetas = np.full(u.size, start)
         if delta != 0.0:
             table = _angle_table(mechanism, tool, start, delta)
-            u = steps / steps[-1]
             offsets = _knots(table, _blend_warp(u) if blend else u)
             thetas[1:-1] = start + math.copysign(1.0, delta) * offsets
             thetas[-1] = start + delta

@@ -105,11 +105,6 @@ def test_mechanism_construction(sixbar):
     assert sixbar.tool_home.coeffs[0] == 1.0
     with pytest.raises(ValueError):
         sixbar.driving_axis[0] = 9.0
-    with pytest.raises(ValueError):
-        Mechanism(
-            motion=MotionPolynomial(sixbar.motion.coeffs, validate=False),
-            driving_axis=AXIS,
-        )
     with pytest.raises(StudyViolation):
         Mechanism(
             motion=sixbar.motion,
@@ -422,7 +417,7 @@ def test_start_form_matches_independent_products(sixbar, bennett, random_linkage
     for joints in (1, 2, 3, 4):
         mechs += [random_linkage(rng, joints) for _ in range(3)]
     for mech in mechs:
-        a, crit_map, _ = kinematics._start_form(mech.motion)
+        a, crit_map, _ = kinematics._start_form(mech.motion.coeffs)
         poses = [direct_kinematics(mech, th).coeffs for th in rng.uniform(0, 2 * math.pi, 4)]
         poses += [rng.normal(size=8) for _ in range(2)]
         for p8 in poses:
@@ -461,9 +456,9 @@ def test_inverse_kinematics_at_half_turn_poses(sixbar):
     # the scalar part c0(t) of the sixbar's tool motion vanishes at
     # t = -2, 0 and 2, so poses there and close by have no usable
     # canonical representative and IK compares unit-norm ones
-    motion = sixbar._tool_motion
+    coeffs = sixbar._tool_coeffs
     for t in (-2.0, 0.0, 2.0):
-        assert motion.evaluate(t).coeffs[0] == 0.0
+        assert _kernels.poly_eval8(coeffs, t)[0] == 0.0
         root = param_to_angle(t, sixbar.driving_axis)
         pose = direct_kinematics(sixbar, root).coeffs
         assert abs(pose[0]) <= CANONICAL_TOL * np.linalg.norm(pose)
@@ -472,6 +467,25 @@ def test_inverse_kinematics_at_half_turn_poses(sixbar):
             r = inverse_kinematics(sixbar, direct_kinematics(sixbar, theta))
             gap = (r.theta - theta + math.pi) % (2.0 * math.pi) - math.pi
             assert abs(gap) <= 1e-12
+
+
+def test_polish_stops_before_leaving_the_divergence_bound(sixbar):
+    # a unit-norm pose near home with coefficient 1 raised by 1e-9 has
+    # its start far out at t ~ 2.47e9, beyond _DIVERGENCE_BOUND, so the
+    # first trial step is refused and the start comes back unpolished
+    pose = direct_kinematics(sixbar, 1e-9).coeffs
+    pose = pose / np.linalg.norm(pose)
+    pose[1] += 1e-9
+    start = kinematics._global_start(sixbar._ik_form, pose)
+    assert math.isclose(start, 2.47e9, rel_tol=1e-3)
+    assert start > kinematics._DIVERGENCE_BOUND
+    r = inverse_kinematics(sixbar, DualQuaternion(pose))
+    assert r.t == start
+    assert r.iterations == 0
+    assert r.branch == "direct"
+    assert len(r.residual_trace) == 1
+    assert math.isclose(r.residual, 8.1e-19, rel_tol=1e-2)
+    assert math.isclose(r.theta, 8.1e-10, rel_tol=1e-2)
 
 
 def test_success_tol_must_be_finite_and_non_negative():

@@ -45,7 +45,6 @@ def test_from_axes_reproduces_cubic():
     got = MotionPolynomial.from_axes([H1, H2, H3])
     assert np.array_equal(got.coeffs, SIXBAR_COEFFS)
     assert got.degree == 3
-    assert got.validated
 
 
 def test_from_axes_single_axis():
@@ -65,8 +64,12 @@ def test_constructor_validation():
     bad = np.array([[1, 0, 0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]], dtype=float)
     with pytest.raises(StudyViolation):
         MotionPolynomial(bad)
-    unchecked = MotionPolynomial(bad, validate=False)
-    assert not unchecked.validated
+    # the norm check needs a finite, positive tolerance: nan and inf
+    # would pass any array, and zero or less would reject every motion
+    for tol in (math.nan, math.inf, 0.0, -1.0):
+        for coeffs in (bad, SIXBAR_COEFFS):
+            with pytest.raises(ValueError, match="study_tol must be finite and > 0"):
+                MotionPolynomial(coeffs, study_tol=tol)
 
 
 def test_coefficient_accessors(cubic):
@@ -98,7 +101,7 @@ def test_evaluate_on_border():
 
 
 def test_derivative(cubic):
-    d = cubic.derivative()
+    d = motionpoly._derivative_rows(cubic.coeffs)
     want = np.array(
         [
             [-4, 0, 0, 1, 0, -7, 2, 0],
@@ -107,10 +110,9 @@ def test_derivative(cubic):
         ],
         dtype=float,
     )
-    assert np.array_equal(d.coeffs, want)
-    assert not d.validated
-    const = MotionPolynomial(np.array([[1, 0, 0, 0, 0, 0, 0, 0.0]]))
-    assert np.array_equal(const.derivative().coeffs, np.zeros((1, 8)))
+    assert np.array_equal(d, want)
+    const = np.array([[1, 0, 0, 0, 0, 0, 0, 0.0]])
+    assert np.array_equal(motionpoly._derivative_rows(const), np.zeros((1, 8)))
 
 
 def test_act_poly_origin_equals_norm(cubic):
@@ -144,11 +146,12 @@ def test_acted_point_components_vanish_identically(rng, sixbar, bennett):
     turned = DualQuaternion([0.3, -0.8, 0.5, 0.2, 0, 0, 0, 0])
     tool_home = turned * DualQuaternion.from_translation([0.7, -1.2, 0.4])
     shifted = Mechanism(sixbar.motion, sixbar.driving_axis, tool_home)
-    polys = [MotionPolynomial(rng.normal(size=(4, 8)), validate=False) for _ in range(10)]
-    polys += [m._tool_motion for m in (sixbar, bennett, shifted)]
-    for poly in polys:
+    arrays = [rng.normal(size=(4, 8)) for _ in range(10)]
+    arrays += [m._tool_coeffs for m in (sixbar, bennett, shifted)]
+    for c in arrays:
+        action = motionpoly._point_action(c)
         for _ in range(2):
-            acted = poly.act_poly(rng.normal(size=3))
+            acted = motionpoly._affine_action(action, rng.normal(size=3))
             assert np.max(np.abs(acted[:, 1:5])) <= 1e-12 * np.max(np.abs(acted))
 
 
@@ -170,23 +173,22 @@ def test_act_poly_matches_direct_convolution(rng):
     # reference: the two convolutions with the embedded point itself;
     # x0 takes no term from the point, so it agrees bit for bit
     for _ in range(5):
-        poly = MotionPolynomial(rng.normal(size=(4, 8)), validate=False)
+        c = rng.normal(size=(4, 8))
         x = rng.normal(size=3)
         embed = np.zeros((1, 8))
         embed[0, 0] = 1.0
         embed[0, 5:8] = x
-        c = poly.coeffs
         want = motionpoly._polymul(
             motionpoly._polymul(motionpoly._eps_conj_rows(c), embed),
             motionpoly._conj_rows(c),
         )
-        got = poly.act_poly(x)
+        got = motionpoly._affine_action(motionpoly._point_action(c), x)
         assert np.array_equal(got[:, 0], want[:, 0])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_cached_action_and_poles_are_read_only(cubic):
-    act = cubic._action()
+    act = motionpoly._point_action(cubic.coeffs)
     assert act.shape == (4, 2 * cubic.degree + 1, 8)
     # B1..B3 hold no x0, so every point path shares the poles of x0
     assert np.all(act[1:, :, 0] == 0.0)
@@ -194,7 +196,7 @@ def test_cached_action_and_poles_are_read_only(cubic):
     assert np.array_equal(path.x0, act[0, :, 0])
     acted = cubic.act_poly([0.25, -1.0, 2.0])
     acted[:] = 0.0
-    assert np.any(cubic._action()[0] != 0.0)
+    assert np.any(motionpoly._point_action(cubic.coeffs)[0] != 0.0)
 
 
 def test_path_point_and_pole(cubic):
@@ -272,7 +274,7 @@ def test_motion_polynomial_input_checks():
 
 
 def test_motion_polynomial_keeps_no_state_beyond_its_coefficients(cubic):
-    assert MotionPolynomial.__slots__ == ("_coeffs", "_study_tol", "_validated")
+    assert MotionPolynomial.__slots__ == ("_coeffs", "_study_tol")
     poles = cubic.path_poles()
     cubic.point_path([0.25, -1.0, 2.0])
     assert np.array_equal(cubic.path_poles(), poles)
@@ -283,9 +285,8 @@ def test_motion_polynomial_keeps_no_state_beyond_its_coefficients(cubic):
 def test_point_action_input_checks(cubic):
     with pytest.raises(ValueError):
         cubic.act_poly([1.0, 2.0])
-    zero = MotionPolynomial(np.zeros((1, 8)), validate=False)
-    with pytest.raises(ValueError, match="identically zero"):
-        zero.point_path([0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="leading coefficient"):
+        MotionPolynomial(np.zeros((1, 8)))
     with pytest.raises(ValueError, match="finite"):
         RationalPointPath(np.array([1.0, math.nan]), np.zeros((3, 2)))
     with pytest.raises(ValueError, match="identically zero"):

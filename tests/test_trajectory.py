@@ -300,12 +300,25 @@ def test_quintic_time_scaling_boundaries():
 
 
 def test_quintic_profile_samples_time_scaling():
-    for theta0, theta1, direction in ((0.331, 5.893, "long"), (2.0, -1.0, "short")):
-        prof = quintic_profile(theta0, theta1, duration=1.3, frequency=7.0, direction=direction)
-        end = theta0 + resolve_arc(theta0, theta1, direction)
-        s = quintic_time_scaling(theta0, end, 1.3)
-        want = [s(i / 7.0)[0] for i in range(len(prof.thetas))]
-        assert prof.thetas.tolist() == want
+    # the sweep lasts the n = round(T*f) sampling steps, n/f seconds, so
+    # it ends at theta1 also when T*f is not an integer; the sample
+    # fractions i/n and (i/f)/(n/f) differ in the last bits, which the
+    # quintic amplifies by a few ulp of the travel
+    cases = (
+        (0.331, 5.893, "long", 1.3, 7.0),
+        (2.0, -1.0, "short", 1.3, 7.0),
+        (0.0, 1.0, "increasing", 1.0, 10.4),
+    )
+    for theta0, theta1, direction, duration, frequency in cases:
+        prof = quintic_profile(theta0, theta1, duration, frequency, direction)
+        n = len(prof.thetas) - 1
+        assert n == round(duration * frequency)
+        delta = resolve_arc(theta0, theta1, direction)
+        s = quintic_time_scaling(theta0, theta0 + delta, n / frequency)
+        want = np.array([s(i / frequency)[0] for i in range(n + 1)])
+        bound = 1e-14 * (abs(theta0) + abs(delta))
+        assert np.max(np.abs(prof.thetas - want)) <= bound
+        assert prof.thetas[-1] == theta0 + delta
 
 
 def test_quintic_time_scaling_velocity_consistency():
@@ -692,14 +705,17 @@ def test_tool_path_chart_is_built_once_and_read_only(monkeypatch, random_linkage
 
 def test_point_check_reaches_arc_length_between(random_linkage):
     # a tool point that is not finite is rejected by point_path and by
-    # both angle chart entry points
+    # both angle chart entry points; an infinite coordinate is rejected
+    # before it meets the zeros of the point action, where inf * 0 would
+    # raise numpy's invalid-value RuntimeWarning instead
     mech = random_linkage(np.random.default_rng(23), 2)
-    with pytest.raises(ValueError, match="finite"):
-        mech.motion.point_path([0.1, math.nan, 0.3])
-    with pytest.raises(ValueError, match="finite"):
-        arc_length_between(mech, 0.4, 2.0, tool=(math.nan, 0.0, 0.0))
-    with pytest.raises(ValueError, match="finite"):
-        equidistant_profile(mech, 0.4, 2.0, 1.0, 5.0, tool=(0.0, 0.0, math.nan))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            mech.motion.point_path([0.1, bad, 0.3])
+        with pytest.raises(ValueError, match="finite"):
+            arc_length_between(mech, 0.4, 2.0, tool=(bad, 0.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            equidistant_profile(mech, 0.4, 2.0, 1.0, 5.0, tool=(0.0, 0.0, bad))
 
 
 def test_arc_length_rejects_non_finite_parameters(circle_path):
