@@ -273,9 +273,14 @@ def _affine_action(basis: np.ndarray, x) -> np.ndarray:
 
 def _speed(h: np.ndarray, d: np.ndarray) -> np.ndarray:
     """|X0 * dX - X * dX0| / X0**2 from the values h = (X0, X1, X2, X3)
-    and the derivatives d along the last axis."""
-    num = d[..., 1:] * h[..., :1] - h[..., 1:] * d[..., :1]
-    return np.sqrt(np.sum(num * num, axis=-1)) / (h[..., 0] * h[..., 0])
+    and the derivatives d along the first axis.
+
+    Each coordinate is one row, so every operation runs on whole rows;
+    the squares are summed in the order X1, X2, X3 whatever the shape.
+    """
+    num = d[1:] * h[0] - h[1:] * d[0]
+    num *= num
+    return np.sqrt(num[0] + num[1] + num[2]) / (h[0] * h[0])
 
 
 class RationalPointPath:
@@ -341,9 +346,14 @@ class RationalPointPath:
         return h[1:] / h[0]
 
     def speed(self, t):
-        """Norm of the Euclidean velocity at t, a float or an array of them."""
+        """Norm of the Euclidean velocity at t, a float or an array of them.
+
+        Each coordinate and its derivative evaluate to an array of the
+        shape of t, along the first axis of motionpoly._speed.
+        """
         t = np.asarray(t, dtype=float)
-        h, d = (_kernels.poly_eval8(c, t[..., None]) for c in (self._hom, self._dhom))
+        coords = (c.reshape((-1, 4) + (1,) * t.ndim) for c in (self._hom, self._dhom))
+        h, d = (_kernels.poly_eval8(c, t) for c in coords)
         out = _speed(h, d)
         # a constant path evaluates to one row whatever the shape of t
         return float(out) if t.ndim == 0 else np.broadcast_to(out, t.shape).copy()

@@ -23,17 +23,20 @@ of dX/dphi for each row of the point action of its tool motion, which
 is affine in the tool point, and the pole angles, those of the real
 roots of x0 and phi = 0 when x0 drops degree.  A tool point then costs
 one affine combination of that array and a finiteness check, and each
-speed evaluation |dP/dphi| one complex exponential, a short cumulative
-product for the higher harmonics and one matrix product.  Poles inside
-an interval are rejected with PoleOnPath.
+speed evaluation |dP/dphi| one complex exponential, one complex product
+of rows per higher harmonic and one matrix product, with every
+coordinate a contiguous row over the nodes.  Poles inside an interval
+are rejected with PoleOnPath.
 
 Lengths come from composite Gauss-Legendre panels.  All panels of one
 refinement level are evaluated in a single numpy call; a panel whose
 value differs from the sum of its two halves by more than the panel
 tolerance (_PANEL_TOL, or arc_length's tol) is split, otherwise its
-halves are kept, for at most _MAX_DEPTH levels; the first level's
-panels are evaluated in the same call as their halves, and the table
-keeps the speeds at every accepted panel's nodes.  Equidistant knots
+halves are kept, for at most _MAX_DEPTH levels.  The first level's
+equal panels are evaluated together with their halves, each panel
+through one template of parts (_SPLIT), and later levels evaluate only
+the halves of the open panels (_HALVES); the table keeps the speeds at
+every accepted panel's nodes.  Equidistant knots
 invert the resulting cumulative length table, _KNOT_BLOCK knots per
 pass.  A knot's first guess comes from the panel that holds its target
 length: a few Newton steps on the length of the degree-11 interpolant
@@ -44,12 +47,13 @@ with the panel's Gauss length as value and the speed as derivative,
 inside that panel until it meets its tolerance.
 
 Profiles sample a duration T at frequency f into n = round(T*f) steps,
-n+1 samples with timestamps i/f; n above _MAX_SAMPLES raises
-ValueError.  Every profile maps the one timing fraction u = i/n of
-each sample to an angle: the joint sweep theta0 + delta*u for the
-linear profile, theta0 + delta*s(u) with the rest-to-rest quintic s
-for the quintic one, or the inversion of the tool path length table
-for the equidistant one, so each ends at theta0 + delta.  Reported
+n+1 samples with timestamps i/f, and report the duration n/f that the
+samples cover; n above _MAX_SAMPLES raises ValueError.  Every profile
+maps the one timing fraction u = i/n of each sample to an angle: the
+joint sweep theta0 + delta*u for the linear profile, theta0 +
+delta*s(u) with the rest-to-rest quintic s for the quintic one, or the
+inversion of the tool path length table for the equidistant one, so
+each ends at theta0 + delta.  Reported
 joint velocities are forward differences omega_i = (theta_{i+1} -
 theta_i) * f with the last value repeated, so they are exactly
 consistent with the returned angles.
@@ -182,18 +186,20 @@ def _check_poles(poles: np.ndarray, lo: float, hi: float, period=None):
 
 
 def _harmonics(phi: np.ndarray, order: int) -> np.ndarray:
-    """cos(m*phi), sin(m*phi) per node, interleaved, for m = 0, 1, ..., order.
+    """cos(m*phi), sin(m*phi) as rows, interleaved, for m = 0, 1, ..., order.
 
-    Each node has 2*(order + 1) columns; the sine of m = 0 is a zero
-    column.  cos(phi) and sin(phi) are taken once as exp(i*phi), and
-    each higher harmonic is the previous one turned by it.
+    Each of the 2*(order + 1) rows holds one value per node; the sine of
+    m = 0 is a zero row.  cos(phi) and sin(phi) are taken once as
+    exp(i*phi), and each higher harmonic is the previous one turned by
+    it, one complex product of whole rows; one copy then splits the
+    complex rows into their real and imaginary rows.
     """
     z = np.exp(1j * phi)
-    out = np.empty((phi.size, order + 1), dtype=complex)
-    out[:, 0] = 1.0
-    out[:, 1:] = z[:, None]
-    np.cumprod(out, axis=1, out=out)
-    return out.view(float)
+    turns = np.ones((order + 1, phi.size), dtype=complex)
+    for m in range(1, order + 1):
+        np.multiply(turns[m - 1], z, out=turns[m])
+    pairs = turns.view(float).reshape(order + 1, -1, 2)
+    return pairs.transpose(0, 2, 1).reshape(-1, phi.size)
 
 
 def _harmonic_map(order: int, q0: float, r: float) -> np.ndarray:
@@ -218,7 +224,7 @@ def _harmonic_map(order: int, q0: float, r: float) -> np.ndarray:
     # has size and sin(0) vanishes
     weight = np.full(2 * order + 2, 2.0 / size)
     weight[:2] = 1.0 / size
-    value = weight[:, None] * (_harmonics(phi, order).T @ samples)
+    value = weight[:, None] * (_harmonics(phi, order) @ samples)
     value = value.reshape(order + 1, 2, size)
     # d/dphi takes (cos, sin) coefficients (u, v) of harmonic m to (m*v, -m*u)
     m = np.arange(order + 1)[:, None]
@@ -232,37 +238,40 @@ class _Speed:
     The evaluator of the trigonometric form of the module docstring.
     coef is the chart's affine combination for one tool point: the
     harmonic coefficients, interleaved as _harmonics orders them, of
-    X0..X3 in its first four columns and of dX/dphi in the last four.
-    The variable is the unwrapped driving angle phi.  Calling the
-    object with offsets from start along the orientation sigma returns
-    |X0 * dX - X * dX0| / X0**2 (motionpoly._speed), at the cost of one
-    complex exponential, one cumulative product and one matrix product
-    for all nodes.
+    X0..X3 in its first four columns and of dX/dphi in the last four;
+    the evaluator keeps its transpose, one contiguous row per
+    coordinate.  The variable is the unwrapped driving angle phi.
+    Calling the object with offsets from start along the orientation
+    sigma returns |X0 * dX - X * dX0| / X0**2 (motionpoly._speed), at the
+    cost of one complex exponential, a complex product per higher
+    harmonic and one matrix product for all nodes, each coordinate a
+    row of them.
     """
 
     def __init__(self, coef, start, sigma):
         self.order = coef.shape[0] // 2 - 1
-        self.coef = coef
+        self.rows = np.ascontiguousarray(coef.T)
         self.start = float(start)
         self.sigma = float(sigma)
 
     def __call__(self, offsets):
-        both = _harmonics(self.start + self.sigma * offsets, self.order) @ self.coef
-        return _speed(both[:, :4], both[:, 4:])
+        both = self.rows @ _harmonics(self.start + self.sigma * offsets, self.order)
+        return _speed(both[:4], both[4:])
 
 
 def _gauss(speed, lo: np.ndarray, width: np.ndarray) -> tuple:
     """Gauss-Legendre integrals of speed over [lo, lo + width], per panel,
-    and the speeds at the panels' nodes, one row per panel."""
-    x = lo[:, None] + width[:, None] * _GL_NODES
+    and the speeds at the panels' nodes, along a last axis of nodes.
+
+    lo and width may have any shape, the same for both.
+    """
+    x = lo[..., None] + width[..., None] * _GL_NODES
     f = speed(x.ravel()).reshape(x.shape)
     return (f @ _GL_WEIGHTS) * width, f
 
 
-def _halve(lo: np.ndarray, width: np.ndarray) -> tuple:
-    """Left and right halves of panels, interleaved."""
-    half = 0.5 * width
-    return np.column_stack([lo, lo + half]).ravel(), np.repeat(half, 2)
+_SPLIT = np.array([[0.0, 0.0, 0.5], [1.0, 0.5, 0.5]])
+_HALVES = _SPLIT[:, 1:]
 
 
 class _Table:
@@ -271,54 +280,60 @@ class _Table:
     Panels are refined level by level until each one agrees with the
     sum of its halves to tol; the halves are kept, and so are the speeds
     at their Gauss nodes, which speeds() returns for the first guesses of
-    _knots.  The first level's panels are evaluated together with their
-    halves, and every later level already holds its panels' values.
-    Raises QuadratureFailure when a panel still misses tol after
-    _MAX_DEPTH levels.
+    _knots.  The first level cuts [0, span] into pieces panels of equal
+    width and evaluates each one together with its halves, in one speed
+    evaluation; every later level evaluates only the halves of the open
+    panels, whose values the level before already holds.  A level holds
+    one column per part of each panel: its start and width are those of
+    the panel scaled by the fractions in _SPLIT, of the panel itself and
+    its two halves, or in _HALVES, of the halves alone.  Halving is
+    exact, so a half's nodes and value are those of the Gauss rule on
+    its own start and width.  The halves of one level are in order;
+    those of several are sorted by start.  Raises QuadratureFailure when
+    a panel still misses tol after _MAX_DEPTH levels.
     """
 
     def __init__(self, speed, span: float, pieces: int, tol: float):
         self.speed = speed
         self.span = span
-        edges = np.linspace(0.0, span, pieces + 1)
-        first, size = edges[:-1], np.diff(edges)
-        lo, width = _halve(first, size)
-        values, nodes = _gauss(
-            speed, np.concatenate([first, lo]), np.concatenate([size, width])
-        )
-        whole, halves, nodes = values[:pieces], values[pieces:], nodes[pieces:]
-        done, levels = [], []
+        size = span / pieces
+        lo, width, parts = size * np.arange(pieces), np.full(pieces, size), _SPLIT
+        levels = []
         for depth in range(_MAX_DEPTH + 1):
-            pair = halves.reshape(-1, 2)
-            ok = np.abs(pair[:, 0] + pair[:, 1] - whole) <= tol
-            keep = np.repeat(ok, 2)
-            done.append((lo[keep], width[keep], halves[keep]))
-            levels.append((nodes, keep))
+            start = lo[:, None] + width[:, None] * parts[0]
+            width = width[:, None] * parts[1]
+            value, f = _gauss(speed, start, width)
+            if parts is _SPLIT:
+                whole = value[:, 0]
+            start, width, value, f = (a[:, -2:] for a in (start, width, value, f))
+            ok = np.abs(value[:, 0] + value[:, 1] - whole) <= tol
+            levels.append((start, width, value, f, ok))
             if ok.all():
                 break
-            open_ = ~keep
-            lo, width, whole = lo[open_], width[open_], halves[open_]
+            lo, width, whole = (a[~ok].ravel() for a in (start, width, value))
             if depth == _MAX_DEPTH or lo.size > _MAX_PANELS:
                 raise QuadratureFailure(
                     "Gauss-Legendre panel [%r, %r] still above tolerance %g "
                     "at depth %d" % (float(lo[0]), float(lo[0] + width[0]), tol, depth)
                 )
-            lo, width = _halve(lo, width)
-            halves, nodes = _gauss(speed, lo, width)
-        lo, width, value = (np.concatenate(parts) for parts in zip(*done))
-        order = np.argsort(lo)
-        self.lo = lo[order]
-        self.width = width[order]
-        self.value = value[order]
+            parts = _HALVES
+        self._order = slice(None)
+        if len(levels) > 1:
+            kept = [[a[level[4]] for a in level[:3]] for level in levels]
+            start, width, value = map(np.concatenate, zip(*kept))
+            self._order = np.argsort(start.ravel())
+        columns = (start, width, value)
+        self.lo, self.width, self.value = (a.ravel()[self._order] for a in columns)
         self.ends = np.cumsum(self.value)
         self.total = float(self.ends[-1])
         # the node speeds are gathered only on demand, so that a table
         # that is never inverted costs no more than its lengths
-        self._levels, self._order = levels, order
+        self._levels = [level[3:] for level in levels]
 
     def speeds(self) -> np.ndarray:
         """Speeds at the Gauss nodes of the kept panels, one row per panel."""
-        return np.concatenate([nodes[keep] for nodes, keep in self._levels])[self._order]
+        rows = np.concatenate([nodes[ok] for nodes, ok in self._levels])
+        return rows.reshape(-1, _GL_ORDER)[self._order]
 
 
 def _newton_in_panel(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -583,7 +598,9 @@ class TrajectoryProfile:
     """Uniformly timed joint-space samples of one driving joint.
 
     Angles are unwrapped, i.e. continuous across the 2*pi seam, so that
-    forward differences always reflect the physical travel.
+    forward differences always reflect the physical travel.  duration is
+    the span the samples cover, the requested one rounded to whole steps
+    of 1/frequency, so it equals the last of the times.
     """
 
     times: np.ndarray
@@ -639,7 +656,7 @@ def _profile(mode, theta0, theta1, duration, frequency, direction, space):
     omegas[:n] = np.diff(thetas) * f
     omegas[n] = omegas[n - 1]
     return TrajectoryProfile(
-        times=times, thetas=thetas, omegas=omegas, duration=T, frequency=f, mode=mode
+        times=times, thetas=thetas, omegas=omegas, duration=n / f, frequency=f, mode=mode
     )
 
 

@@ -18,6 +18,7 @@ from dqlink import (
     direct_kinematics,
     linear_profile,
     load_mechanism,
+    quintic_profile,
     save_mechanism,
     write_profile_csv,
     write_profile_structured,
@@ -179,6 +180,11 @@ def test_write_profile_structured(tmp_path):
     assert doc["frequency"] == 4.0
     assert len(doc["samples"]) == 5
     assert doc["samples"][0] == [0.0, 0.5, pytest.approx(1.0)]
+    # the written duration is the span of the samples, 11 steps of 1/10.6
+    prof = quintic_profile(0.0, 1.0, duration=1.0, frequency=10.6, direction="increasing")
+    write_profile_structured(prof, out)
+    doc = yaml.safe_load(out.read_text())
+    assert doc["duration"] == doc["samples"][-1][0] == 11 / 10.6
 
 
 def test_cli_dk_prints_canonical_pose(capsys, sixbar):

@@ -274,6 +274,25 @@ def test_profile_sample_count_is_capped(monkeypatch, bennett):
             profile(0.1, 1.0, 1.0, 10.6)
 
 
+def test_profile_duration_is_the_span_of_its_samples(bennett):
+    # the samples cover n = round(T*f) steps of 1/f, so the duration is
+    # n/f, the last timestamp; an integral T*f keeps T to the bit, as for
+    # the criterion 09 profile and a 0.5 s sweep at 10 Hz
+    profiles = (
+        linear_profile,
+        quintic_profile,
+        lambda *args: equidistant_profile(bennett, *args),
+    )
+    cases = ((1.0, 10.6, 11), (1.0, 10.4, 10), (4.0, 20.0, 80), (0.5, 10.0, 5))
+    for profile in profiles:
+        for duration, frequency, n in cases:
+            prof = profile(0.331, 5.893, duration, frequency)
+            assert prof.times.size == n + 1
+            assert prof.duration == prof.times[-1] == n / frequency
+            if duration * frequency == n:
+                assert prof.duration == duration
+
+
 def test_omegas_are_forward_differences():
     prof = quintic_profile(0.0, 2.0, duration=1.0, frequency=8.0)
     n = len(prof.thetas) - 1
@@ -545,13 +564,9 @@ GUESSED_PROFILES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "name, args, kwargs, most_nodes", GUESSED_PROFILES, ids=["crit09", "sixbar-blend"]
-)
-def test_knot_guesses_leave_one_newton_pass(monkeypatch, request, name, args, kwargs, most_nodes):
-    # one call builds the length table and one checks every knot: the
-    # interpolant's guesses already meet the knot tolerance (4 and 5
-    # calls, 3,608 and 1,970 nodes, from the linear guesses)
+@pytest.fixture
+def speed_calls(monkeypatch):
+    """Node counts of the _Speed calls made while the test runs."""
     sizes = []
     call = trajectory._Speed.__call__
 
@@ -560,9 +575,46 @@ def test_knot_guesses_leave_one_newton_pass(monkeypatch, request, name, args, kw
         return call(self, offsets)
 
     monkeypatch.setattr(trajectory._Speed, "__call__", counted)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "name, args, kwargs, most_nodes", GUESSED_PROFILES, ids=["crit09", "sixbar-blend"]
+)
+def test_knot_guesses_leave_one_newton_pass(speed_calls, request, name, args, kwargs, most_nodes):
+    # one call builds the length table and one checks every knot: the
+    # interpolant's guesses already meet the knot tolerance (4 and 5
+    # calls, 3,608 and 1,970 nodes, from the linear guesses)
     equidistant_profile(request.getfixturevalue(name), *args, **kwargs)
-    assert len(sizes) <= 2
-    assert sum(sizes) <= most_nodes
+    assert len(speed_calls) <= 2
+    assert sum(speed_calls) <= most_nodes
+
+
+# the Bennett arcs of the arc length regressions and the sixbar's finite
+# chart arc, as fixture name, positional and keyword arguments of
+# arc_length_between, and the node count of each speed call it makes
+ARC_BUDGETS = [
+    ("bennett", (0.331, 5.893), dict(direction="long"), [540]),
+    ("bennett", (0.331, 5.893), dict(tool=(0.0, -0.170, 0.0), direction="long"), [540]),
+    ("bennett", (5.893, 0.331), dict(direction="short"), [72]),
+    ("sixbar", (math.pi / 3, 1.5 * math.pi), dict(direction="increasing"), [360, 48]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args, kwargs, calls",
+    ARC_BUDGETS,
+    ids=["bennett-long", "bennett-long-tool", "bennett-short", "sixbar-increasing"],
+)
+def test_arc_length_call_and_node_budget(speed_calls, request, name, args, kwargs, calls):
+    # the first level is one call of 36 nodes per panel of _ANGLE_PANEL,
+    # the panel's own 12 and those of its halves; a later level is one
+    # call of the 24 nodes of the halves of each open panel
+    arc_length_between(request.getfixturevalue(name), *args, **kwargs)
+    span = abs(resolve_arc(*args, kwargs["direction"]))
+    assert speed_calls[0] == 36 * math.ceil(span / trajectory._ANGLE_PANEL)
+    assert all(size % 24 == 0 for size in speed_calls[1:])
+    assert speed_calls == calls
 
 
 @pytest.mark.parametrize(
@@ -584,6 +636,33 @@ def test_knots_meet_their_tolerance(request, name, args, kwargs, most_nodes):
     got = trajectory._gauss(table.speed, table.lo[idx], x - table.lo[idx])[0]
     miss = np.abs(start + got - targets)
     assert np.all(miss <= trajectory._KNOT_TOL * table.total / n)
+
+
+@pytest.mark.parametrize(
+    "name, tool, pieces, tol",
+    [("bennett", (0.0, 0.0, 0.0), 2, 1e-13), ("sixbar", (0.1, -0.05, 0.02), 3, 1e-12)],
+    ids=["bennett", "sixbar"],
+)
+def test_refined_table_is_well_formed(request, name, tool, pieces, tol):
+    # a tolerance below the default on few first panels forces later
+    # levels; whatever level a kept panel comes from, the table reads as
+    # one ordered tiling with each panel's own Gauss rule
+    mech = request.getfixturevalue(name)
+    delta = resolve_arc(0.331, 5.893, "long")
+    speed = trajectory._angle_table(mech, tool, 0.331, delta).speed
+    table = trajectory._Table(speed, abs(delta), pieces, tol)
+    lo, width, span = table.lo, table.width, table.span
+    assert lo.size > 2 * pieces
+    assert lo[0] == 0.0
+    assert np.all(np.abs(lo[:-1] + width[:-1] - lo[1:]) <= 4 * np.spacing(span))
+    assert abs(lo[-1] + width[-1] - span) <= 4 * np.spacing(span)
+    assert np.array_equal(table.ends, np.cumsum(table.value))
+    assert table.total == table.ends[-1]
+    rows = table.speeds()
+    assert np.allclose(table.value, (rows @ trajectory._GL_WEIGHTS) * width, rtol=1e-15, atol=0.0)
+    nodes = lo[:, None] + width[:, None] * trajectory._GL_NODES
+    direct = speed(nodes.ravel()).reshape(nodes.shape)
+    assert np.allclose(rows, direct, rtol=1e-15, atol=0.0)
 
 
 def test_antiderivative_matrix_integrates_the_interpolant():
