@@ -54,6 +54,20 @@ def _primal_vanishes(primal_sq: float, total_sq: float) -> bool:
     return primal_sq <= TOL * TOL * total_sq
 
 
+def _norm_parts(c: np.ndarray) -> tuple:
+    """Norm pair and squared magnitude of binary normalized coefficients c."""
+    n = _kernels.dq_mul8(c, c * _CONJ_SIGNS)
+    return float(n[0]), float(n[4]), float(np.dot(c, c))
+
+
+def _is_study(c: np.ndarray, tol: float) -> bool:
+    """Study gate of binary normalized coefficients c: the primal part
+    must not vanish (_primal_vanishes) and the dual norm part must stay
+    within tol of the squared magnitude."""
+    np_, nd, scale = _norm_parts(c)
+    return not _primal_vanishes(np_, scale) and abs(nd) / scale <= tol
+
+
 def _first_nonzero_sign(v: np.ndarray, n: float) -> float:
     """Sign of the first coefficient of v above TOL * n, 1.0 if none."""
     first = next((x for x in v if abs(x) > TOL * n), 1.0)
@@ -166,11 +180,9 @@ class DualQuaternion:
         return float(n[0]), float(n[4])
 
     def _norm_and_scale(self) -> tuple:
-        """Norm pair and squared magnitude of the binary normalized
-        coefficients: the same ratios, without overflow or underflow."""
-        c = _binary_normalized(self._c)
-        n = _kernels.dq_mul8(c, c * _CONJ_SIGNS)
-        return float(n[0]), float(n[4]), float(np.dot(c, c))
+        """_norm_parts of the binary normalized coefficients, shared with the
+        pose gate of inverse kinematics: no overflow or underflow."""
+        return _norm_parts(_binary_normalized(self._c))
 
     def study_defect(self) -> float:
         """Dual norm part relative to the squared magnitude."""
@@ -178,13 +190,8 @@ class DualQuaternion:
         return abs(nd) / scale if scale > 0.0 else 0.0
 
     def is_study(self, tol: float = STUDY_TOL) -> bool:
-        """Whether h * conj(h) is real and nonzero within tolerance.
-
-        The primal part must not vanish (_primal_vanishes) and the dual
-        norm part must stay within tol of the squared magnitude.
-        """
-        np_, nd, scale = self._norm_and_scale()
-        return not _primal_vanishes(np_, scale) and abs(nd) / scale <= tol
+        """Whether h * conj(h) is real and nonzero within tolerance (_is_study)."""
+        return _is_study(_binary_normalized(self._c), tol)
 
     def is_line(self, tol: float = TOL) -> bool:
         """Whether this element is a Pluecker line.

@@ -12,8 +12,9 @@ minimiser of an algebraic pose distance, found among the real roots of
 one polynomial and the point at infinity, and polishes it with a damped
 Gauss-Newton iteration on normalized pose representatives.  The
 start polynomials come from a quadratic form that the mechanism builds
-with its tool motion, so per pose the start is one matrix product and
-one eigenvalue solve.
+with its tool motion, so per pose the start is one matrix product, one
+eigenvalue solve and one Horner pass; each polish trial is one Horner
+pass over the rows [C | C'] of a chart, which the mechanism also keeps.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .dq import _CONJ_SIGNS, CANONICAL_TOL, STUDY_TOL, TOL, DualQuaternion
-from .dq import _binary_normalized, _first_nonzero_sign
+from .dq import _binary_normalized, _first_nonzero_sign, _is_study
 from .errors import InvalidPose, NoConvergence, StudyViolation
 from .motionpoly import INFINITY, MotionPolynomial, _coeff_array, _derivative_rows
 
@@ -106,14 +107,15 @@ class Mechanism:
         on the right of the evaluated motion.
 
     The motion has passed the norm check of MotionPolynomial, with a
-    study_tol that is finite and > 0.  The coefficients of the tool
-    motion C(t) * tool_home, with tool_home scaled exactly by a power
-    of two, are built once into the private read-only array
-    _tool_coeffs, and the read-only start form of inverse kinematics
-    for them into _ik_form; the scalar part q0 and vector length r of
-    the driving axis go into _axis.  The tool path chart of dqlink.trajectory, which depends
-    only on the tool coefficients and the driving axis, is built on
-    first use into the _chart slot.
+    study_tol that is finite and > 0.  The coefficients of the tool motion
+    C(t) * tool_home, with tool_home scaled exactly by a power of two, are
+    built once into the private read-only array _tool_coeffs, the read-only
+    start form of inverse kinematics for them into _ik_form, and the
+    read-only polish rows [C | C'] of its t chart and reciprocal chart into
+    _polish_rows; the scalar part q0 and vector length r of the driving axis
+    go into _axis.  The tool path chart of dqlink.trajectory, which depends
+    only on the tool coefficients and the driving axis, is built on first
+    use into the _chart slot.
     """
 
     motion: MotionPolynomial
@@ -121,6 +123,7 @@ class Mechanism:
     tool_home: DualQuaternion = None
     _tool_coeffs: np.ndarray = field(default=None, init=False, repr=False)
     _ik_form: tuple = field(default=None, init=False, repr=False)
+    _polish_rows: tuple = field(default=None, init=False, repr=False)
     _axis: tuple = field(default=None, init=False, repr=False)
     _chart: tuple = field(default=None, init=False, repr=False)
 
@@ -141,6 +144,8 @@ class Mechanism:
         coeffs = _coeff_array(coeffs)
         object.__setattr__(self, "_tool_coeffs", coeffs)
         object.__setattr__(self, "_ik_form", _start_form(coeffs))
+        rows = tuple(_kept_rows(c, _derivative_rows(c)) for c in (coeffs, coeffs[::-1]))
+        object.__setattr__(self, "_polish_rows", rows)
 
 
 def direct_kinematics(mechanism: Mechanism, theta) -> DualQuaternion:
@@ -221,14 +226,22 @@ def _error_terms(c: np.ndarray, cd: np.ndarray, target: _Target):
     return err, chatd
 
 
-def _residual_terms(coeffs, dcoeffs, target, t) -> tuple:
-    """Squared error f, error and curve derivative of _error_terms at t.
+def _kept_rows(coeffs, dcoeffs) -> np.ndarray:
+    """Read-only rows [C | C'] of ascending coefficients, C' zero-padded on top."""
+    pad = coeffs.shape[0] - dcoeffs.shape[0]
+    rows = np.hstack([coeffs, np.pad(dcoeffs, ((0, pad), (0, 0)))])
+    rows.flags.writeable = False
+    return rows
+
+
+def _residual_terms(rows, target, t) -> tuple:
+    """Squared error f, error and curve derivative of _error_terms at t,
+    from one Horner pass over the rows [C | C'] of _kept_rows.
 
     f is inf, and the other two None, where the curve value vanishes.
     """
-    terms = _error_terms(
-        _kernels.poly_eval8(coeffs, t), _kernels.poly_eval8(dcoeffs, t), target
-    )
+    v = _kernels.poly_eval8(rows, t)
+    terms = _error_terms(v[:8], v[8:], target)
     if terms is None:
         return math.inf, None, None
     err, chatd = terms
@@ -236,10 +249,10 @@ def _residual_terms(coeffs, dcoeffs, target, t) -> tuple:
 
 
 def _residual_at(coeffs, dcoeffs, target, t) -> float:
-    return _residual_terms(coeffs, dcoeffs, target, t)[0]
+    return _residual_terms(_kept_rows(coeffs, dcoeffs), target, t)[0]
 
 
-def _refine(coeffs, dcoeffs, target, t0) -> tuple:
+def _refine(rows, target, t0) -> tuple:
     """Damped Gauss-Newton from one start, run to stagnation.
 
     Returns the final t, its residual, the accepted steps and the
@@ -249,7 +262,7 @@ def _refine(coeffs, dcoeffs, target, t0) -> tuple:
     would leave |t| <= _DIVERGENCE_BOUND.
     """
     t = float(t0)
-    f, err, chatd = _residual_terms(coeffs, dcoeffs, target, t)
+    f, err, chatd = _residual_terms(rows, target, t)
     if err is None:
         return t, f, 0, ()
     trace = [f]
@@ -268,7 +281,7 @@ def _refine(coeffs, dcoeffs, target, t0) -> tuple:
             t_try = t + lam * step
             if abs(t_try) > _DIVERGENCE_BOUND:
                 break
-            trial = _residual_terms(coeffs, dcoeffs, target, t_try)
+            trial = _residual_terms(rows, target, t_try)
             if trial[0] < f:
                 accepted = True
                 break
@@ -335,8 +348,9 @@ def _global_start(form: tuple, p8: np.ndarray):
     D(t) = |C(t)|^2 |p|^2.  The dual scalar would vanish there too for
     exact displacements; leaving it out keeps a Study defect of rounded
     data from shifting the minimiser.  N and N'D - ND' come from the
-    form of _start_form, so per pose the start is one matrix product and
-    one eigenvalue solve; the common factor |p|^2 is dropped.  The
+    form of _start_form, so per pose the start is one matrix product, one
+    eigenvalue solve and one Horner pass for N and S at all candidates,
+    bit for bit np.polyval; the common factor |p|^2 is dropped.  The
     candidates are the real parts of all roots of N'D - ND', a superset
     of the real critical points, and infinity, where N/D tends to the
     ratio of the leading coefficients.  Returns INFINITY or a finite
@@ -353,7 +367,8 @@ def _global_start(form: tuple, p8: np.ndarray):
         companion = np.eye(desc.size - 1, k=-1)
         companion[0] = -desc[1:] / desc[0]
         ts = np.linalg.eigvals(companion).real
-        values = np.polyval(num[::-1], ts) / np.polyval(s[::-1], ts)
+        ns = _kernels.poly_eval8(np.array((num, s)).T, ts[:, None])
+        values = ns[:, 0] / ns[:, 1]
         k = int(np.argmin(values))
         if values[k] <= num[-1] / s[-1]:
             best = float(ts[k])
@@ -389,20 +404,18 @@ def inverse_kinematics(
     opt = options if options is not None else IKOptions()
     if not isinstance(pose, DualQuaternion):
         pose = DualQuaternion(pose)
-    pose = DualQuaternion(_binary_normalized(pose.coeffs))
+    p8 = _binary_normalized(pose.coeffs)
     tol = min(0.1, 100.0 * max(mechanism.motion.study_tol, STUDY_TOL))
-    if not pose.is_study(tol):
+    if not _is_study(p8, tol):
         raise InvalidPose(
             "target pose is not a displacement (Study defect above %.1e)" % tol
         )
-    coeffs = mechanism._tool_coeffs
-    start = _global_start(mechanism._ik_form, pose.coeffs)
+    start = _global_start(mechanism._ik_form, p8)
     reciprocal = start is INFINITY
     if reciprocal:
-        coeffs = np.ascontiguousarray(coeffs[::-1])
         start = 0.0
     t, residual, iterations, trace = _refine(
-        coeffs, _derivative_rows(coeffs), _Target(pose.coeffs), start
+        mechanism._polish_rows[reciprocal], _Target(p8), start
     )
     if reciprocal:
         t = INFINITY if t == 0.0 else 1.0 / t

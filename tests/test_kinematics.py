@@ -23,6 +23,7 @@ from dqlink import (
     equidistant_profile,
     inverse_kinematics,
     kinematics,
+    motionpoly,
     param_to_angle,
     trajectory,
 )
@@ -309,9 +310,10 @@ def test_roundtrip_random_angles(sixbar, bennett, rng):
 
 
 def test_polish_stops_halving_at_step_tolerance(sixbar, bennett, rng, monkeypatch):
-    # two evaluations for the start and two per accepted step; a converged
-    # polish tries its next full step and stops at the first halving that
-    # falls below the step tolerance instead of halving on
+    # one Horner pass for the start candidates and one per residual
+    # evaluation of the polish; a converged polish tries its next full
+    # step and stops at the first halving that falls below the step
+    # tolerance instead of halving on
     calls = []
     evaluate = _kernels.poly_eval8
     for mech in (sixbar, bennett):
@@ -323,7 +325,7 @@ def test_polish_stops_halving_at_step_tolerance(sixbar, bennett, rng, monkeypatc
             calls.clear()
             r = inverse_kinematics(mech, pose)
             monkeypatch.setattr(_kernels, "poly_eval8", evaluate)
-            assert len(calls) <= 2 * (r.iterations + 1) + 4
+            assert len(calls) <= r.iterations + 4
 
 
 def test_gauss_newton_step_matches_finite_difference(sixbar):
@@ -437,19 +439,64 @@ def test_start_form_matches_independent_products(sixbar, bennett, random_linkage
 def test_start_form_is_built_once_and_read_only(random_linkage, monkeypatch):
     mech = random_linkage(np.random.default_rng(35), 3)
     form = mech._ik_form
+    rows = mech._polish_rows
+    # a solve takes the polish rows of the chart as kept, on either branch
+    def no_derivative(c):
+        raise AssertionError("derivative rows built during a solve")
+
+    monkeypatch.setattr(kinematics, "_derivative_rows", no_derivative)
     pose = direct_kinematics(mech, 1.0)
-    inverse_kinematics(mech, pose)
+    assert inverse_kinematics(mech, pose).branch == "direct"
     inverse_kinematics(mech, direct_kinematics(mech, 2.0))
+    assert inverse_kinematics(mech, DualQuaternion.identity()).branch == "reciprocal"
+    monkeypatch.undo()
     assert mech._ik_form is form
-    for arr in form:
+    assert mech._polish_rows is rows
+    for arr in form + rows:
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    # [C | C'] of the t chart and of the reciprocal chart, whose
+    # coefficients are reversed; C' has a zero top row
+    assert len(rows) == 2
+    for arr, c in zip(rows, (mech._tool_coeffs, mech._tool_coeffs[::-1])):
+        assert arr.shape == (c.shape[0], 16)
+        assert np.array_equal(arr[:, :8], c)
+        assert np.array_equal(arr[:-1, 8:], motionpoly._derivative_rows(c))
+        assert not np.any(arr[-1, 8:])
     # per pose the start makes no dual quaternion product
     calls = []
     multiply = _kernels.dq_mul8
     monkeypatch.setattr(_kernels, "dq_mul8", lambda a, b: calls.append(1) or multiply(a, b))
     kinematics._global_start(mech._ik_form, pose.coeffs)
     assert calls == []
+
+
+def test_start_candidate_values_match_polyval_bit_for_bit(
+    sixbar, bennett, random_linkage, monkeypatch
+):
+    # the start evaluates N and S at all candidates of the companion in
+    # one Horner pass, which rounds as np.polyval does at finite t
+    rng = np.random.default_rng(36)
+    mechs = [sixbar, bennett]
+    mechs += [random_linkage(rng, joints) for joints in (1, 2, 3, 4) for _ in range(2)]
+    seen = []
+    evaluate = _kernels.poly_eval8
+    monkeypatch.setattr(
+        _kernels, "poly_eval8", lambda c, t: seen.append((c, t, evaluate(c, t))) or seen[-1][2]
+    )
+    for mech in mechs:
+        a, _, s = mech._ik_form
+        for theta in rng.uniform(0.0, 2 * math.pi, size=6):
+            p8 = direct_kinematics(mech, theta).coeffs
+            seen.clear()
+            kinematics._global_start(mech._ik_form, p8)
+            [(rows, ts, values)] = seen
+            num = (a @ p8) @ p8
+            assert np.array_equal(rows, np.column_stack((num, s)))
+            ts = ts[:, 0]
+            assert ts.size >= 1 and np.all(np.isfinite(ts))
+            assert np.array_equal(values[:, 0], np.polyval(num[::-1], ts))
+            assert np.array_equal(values[:, 1], np.polyval(s[::-1], ts))
 
 
 def test_inverse_kinematics_at_half_turn_poses(sixbar):
