@@ -39,7 +39,7 @@ _EPS_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 def _binary_normalized(c: np.ndarray) -> np.ndarray:
     """c scaled by the power of two that brings its largest coefficient
     into [0.5, 1); exact, so it changes no ratio of coefficients."""
-    return np.ldexp(c, -math.frexp(float(np.max(np.abs(c))))[1])
+    return np.ldexp(c, -math.frexp(float(np.abs(c).max()))[1])
 
 
 def _primal_vanishes(primal_sq: float, total_sq: float) -> bool:
@@ -90,7 +90,7 @@ class DualQuaternion:
         c = np.array(coeffs, dtype=float)
         if c.shape != (8,):
             raise ValueError("expected 8 coefficients, got shape %s" % (c.shape,))
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         c.flags.writeable = False
         self._c = c

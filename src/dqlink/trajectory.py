@@ -33,18 +33,18 @@ refinement level are evaluated in a single numpy call; a panel whose
 value differs from the sum of its two halves by more than the panel
 tolerance (_PANEL_TOL, or arc_length's tol) is split, otherwise its
 halves are kept, for at most _MAX_DEPTH levels.  The first level's
-equal panels are evaluated together with their halves, each panel
-through one template of parts (_SPLIT), and later levels evaluate only
-the halves of the open panels (_HALVES); the table keeps the speeds at
-every accepted panel's nodes.  Equidistant knots
-invert the resulting cumulative length table, _KNOT_BLOCK knots per
-pass.  A knot's first guess comes from the panel that holds its target
-length: a few Newton steps on the length of the degree-11 interpolant
-of the panel's node speeds, one fixed antiderivative matrix applied to
-the kept speeds, with no speed evaluation.  The true-integral check is
-the unchanged postcondition: each knot takes safeguarded Newton steps,
-with the panel's Gauss length as value and the speed as derivative,
-inside that panel until it meets its tolerance.
+nodes, of its at most 16 equal panels and their halves, are the panel
+width times one constant template (_LEVEL0, _LEVEL0_G); later levels
+evaluate only the halves of the open panels, all of one width.  The
+table sums its total up front and gathers its columns and node speeds
+only when knots read them.  Equidistant knots invert it, _KNOT_BLOCK
+knots per pass.  A knot's first guess comes from the panel that holds
+its target length: a few Newton steps on the length of the degree-11
+interpolant of the panel's node speeds, one fixed antiderivative matrix
+applied to the kept speeds, with no speed evaluation.  The true-integral
+check is the unchanged postcondition: each knot takes safeguarded Newton
+steps, with the panel's Gauss length as value and the speed as
+derivative, inside that panel until it meets its tolerance.
 
 Profiles sample a duration T at frequency f into n = round(T*f) steps,
 n+1 samples with timestamps i/f, and report the duration n/f that the
@@ -64,6 +64,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -259,19 +260,22 @@ class _Speed:
         return _speed(both[:4], both[4:])
 
 
-def _gauss(speed, lo: np.ndarray, width: np.ndarray) -> tuple:
+def _gauss(speed, lo: np.ndarray, width) -> tuple:
     """Gauss-Legendre integrals of speed over [lo, lo + width], per panel,
     and the speeds at the panels' nodes, along a last axis of nodes.
 
-    lo and width may have any shape, the same for both.
+    lo may have any shape; width has the same shape or is one float.
     """
-    x = lo[..., None] + width[..., None] * _GL_NODES
+    x = lo[..., None] + np.multiply.outer(width, _GL_NODES)
     f = speed(x.ravel()).reshape(x.shape)
     return (f @ _GL_WEIGHTS) * width, f
 
 
+# a panel and its halves: starts and widths in panel widths, then starts
+# and node offsets of the first level's at most 2*pi / _ANGLE_PANEL panels
 _SPLIT = np.array([[0.0, 0.0, 0.5], [1.0, 0.5, 0.5]])
-_HALVES = _SPLIT[:, 1:]
+_LEVEL0 = np.arange(round(TWO_PI / _ANGLE_PANEL))[:, None] + _SPLIT[0]
+_LEVEL0_G = _SPLIT[1][:, None] * _GL_NODES
 
 
 class _Table:
@@ -280,60 +284,71 @@ class _Table:
     Panels are refined level by level until each one agrees with the
     sum of its halves to tol; the halves are kept, and so are the speeds
     at their Gauss nodes, which speeds() returns for the first guesses of
-    _knots.  The first level cuts [0, span] into pieces panels of equal
-    width and evaluates each one together with its halves, in one speed
-    evaluation; every later level evaluates only the halves of the open
-    panels, whose values the level before already holds.  A level holds
-    one column per part of each panel: its start and width are those of
-    the panel scaled by the fractions in _SPLIT, of the panel itself and
-    its two halves, or in _HALVES, of the halves alone.  Halving is
-    exact, so a half's nodes and value are those of the Gauss rule on
-    its own start and width.  The halves of one level are in order;
-    those of several are sorted by start.  Raises QuadratureFailure when
-    a panel still misses tol after _MAX_DEPTH levels.
+    _knots.  The first level evaluates its pieces <= 16 equal panels of
+    [0, span] with their halves in one speed call, at the nodes size *
+    _LEVEL0_G from the starts size * _LEVEL0; later levels evaluate only
+    the halves of the open panels, whose values the level before holds.
+    The halves of one level share one width, kept as one float.  Halving
+    is exact, so a half's nodes and value are those of the Gauss rule on
+    its own start and width.  Raises QuadratureFailure when a panel still
+    misses tol after _MAX_DEPTH levels.  Only total, the sum of the kept
+    halves in order of start, is built up front; the columns lo, width,
+    value and ends, one entry per kept half in that order, on first read.
     """
 
     def __init__(self, speed, span: float, pieces: int, tol: float):
         self.speed = speed
         self.span = span
         size = span / pieces
-        lo, width, parts = size * np.arange(pieces), np.full(pieces, size), _SPLIT
-        levels = []
+        start = size * _LEVEL0[:pieces]
+        x = start[..., None] + size * _LEVEL0_G
+        f = speed(x.ravel()).reshape(x.shape)
+        value = (f @ _GL_WEIGHTS) * (size * _SPLIT[1])
+        whole, start, value, f = value[:, 0], start[:, 1:], value[:, 1:], f[:, 1:]
+        width = 0.5 * size
+        self._levels = levels = []
         for depth in range(_MAX_DEPTH + 1):
-            start = lo[:, None] + width[:, None] * parts[0]
-            width = width[:, None] * parts[1]
-            value, f = _gauss(speed, start, width)
-            if parts is _SPLIT:
-                whole = value[:, 0]
-            start, width, value, f = (a[:, -2:] for a in (start, width, value, f))
             ok = np.abs(value[:, 0] + value[:, 1] - whole) <= tol
-            levels.append((start, width, value, f, ok))
             if ok.all():
+                levels.append((start, value, f, width))
                 break
-            lo, width, whole = (a[~ok].ravel() for a in (start, width, value))
+            levels.append((start[ok], value[ok], f[ok], width))
+            lo, whole = start[~ok].ravel(), value[~ok].ravel()
             if depth == _MAX_DEPTH or lo.size > _MAX_PANELS:
                 raise QuadratureFailure(
                     "Gauss-Legendre panel [%r, %r] still above tolerance %g "
-                    "at depth %d" % (float(lo[0]), float(lo[0] + width[0]), tol, depth)
+                    "at depth %d" % (float(lo[0]), float(lo[0] + width), tol, depth)
                 )
-            parts = _HALVES
+            width *= 0.5
+            start = lo[:, None] + (0.0, width)
+            value, f = _gauss(speed, start, width)
         self._order = slice(None)
         if len(levels) > 1:
-            kept = [[a[level[4]] for a in level[:3]] for level in levels]
-            start, width, value = map(np.concatenate, zip(*kept))
-            self._order = np.argsort(start.ravel())
-        columns = (start, width, value)
-        self.lo, self.width, self.value = (a.ravel()[self._order] for a in columns)
-        self.ends = np.cumsum(self.value)
-        self.total = float(self.ends[-1])
-        # the node speeds are gathered only on demand, so that a table
-        # that is never inverted costs no more than its lengths
-        self._levels = [level[3:] for level in levels]
+            self._order = np.argsort(self._column(0))
+            value = self._column(1)
+        self.total = float(value.cumsum()[-1])
+
+    def _column(self, field: int) -> np.ndarray:
+        """Starts, values or node speeds of the kept halves, in order."""
+        kept = np.concatenate([level[field] for level in self._levels])
+        return kept.reshape(-1, *kept.shape[2:])[self._order]
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """lo, width, value and ends: one entry per kept half, in order."""
+        widths = [np.full(level[1].shape, level[3]) for level in self._levels]
+        value = self._column(1)
+        width = np.concatenate(widths, axis=None)[self._order]
+        return self._column(0), width, value, value.cumsum()
+
+    lo = property(lambda self: self._columns[0])
+    width = property(lambda self: self._columns[1])
+    value = property(lambda self: self._columns[2])
+    ends = property(lambda self: self._columns[3])
 
     def speeds(self) -> np.ndarray:
         """Speeds at the Gauss nodes of the kept panels, one row per panel."""
-        rows = np.concatenate([nodes[ok] for nodes, ok in self._levels])
-        return rows.reshape(-1, _GL_ORDER)[self._order]
+        return self._column(2)
 
 
 def _newton_in_panel(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -569,7 +584,7 @@ def _angle_table(mechanism: Mechanism, tool, start, delta) -> _Table:
     """Length table of the tool point path from start over delta radians."""
     harmonic, poles = _angle_chart(mechanism)
     coef = _affine_action(harmonic, tool)
-    if not np.all(np.isfinite(coef)):
+    if not np.isfinite(coef).all():
         raise ValueError("point path coefficients must be finite")
     end = start + delta
     _check_poles(poles, min(start, end), max(start, end), TWO_PI)

@@ -590,21 +590,31 @@ def test_knot_guesses_leave_one_newton_pass(speed_calls, request, name, args, kw
     assert sum(speed_calls) <= most_nodes
 
 
+# the sixbar arc near phi = pi whose table refines twice, and a Bennett
+# arc whose table has one level
+SIXBAR_TWICE = ("sixbar", (2.9, 3.4), dict(tool=(0.15, 0.15, -0.1), direction="short"))
+BENNETT_SHORT = ("bennett", (5.893, 0.331), dict(direction="short"))
+
 # the Bennett arcs of the arc length regressions and the sixbar's finite
-# chart arc, as fixture name, positional and keyword arguments of
-# arc_length_between, and the node count of each speed call it makes
+# chart arc and twice refined arc, as fixture name, positional and
+# keyword arguments of arc_length_between, and the node count of each
+# speed call it makes
 ARC_BUDGETS = [
     ("bennett", (0.331, 5.893), dict(direction="long"), [540]),
     ("bennett", (0.331, 5.893), dict(tool=(0.0, -0.170, 0.0), direction="long"), [540]),
-    ("bennett", (5.893, 0.331), dict(direction="short"), [72]),
+    BENNETT_SHORT + ([72],),
     ("sixbar", (math.pi / 3, 1.5 * math.pi), dict(direction="increasing"), [360, 48]),
+    SIXBAR_TWICE + ([72, 48, 48],),
 ]
 
 
 @pytest.mark.parametrize(
     "name, args, kwargs, calls",
     ARC_BUDGETS,
-    ids=["bennett-long", "bennett-long-tool", "bennett-short", "sixbar-increasing"],
+    ids=[
+        "bennett-long", "bennett-long-tool", "bennett-short", "sixbar-increasing",
+        "sixbar-twice",
+    ],
 )
 def test_arc_length_call_and_node_budget(speed_calls, request, name, args, kwargs, calls):
     # the first level is one call of 36 nodes per panel of _ANGLE_PANEL,
@@ -615,6 +625,55 @@ def test_arc_length_call_and_node_budget(speed_calls, request, name, args, kwarg
     assert speed_calls[0] == 36 * math.ceil(span / trajectory._ANGLE_PANEL)
     assert all(size % 24 == 0 for size in speed_calls[1:])
     assert speed_calls == calls
+
+
+@pytest.mark.parametrize(
+    "name, args, kwargs, levels, length",
+    [SIXBAR_TWICE + (3, 0.13055403039748303), BENNETT_SHORT + (1, 0.21315329917043097)],
+    ids=["sixbar-twice", "bennett-short"],
+)
+def test_arc_length_reads_only_the_total(
+    monkeypatch, request, name, args, kwargs, levels, length
+):
+    # an arc length sums the kept halves of every level once; it reads
+    # neither the node speeds nor a column that only knots need
+    def refuse(self):
+        raise AssertionError("arc length read a column of its table")
+
+    for column in ("lo", "width", "value", "ends"):
+        monkeypatch.setattr(trajectory._Table, column, property(refuse))
+    monkeypatch.setattr(trajectory._Table, "speeds", refuse)
+    tables = []
+    build = trajectory._angle_table
+
+    def kept(*a):
+        tables.append(build(*a))
+        return tables[-1]
+
+    monkeypatch.setattr(trajectory, "_angle_table", kept)
+    got = arc_length_between(request.getfixturevalue(name), *args, **kwargs)
+    assert got == tables[0].total
+    assert len(tables[0]._levels) == levels
+    assert math.isclose(got, length, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["sixbar", "bennett"])
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["decreasing", "increasing"])
+def test_first_level_holds_sixteen_panels(speed_calls, request, name, sign):
+    # the long arc between angles 1e-9 apart spans just under 2*pi, the
+    # most the first level's template holds: 16 panels of 36 nodes, which
+    # add up to the arc's two parts
+    mech = request.getfixturevalue(name)
+    theta = 1.0
+    end = theta - sign * 1e-9
+    assert math.copysign(1.0, resolve_arc(theta, end, "long")) == sign
+    whole = arc_length_between(mech, theta, end, direction="long")
+    assert speed_calls[0] == 16 * 36
+    mid = theta + 3.0 * sign
+    travel = "increasing" if sign > 0.0 else "decreasing"
+    parts = arc_length_between(mech, theta, mid, direction=travel)
+    parts += arc_length_between(mech, mid, end, direction=travel)
+    assert math.isclose(whole, parts, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize(
