@@ -3,7 +3,8 @@
 The dual quaternion product is one multiplication table; ``dq_mul8``
 broadcasts over it, so one call multiplies any number of pairs.
 ``poly_eval8`` evaluates the columns of an ascending coefficient array
-at once, by Horner's rule.  Library code calls these as
+at once, by Horner's rule, in place; per pose, inverse kinematics calls
+it once per polish trial and ``dq_mul8`` never.  Library code calls these as
 ``_kernels.name(...)``, so a profiler or a test that replaces a module
 attribute sees every call.
 
@@ -38,10 +39,12 @@ def dq_mul8(a, b):
 
 
 def poly_eval8(coeffs, t):
-    """Horner evaluation of the columns of an (n+1, k) ascending coefficient array."""
-    out = coeffs[-1].copy()
-    for row in coeffs[-2::-1]:
-        out = out * t + row
+    """Horner evaluation of the columns of an (n+1, k) ascending coefficient
+    array; after the first step, which broadcasts against t, in place."""
+    out = coeffs[-1].copy() if len(coeffs) == 1 else coeffs[-1] * t + coeffs[-2]
+    for row in coeffs[-3::-1]:
+        out *= t
+        out += row
     return out
 
 

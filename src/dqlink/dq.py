@@ -55,9 +55,12 @@ def _primal_vanishes(primal_sq: float, total_sq: float) -> bool:
 
 
 def _norm_parts(c: np.ndarray) -> tuple:
-    """Norm pair and squared magnitude of binary normalized coefficients c."""
-    n = _kernels.dq_mul8(c, c * _CONJ_SIGNS)
-    return float(n[0]), float(n[4]), float(np.dot(c, c))
+    """Norm pair p.p, 2 p.q and squared magnitude of binary normalized
+    coefficients c = p + eps*q, each summed as the product c * conj(c) sums."""
+    p0, p1, p2, p3, q0, q1, q2, q3 = c.tolist()
+    pp = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
+    dual = p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3 + p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3
+    return pp, dual, pp + q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
 
 
 def _is_study(c: np.ndarray, tol: float) -> bool:
@@ -70,7 +73,7 @@ def _is_study(c: np.ndarray, tol: float) -> bool:
 
 def _first_nonzero_sign(v: np.ndarray, n: float) -> float:
     """Sign of the first coefficient of v above TOL * n, 1.0 if none."""
-    first = next((x for x in v if abs(x) > TOL * n), 1.0)
+    first = next((x for x in v.tolist() if abs(x) > TOL * n), 1.0)
     return -1.0 if first < 0.0 else 1.0
 
 
@@ -173,11 +176,10 @@ class DualQuaternion:
         """Primal and dual part of h * conj(h).
 
         The vector parts of that product vanish identically, so the norm
-        is fully described by the pair (primal, dual).  For a Study
-        quaternion the dual part is zero.
+        is fully described by the pair (primal, dual), the first two
+        entries of _norm_parts.  For a Study quaternion the dual is zero.
         """
-        n = _kernels.dq_mul8(self._c, (self._c * _CONJ_SIGNS))
-        return float(n[0]), float(n[4])
+        return _norm_parts(self._c)[:2]
 
     def _norm_and_scale(self) -> tuple:
         """_norm_parts of the binary normalized coefficients, shared with the

@@ -13,12 +13,13 @@ one polynomial and the point at infinity, and polishes it with a damped
 Gauss-Newton iteration on normalized pose representatives.  The
 start polynomials come from a quadratic form that the mechanism builds
 with its tool motion, so per pose the start is one matrix product, one
-eigenvalue solve and one Horner pass; each polish trial is one Horner
-pass over the rows [C | C'] of a chart, which the mechanism also keeps.
+eigenvalue solve and one Vandermonde product; each polish trial is one
+Horner pass over the rows [C | C'] of a chart, which the mechanism keeps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -191,18 +192,20 @@ class IKResult:
 
 class _Target:
     """Canonical and unit-norm representatives of a fixed, nonzero
-    target pose."""
-
-    __slots__ = ("can", "unit")
+    target pose; the unit-norm one is formed on first use."""
 
     def __init__(self, p8: np.ndarray):
-        n = math.sqrt(float(np.dot(p8, p8)))
-        self.can = p8 / p8[0] if abs(p8[0]) > CANONICAL_TOL * n else None
-        self.unit = (p8 / n) * _first_nonzero_sign(p8, n)
+        self._p8, self._n = p8, math.sqrt(float(np.dot(p8, p8)))
+        self.can = p8 / p8[0] if abs(p8[0]) > CANONICAL_TOL * self._n else None
+
+    @functools.cached_property
+    def unit(self) -> np.ndarray:
+        return (self._p8 / self._n) * _first_nonzero_sign(self._p8, self._n)
 
 
-def _error_terms(c: np.ndarray, cd: np.ndarray, target: _Target):
-    """Normalized error E = p_hat - C_hat(t) and derivative of C_hat.
+def _error_and_slope(c: np.ndarray, cd: np.ndarray, target: _Target):
+    """Normalized error E = p_hat - C_hat(t), and a function of no
+    arguments that forms the derivative of C_hat.
 
     Uses the canonical representative (division by the first coordinate)
     whenever both the curve value and the target allow it, otherwise the
@@ -214,16 +217,17 @@ def _error_terms(c: np.ndarray, cd: np.ndarray, target: _Target):
     if n2 <= 0.0:
         return None
     n = math.sqrt(n2)
-    if target.can is not None and abs(c[0]) > CANONICAL_TOL * n:
-        chat = c / c[0]
-        chatd = (cd * c[0] - c * cd[0]) / (c[0] * c[0])
-        err = target.can - chat
-    else:
-        s = _first_nonzero_sign(c, n)
-        chat = (s / n) * c
-        chatd = (s / n) * (cd - c * (float(np.dot(c, cd)) / n2))
-        err = target.unit - chat
-    return err, chatd
+    c0 = c.item(0)
+    if target.can is not None and abs(c0) > CANONICAL_TOL * n:
+        return target.can - c / c0, lambda: (cd * c0 - c * cd.item(0)) / (c0 * c0)
+    k = _first_nonzero_sign(c, n) / n
+    return target.unit - k * c, lambda: k * (cd - c * (float(np.dot(c, cd)) / n2))
+
+
+def _error_terms(c: np.ndarray, cd: np.ndarray, target: _Target):
+    """Error and derivative of C_hat of _error_and_slope, both formed."""
+    terms = _error_and_slope(c, cd, target)
+    return None if terms is None else (terms[0], terms[1]())
 
 
 def _kept_rows(coeffs, dcoeffs) -> np.ndarray:
@@ -235,17 +239,17 @@ def _kept_rows(coeffs, dcoeffs) -> np.ndarray:
 
 
 def _residual_terms(rows, target, t) -> tuple:
-    """Squared error f, error and curve derivative of _error_terms at t,
+    """Squared error f, error and slope function of _error_and_slope at t,
     from one Horner pass over the rows [C | C'] of _kept_rows.
 
     f is inf, and the other two None, where the curve value vanishes.
     """
     v = _kernels.poly_eval8(rows, t)
-    terms = _error_terms(v[:8], v[8:], target)
+    terms = _error_and_slope(v[:8], v[8:], target)
     if terms is None:
         return math.inf, None, None
-    err, chatd = terms
-    return float(np.dot(err, err)), err, chatd
+    err, slope = terms
+    return float(np.dot(err, err)), err, slope
 
 
 def _residual_at(coeffs, dcoeffs, target, t) -> float:
@@ -256,18 +260,20 @@ def _refine(rows, target, t0) -> tuple:
     """Damped Gauss-Newton from one start, run to stagnation.
 
     Returns the final t, its residual, the accepted steps and the
-    residual trace.  Stops after _MAX_ITERATIONS accepted steps, when no
+    residual trace; the slope of C_hat is formed only at an iterate that
+    a step follows.  Stops after _MAX_ITERATIONS accepted steps, when no
     step halving lowers the residual before the step shrinks below
     _STEP_TOL (the full step is always tried), or when a trial step
     would leave |t| <= _DIVERGENCE_BOUND.
     """
     t = float(t0)
-    f, err, chatd = _residual_terms(rows, target, t)
+    f, err, slope = _residual_terms(rows, target, t)
     if err is None:
         return t, f, 0, ()
     trace = [f]
     iters = 0
     while iters < _MAX_ITERATIONS and f > _RESIDUAL_FLOOR:
+        chatd = slope()
         denom = float(np.dot(chatd, chatd))
         if denom <= 1e-300:
             break
@@ -290,7 +296,7 @@ def _refine(rows, target, t0) -> tuple:
             break
         moved = abs(t_try - t)
         t = t_try
-        f, err, chatd = trial
+        f, err, slope = trial
         trace.append(f)
         iters += 1
         if moved <= _STEP_TOL * (1.0 + abs(t)):
@@ -340,6 +346,23 @@ def _start_form(coeffs: np.ndarray) -> tuple:
     return a, crit_map, s
 
 
+@functools.lru_cache(maxsize=None)
+def _subdiagonal(n: int) -> np.ndarray:
+    """Read-only n x n template of a companion matrix: ones below the diagonal."""
+    m = np.eye(n, k=-1)
+    m.flags.writeable = False
+    return m
+
+
+def _candidate_values(num: np.ndarray, s: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Rows N and S at the candidates ts: running powers times [num | s]."""
+    powers = np.empty((num.size, ts.size))
+    powers[0] = 1.0
+    powers[1:] = ts
+    np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
+    return np.array((num, s)) @ powers
+
+
 def _global_start(form: tuple, p8: np.ndarray):
     """Global minimiser of N(t)/D(t) over the projective parameter line.
 
@@ -349,27 +372,28 @@ def _global_start(form: tuple, p8: np.ndarray):
     exact displacements; leaving it out keeps a Study defect of rounded
     data from shifting the minimiser.  N and N'D - ND' come from the
     form of _start_form, so per pose the start is one matrix product, one
-    eigenvalue solve and one Horner pass for N and S at all candidates,
-    bit for bit np.polyval; the common factor |p|^2 is dropped.  The
-    candidates are the real parts of all roots of N'D - ND', a superset
-    of the real critical points, and infinity, where N/D tends to the
-    ratio of the leading coefficients.  Returns INFINITY or a finite
-    parameter.
+    eigenvalue solve and one Vandermonde product for N and S at all
+    candidates (_candidate_values); the common factor |p|^2 is dropped.
+    The candidates are the real parts of all roots of N'D - ND', a
+    superset of the real critical points, and infinity, where N/D tends
+    to the ratio of the leading coefficients.  Returns INFINITY or a
+    finite parameter.
     """
     a, crit_map, s = form
     num = (a @ p8) @ p8
     crit = crit_map @ num
     best = INFINITY
     # exactly-zero leading coefficients are trimmed, as np.roots does
-    top = np.flatnonzero(crit)[-1:]
-    if top.size and top[0] > 0:
-        desc = crit[top[0] :: -1]
-        companion = np.eye(desc.size - 1, k=-1)
+    top = crit.size - 1
+    while top > 0 and crit[top] == 0.0:
+        top -= 1
+    if top > 0:
+        desc = crit[top::-1]
+        companion = _subdiagonal(top).copy()
         companion[0] = -desc[1:] / desc[0]
         ts = np.linalg.eigvals(companion).real
-        ns = _kernels.poly_eval8(np.array((num, s)).T, ts[:, None])
-        values = ns[:, 0] / ns[:, 1]
-        k = int(np.argmin(values))
+        values = np.divide(*_candidate_values(num, s, ts))
+        k = int(values.argmin())
         if values[k] <= num[-1] / s[-1]:
             best = float(ts[k])
     return best

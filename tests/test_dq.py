@@ -10,8 +10,10 @@ from dqlink import (
     DualQuaternion,
     ZeroDirection,
     ZeroElement,
+    _kernels,
     line_from_point_direction,
 )
+from dqlink.dq import _CONJ_SIGNS, _binary_normalized, _is_study, _norm_parts, _primal_vanishes
 
 I = DualQuaternion([0, 1, 0, 0, 0, 0, 0, 0])
 J = DualQuaternion([0, 0, 1, 0, 0, 0, 0, 0])
@@ -191,6 +193,49 @@ def test_study_condition_at_extreme_scales(rng):
             assert math.isclose(
                 (scale * bent).study_defect(), bent.study_defect(), rel_tol=1e-12
             )
+
+
+def _product_norm(c):
+    n = _kernels.dq_mul8(c, c * _CONJ_SIGNS)
+    return float(n[0]), float(n[4])
+
+
+def test_norm_parts_match_the_product(rng):
+    # _norm_parts of binary normalized coefficients, which the Study gate
+    # reads, over binary scales 2**-600 ... 2**600; norm_pair of the
+    # element itself wherever |c|**2 is a normal float
+    for exponent in rng.integers(-600, 601, size=1000):
+        c = np.ldexp(rng.normal(size=8), int(exponent))
+        b = _binary_normalized(c)
+        pp, dual, scale = _norm_parts(b)
+        want = _product_norm(b)
+        tol = 4.0 * np.spacing(float(np.dot(b, b)))
+        assert abs(pp - want[0]) <= tol and abs(dual - want[1]) <= tol
+        assert abs(scale - float(np.dot(b, b))) <= tol
+        with np.errstate(all="ignore"):
+            size = float(np.dot(c, c))
+        if np.finfo(float).tiny <= size < np.inf:
+            got, want = DualQuaternion(c).norm_pair(), _product_norm(c)
+            tol = 4.0 * np.spacing(size)
+            assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol
+
+
+def test_study_verdicts_at_extreme_scales_match_the_product(rng):
+    # the verdicts of test_study_condition_at_extreme_scales, taken from
+    # the norm pair of the product instead of _norm_parts
+    def product_is_study(c, tol):
+        b = _binary_normalized(c)
+        primal, dual = _product_norm(b)
+        scale = float(np.dot(b, b))
+        return not _primal_vanishes(primal, scale) and abs(dual) / scale <= tol
+
+    h = random_displacement(rng)
+    bent = DualQuaternion(h.coeffs + [0, 0, 0, 0, 1e-3, 0, 0, 0])
+    for scale in (1.0, 1e160, 1e-10, 1e-160):
+        for c in ((scale * h).coeffs, (scale * bent).coeffs):
+            b = _binary_normalized(c)
+            for tol in (1e-12, 1e-9, 1e-3):
+                assert _is_study(b, tol) == product_is_study(c, tol)
 
 
 def test_point_embedding_roundtrip():

@@ -27,6 +27,8 @@ from dqlink import (
     param_to_angle,
     trajectory,
 )
+from dqlink.dq import _binary_normalized
+from test_acceptance import BENNETT_P1, BENNETT_P2
 
 SQRT3 = math.sqrt(3.0)
 POSE_SQRT3 = np.array([-SQRT3, -3, -15, SQRT3, -7, -7 * SQRT3, 2 * SQRT3, 2])
@@ -310,10 +312,10 @@ def test_roundtrip_random_angles(sixbar, bennett, rng):
 
 
 def test_polish_stops_halving_at_step_tolerance(sixbar, bennett, rng, monkeypatch):
-    # one Horner pass for the start candidates and one per residual
-    # evaluation of the polish; a converged polish tries its next full
-    # step and stops at the first halving that falls below the step
-    # tolerance instead of halving on
+    # one Horner pass per residual evaluation of the polish and none for
+    # the start; a converged polish tries its next full step and stops at
+    # the first halving that falls below the step tolerance instead of
+    # halving on
     calls = []
     evaluate = _kernels.poly_eval8
     for mech in (sixbar, bennett):
@@ -325,7 +327,7 @@ def test_polish_stops_halving_at_step_tolerance(sixbar, bennett, rng, monkeypatc
             calls.clear()
             r = inverse_kinematics(mech, pose)
             monkeypatch.setattr(_kernels, "poly_eval8", evaluate)
-            assert len(calls) <= r.iterations + 4
+            assert len(calls) <= r.iterations + 3
 
 
 def test_gauss_newton_step_matches_finite_difference(sixbar):
@@ -471,32 +473,152 @@ def test_start_form_is_built_once_and_read_only(random_linkage, monkeypatch):
     assert calls == []
 
 
-def test_start_candidate_values_match_polyval_bit_for_bit(
+def test_start_candidate_values_match_polyval_within_8_ulp(
     sixbar, bennett, random_linkage, monkeypatch
 ):
-    # the start evaluates N and S at all candidates of the companion in
-    # one Horner pass, which rounds as np.polyval does at finite t
+    # the start evaluates N and S at all candidates of the companion with
+    # one Vandermonde product; its values stay within 8 ulp of the sum of
+    # the absolute terms of np.polyval, and the start it returns is bit
+    # for bit the one that the np.polyval values pick
     rng = np.random.default_rng(36)
     mechs = [sixbar, bennett]
     mechs += [random_linkage(rng, joints) for joints in (1, 2, 3, 4) for _ in range(2)]
+    cases = [
+        (mech, direct_kinematics(mech, theta).coeffs * 10.0 ** rng.uniform(-1.0, 1.0))
+        for mech in mechs
+        for theta in rng.uniform(0.0, 2 * math.pi, size=6)
+    ]
+    cases += [(bennett, BENNETT_P1), (bennett, BENNETT_P2)]
     seen = []
-    evaluate = _kernels.poly_eval8
+    evaluate = kinematics._candidate_values
     monkeypatch.setattr(
-        _kernels, "poly_eval8", lambda c, t: seen.append((c, t, evaluate(c, t))) or seen[-1][2]
+        kinematics,
+        "_candidate_values",
+        lambda num, s, ts: seen.append((num, s, ts, evaluate(num, s, ts))) or seen[-1][3],
     )
-    for mech in mechs:
-        a, _, s = mech._ik_form
-        for theta in rng.uniform(0.0, 2 * math.pi, size=6):
-            p8 = direct_kinematics(mech, theta).coeffs
-            seen.clear()
-            kinematics._global_start(mech._ik_form, p8)
-            [(rows, ts, values)] = seen
-            num = (a @ p8) @ p8
-            assert np.array_equal(rows, np.column_stack((num, s)))
-            ts = ts[:, 0]
-            assert ts.size >= 1 and np.all(np.isfinite(ts))
-            assert np.array_equal(values[:, 0], np.polyval(num[::-1], ts))
-            assert np.array_equal(values[:, 1], np.polyval(s[::-1], ts))
+    for mech, pose in cases:
+        p8 = _binary_normalized(pose)
+        seen.clear()
+        start = kinematics._global_start(mech._ik_form, p8)
+        [(num, s, ts, values)] = seen
+        assert ts.size >= 1 and np.all(np.isfinite(ts))
+        for row, coeffs in zip(values, (num, s)):
+            want = np.polyval(coeffs[::-1], ts)
+            size = np.polyval(np.abs(coeffs[::-1]), np.abs(ts))
+            assert np.all(np.abs(row - want) <= 8.0 * np.spacing(size))
+        ratio = np.polyval(num[::-1], ts) / np.polyval(s[::-1], ts)
+        k = int(np.argmin(ratio))
+        if ratio[k] <= num[-1] / s[-1]:
+            assert start == ts[k]
+        else:
+            assert start is INFINITY
+
+
+def _residual_events(monkeypatch):
+    """Log of the polish: ("eval", f) per residual evaluation and
+    ("slope",) per slope formed."""
+    events = []
+    evaluate, terms = kinematics._residual_terms, kinematics._error_and_slope
+
+    def logged_evaluate(rows, target, t):
+        out = evaluate(rows, target, t)
+        events.append(("eval", out[0]))
+        return out
+
+    def logged_terms(c, cd, target):
+        out = terms(c, cd, target)
+        return out and (out[0], lambda: events.append(("slope",)) or out[1]())
+
+    monkeypatch.setattr(kinematics, "_residual_terms", logged_evaluate)
+    monkeypatch.setattr(kinematics, "_error_and_slope", logged_terms)
+    return events
+
+
+def test_polish_forms_the_slope_only_where_a_step_follows(sixbar, bennett, rng, monkeypatch):
+    # the first evaluation is the start; a trial that lowers the residual
+    # becomes the iterate.  A slope is formed right after the start or an
+    # accepted trial, once, and a trial always follows it: never at a
+    # rejected trial, never at the last iterate
+    events = _residual_events(monkeypatch)
+    poses = [(mech, direct_kinematics(mech, th)) for mech in (sixbar, bennett)
+             for th in rng.uniform(0.0, 2 * math.pi, size=20)]
+    poses += [(sixbar, DualQuaternion.identity()), (sixbar, direct_kinematics(sixbar, 1e-7))]
+    poses += [(bennett, DualQuaternion(BENNETT_P1)), (bennett, DualQuaternion(BENNETT_P2))]
+    for mech, pose in poses:
+        events.clear()
+        try:
+            r = inverse_kinematics(mech, pose)
+        except NoConvergence as e:
+            r = e.best
+        # f is the residual of the iterate; fresh while no slope was formed
+        # since the evaluation that made it
+        f, fresh, stepped_from = None, False, []
+        for i, event in enumerate(events):
+            if event[0] == "eval":
+                fresh = f is None or event[1] < f
+                f = event[1] if fresh else f
+            else:
+                assert fresh and i + 1 < len(events) and events[i + 1][0] == "eval"
+                fresh = False
+                stepped_from.append(f)
+        assert f == r.residual
+        assert stepped_from == list(r.residual_trace[: len(stepped_from)])
+        assert len(stepped_from) in (r.iterations, r.iterations + 1)
+
+
+def test_canonical_solve_forms_no_unit_norm_representative(sixbar, bennett, monkeypatch):
+    calls = []
+    sign = kinematics._first_nonzero_sign
+    monkeypatch.setattr(
+        kinematics, "_first_nonzero_sign", lambda v, n: calls.append(1) or sign(v, n)
+    )
+    for mech, theta in ((sixbar, 1.0), (sixbar, 2.3), (bennett, 1.351)):
+        r = inverse_kinematics(mech, direct_kinematics(mech, theta))
+        assert r.branch == "direct" and r.iterations >= 1
+    assert calls == []
+    # a half-turn pose of the sixbar takes the unit-norm representative
+    root = param_to_angle(2.0, sixbar.driving_axis)
+    inverse_kinematics(sixbar, direct_kinematics(sixbar, root))
+    assert calls
+
+
+def _eager_refine(rows, target, t):
+    """The polish with error and slope formed at every evaluation, as
+    _error_terms forms them; _refine must match it bit for bit."""
+    def terms(t):
+        v = _kernels.poly_eval8(rows, t)
+        e = kinematics._error_terms(v[:8], v[8:], target)
+        return (math.inf, None, None) if e is None else (float(np.dot(e[0], e[0])),) + e
+
+    f, err, chatd = terms(t)
+    if err is None:
+        return t, f, 0, ()
+    trace, iters = [f], 0
+    while iters < kinematics._MAX_ITERATIONS and f > kinematics._RESIDUAL_FLOOR:
+        denom = float(np.dot(chatd, chatd))
+        if denom <= 1e-300:
+            break
+        step, lam, accepted = float(np.dot(chatd, err)) / denom, 1.0, False
+        for _ in range(kinematics._MAX_HALVINGS + 1):
+            if lam < 1.0 and abs(lam * step) <= kinematics._STEP_TOL * (1.0 + abs(t)):
+                break
+            t_try = t + lam * step
+            if abs(t_try) > kinematics._DIVERGENCE_BOUND:
+                break
+            trial = terms(t_try)
+            if trial[0] < f:
+                accepted = True
+                break
+            lam *= 0.5
+        if not accepted:
+            break
+        moved, t = abs(t_try - t), t_try
+        f, err, chatd = trial
+        trace.append(f)
+        iters += 1
+        if moved <= kinematics._STEP_TOL * (1.0 + abs(t)):
+            break
+    return t, f, iters, tuple(trace)
 
 
 def test_inverse_kinematics_at_half_turn_poses(sixbar):
@@ -514,6 +636,12 @@ def test_inverse_kinematics_at_half_turn_poses(sixbar):
             r = inverse_kinematics(sixbar, direct_kinematics(sixbar, theta))
             gap = (r.theta - theta + math.pi) % (2.0 * math.pi) - math.pi
             assert abs(gap) <= 1e-12
+            # the lazy slope and the lazy unit-norm target change no bit
+            p8 = _binary_normalized(direct_kinematics(sixbar, theta).coeffs)
+            start = kinematics._global_start(sixbar._ik_form, p8)
+            assert start is not INFINITY and r.branch == "direct"
+            want = _eager_refine(sixbar._polish_rows[0], kinematics._Target(p8), start)
+            assert (r.t, r.residual, r.iterations, r.residual_trace) == want
 
 
 def test_polish_stops_before_leaving_the_divergence_bound(sixbar):
