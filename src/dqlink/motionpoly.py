@@ -266,7 +266,7 @@ def _affine_action(basis: np.ndarray, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise ValueError("expected 3 point coordinates")
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise ValueError("point coordinates must be finite")
     return basis[0] + (x @ basis[1:].reshape(3, -1)).reshape(basis.shape[1:])
 

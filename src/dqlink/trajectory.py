@@ -37,14 +37,17 @@ nodes, of its at most 16 equal panels and their halves, are the panel
 width times one constant template (_LEVEL0, _LEVEL0_G); later levels
 evaluate only the halves of the open panels, all of one width.  The
 table sums its total up front and gathers its columns and node speeds
-only when knots read them.  Equidistant knots invert it, _KNOT_BLOCK
-knots per pass.  A knot's first guess comes from the panel that holds
-its target length: a few Newton steps on the length of the degree-11
-interpolant of the panel's node speeds, one fixed antiderivative matrix
-applied to the kept speeds, with no speed evaluation.  The true-integral
-check is the unchanged postcondition: each knot takes safeguarded Newton
-steps, with the panel's Gauss length as value and the speed as
-derivative, inside that panel until it meets its tolerance.
+only when knots read them; a table of one level ravels that level.
+Equidistant knots invert it, _KNOT_BLOCK knots per block.  A knot's
+first guess comes from the panel that holds its target length: a few
+Newton steps on the length of the degree-11 interpolant of the panel's
+node speeds, one fixed antiderivative matrix applied to the speeds of
+the block's panels, with no speed evaluation; each step is one power
+block and one stacked product.  The true-integral check is the
+postcondition: one speed call per pass, at the panel's Gauss nodes up to
+the knot and at the knot itself, and where a knot misses it takes
+safeguarded Newton steps, with the panel's Gauss length as value and
+the speed as derivative, inside that panel until it meets its tolerance.
 
 Profiles sample a duration T at frequency f into n = round(T*f) steps,
 n+1 samples with timestamps i/f, and report the duration n/f that the
@@ -131,6 +134,8 @@ def _antiderivative_matrix(nodes: np.ndarray) -> np.ndarray:
 
 
 _GL_ANTIDERIVATIVE = _antiderivative_matrix(_GL_NODES)
+# a knot check's nodes in [panel start, knot]: the Gauss nodes, then the knot
+_CHECK_NODES = np.append(_GL_NODES, 1.0)
 
 # initial panel width in the angle chart; the t chart starts from one panel
 _ANGLE_PANEL = math.pi / 8.0
@@ -191,14 +196,17 @@ def _harmonics(phi: np.ndarray, order: int) -> np.ndarray:
 
     Each of the 2*(order + 1) rows holds one value per node; the sine of
     m = 0 is a zero row.  cos(phi) and sin(phi) are taken once as
-    exp(i*phi), and each higher harmonic is the previous one turned by
-    it, one complex product of whole rows; one copy then splits the
-    complex rows into their real and imaginary rows.
+    exp(i*phi), written straight into the row of m = 1, and each higher
+    harmonic is the previous one turned by it, one complex product of
+    whole rows; one copy then splits the complex rows into their real and
+    imaginary rows.
     """
-    z = np.exp(1j * phi)
-    turns = np.ones((order + 1, phi.size), dtype=complex)
-    for m in range(1, order + 1):
-        np.multiply(turns[m - 1], z, out=turns[m])
+    turns = np.empty((order + 1, phi.size), dtype=complex)
+    turns[0] = 1.0
+    if order:
+        np.exp(1j * phi, out=turns[1])
+    for m in range(2, order + 1):
+        np.multiply(turns[m - 1], turns[1], out=turns[m])
     pairs = turns.view(float).reshape(order + 1, -1, 2)
     return pairs.transpose(0, 2, 1).reshape(-1, phi.size)
 
@@ -243,20 +251,20 @@ class _Speed:
     the evaluator keeps its transpose, one contiguous row per
     coordinate.  The variable is the unwrapped driving angle phi.
     Calling the object with offsets from start along the orientation
-    sigma returns |X0 * dX - X * dX0| / X0**2 (motionpoly._speed), at the
-    cost of one complex exponential, a complex product per higher
-    harmonic and one matrix product for all nodes, each coordinate a
-    row of them.
+    sigma, +1 or -1 and applied as one exact add or subtract, returns
+    |X0 * dX - X * dX0| / X0**2 (motionpoly._speed), at the cost of one
+    complex exponential, a complex product per higher harmonic and one
+    matrix product for all nodes, each coordinate a row of them.
     """
 
     def __init__(self, coef, start, sigma):
         self.order = coef.shape[0] // 2 - 1
         self.rows = np.ascontiguousarray(coef.T)
         self.start = float(start)
-        self.sigma = float(sigma)
+        self._along = np.add if sigma > 0.0 else np.subtract
 
     def __call__(self, offsets):
-        both = self.rows @ _harmonics(self.start + self.sigma * offsets, self.order)
+        both = self.rows @ _harmonics(self._along(self.start, offsets), self.order)
         return _speed(both[:4], both[4:])
 
 
@@ -293,7 +301,9 @@ class _Table:
     its own start and width.  Raises QuadratureFailure when a panel still
     misses tol after _MAX_DEPTH levels.  Only total, the sum of the kept
     halves in order of start, is built up front; the columns lo, width,
-    value and ends, one entry per kept half in that order, on first read.
+    value, ends and node speeds, one entry per kept half in that order, on
+    first read.  A one-level table ravels its only level into them, with
+    no concatenation and no index.
     """
 
     def __init__(self, speed, span: float, pieces: int, tol: float):
@@ -309,7 +319,7 @@ class _Table:
         self._levels = levels = []
         for depth in range(_MAX_DEPTH + 1):
             ok = np.abs(value[:, 0] + value[:, 1] - whole) <= tol
-            if ok.all():
+            if np.logical_and.reduce(ok):
                 levels.append((start, value, f, width))
                 break
             levels.append((start[ok], value[ok], f[ok], width))
@@ -335,11 +345,17 @@ class _Table:
 
     @cached_property
     def _columns(self) -> tuple:
-        """lo, width, value and ends: one entry per kept half, in order."""
-        widths = [np.full(level[1].shape, level[3]) for level in self._levels]
-        value = self._column(1)
-        width = np.concatenate(widths, axis=None)[self._order]
-        return self._column(0), width, value, value.cumsum()
+        """lo, width, value, ends and node speeds, in order of start."""
+        if len(self._levels) == 1:
+            start, value, f, size = self._levels[0]
+            lo, value, f = start.ravel(), value.ravel(), f.reshape(-1, _GL_ORDER)
+            width = np.empty(lo.size)
+            width.fill(size)
+        else:
+            lo, value, f = self._column(0), self._column(1), self._column(2)
+            sizes, counts = zip(*[(level[3], level[1].size) for level in self._levels])
+            width = np.repeat(sizes, counts)[self._order]
+        return lo, width, value, value.cumsum(), f
 
     lo = property(lambda self: self._columns[0])
     width = property(lambda self: self._columns[1])
@@ -348,25 +364,31 @@ class _Table:
 
     def speeds(self) -> np.ndarray:
         """Speeds at the Gauss nodes of the kept panels, one row per panel."""
-        return self._column(2)
+        return self._columns[4]
 
 
 def _newton_in_panel(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
     """_GUESS_STEPS Newton steps from s towards a root of each row's polynomial.
 
-    Row i of coef holds ascending coefficients in s.  Each step takes one
-    power matrix of the current iterates, is clipped to [-1, 1], and
-    leaves an iterate as it is where the polynomial's slope is not
-    positive.
+    Row i of coef holds ascending coefficients in s.  Each step forms the
+    powers of all iterates with one np.multiply.accumulate into a (k, 1,
+    size) block whose first column is 1, and their values and slopes with
+    one stacked product by the (k, size, 2) array [poly | slope], built
+    once.  A slope that is not positive is replaced by +inf, so that the
+    step leaves the iterate as it is; each step is clipped to [-1, 1].
     """
-    slope_coef = coef[:, 1:] * np.arange(1, coef.shape[1])
+    k, size = coef.shape
+    both = np.zeros((k, size, 2))
+    both[:, :, 0] = coef
+    both[:, :-1, 1] = coef[:, 1:] * np.arange(1, size)
+    powers = np.empty((k, 1, size))
+    powers[:, 0, 0] = 1.0
     for _ in range(_GUESS_STEPS):
-        powers = np.vander(s, coef.shape[1], increasing=True)
-        miss = np.einsum("ij,ij->i", powers, coef)
-        slope = np.einsum("ij,ij->i", powers[:, :-1], slope_coef)
-        rising = slope > 0.0
-        step = miss * rising / np.where(rising, slope, 1.0)
-        s = np.minimum(np.maximum(s - step, -1.0), 1.0)
+        powers[:, 0, 1:] = s[:, None]
+        np.multiply.accumulate(powers, axis=2, out=powers)
+        miss, slope = (powers @ both).reshape(k, 2).T
+        slope[slope <= 0.0] = np.inf
+        s = np.minimum(np.maximum(s - miss / slope, -1.0), 1.0)
     return s
 
 
@@ -382,11 +404,15 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
     _GUESS_STEPS Newton steps on that polynomial (_newton_in_panel),
     from the linear guess, place the knot.  The interpolant may miss the
     true length by about the knot tolerance, so the true-integral check
-    stays the postcondition: safeguarded Newton inside the panel, with
-    the Gauss length from the panel start as value and the speed as
-    derivative, where a step that leaves the panel's shrinking bracket
-    is replaced by bisection.  Knots are guessed and iterated in blocks
-    of _KNOT_BLOCK, which bounds the memory of one speed evaluation
+    stays the postcondition: one speed call per pass evaluates the
+    panel's Gauss nodes scaled to [panel start, knot] and, as their 13th
+    node, the knot itself.  The first pass reads its block through
+    slices.  Only when a knot misses does the block build its brackets,
+    the knots' panels, and take safeguarded Newton steps inside them,
+    with the Gauss length from the panel start as value and the speed as
+    derivative, where a step that leaves the shrinking bracket is
+    replaced by bisection.  Knots are guessed and checked in blocks of
+    _KNOT_BLOCK, which bounds the memory of one speed evaluation
     whatever the number of knots.  Raises QuadratureFailure when some
     knot misses its tolerance after _INVERSION_MAX_ITER iterates.  A
     path of zero length has no arc to follow, so its knots sit at the
@@ -401,42 +427,43 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
         return fractions[1:-1] * table.span
     targets = fractions[1:-1] * table.total
     tol = _KNOT_TOL * table.total / (fractions.size - 1)
-    idx = np.minimum(np.searchsorted(table.ends, targets), table.ends.size - 1)
-    base = table.lo[idx]
-    value = table.value[idx]
-    want = targets - (table.ends[idx] - value)
-    frac = np.divide(want, value, out=np.full_like(want, 0.5), where=value > 0.0)
-    # the interpolant's length from the panel start, a polynomial in the
-    # centred variable s = 2*frac - 1, per panel
-    coef = (table.speeds() @ _GL_ANTIDERIVATIVE.T) * table.width[:, None]
-    lo = base.copy()
-    hi = base + table.width[idx]
+    starts, widths, values, ends, speeds = table._columns
+    idx = np.minimum(ends.searchsorted(targets), ends.size - 1)
+    base, value = starts[idx], values[idx]
+    want = targets - (ends[idx] - value)
+    # the linear guesses in the centred s = 2*frac - 1, 0 in an empty panel
+    start = np.divide(want, 0.5 * value, out=np.ones(want.size), where=value > 0.0)
+    start = np.minimum(np.maximum(start - 1.0, -1.0), 1.0)
     x = np.empty_like(base)
     for first in range(0, targets.size, _KNOT_BLOCK):
-        todo = np.arange(first, min(first + _KNOT_BLOCK, targets.size))
-        poly = coef[idx[todo]]
-        poly[:, 0] -= want[todo]
-        s = _newton_in_panel(poly, 2.0 * np.clip(frac[todo], 0.0, 1.0) - 1.0)
-        x[todo] = base[todo] + 0.5 * (s + 1.0) * (hi[todo] - base[todo])
+        block = slice(first, first + _KNOT_BLOCK)
+        rows = idx[block]
+        # the interpolant's length from the panel start, a polynomial in s
+        poly = (speeds[rows] @ _GL_ANTIDERIVATIVE.T) * widths[rows, None]
+        poly[:, 0] -= want[block]
+        s = _newton_in_panel(poly, start[block])
+        x[block] = base[block] + 0.5 * (s + 1.0) * widths[rows]
+        xb, bb, wb = x[block], base[block], want[block]
+        todo, lo = slice(None), None
         for _ in range(_INVERSION_MAX_ITER):
             # length from the panel start to x by the panel's own rule,
             # and the speed at x, in one evaluation
-            xt, bt = x[todo], base[todo]
-            nodes = bt[:, None] + (xt - bt)[:, None] * _GL_NODES
-            f = table.speed(np.concatenate([nodes.ravel(), xt]))
-            got = (f[: -todo.size].reshape(todo.size, -1) @ _GL_WEIGHTS) * (xt - bt)
-            miss = got - want[todo]
+            xt, bt = xb[todo], bb[todo]
+            nodes = bt[:, None] + (xt - bt)[:, None] * _CHECK_NODES
+            f = table.speed(nodes.ravel()).reshape(nodes.shape)
+            miss = (f[:, :-1] @ _GL_WEIGHTS) * (xt - bt) - wb[todo]
             open_ = np.abs(miss) > tol
-            todo, miss, slope = todo[open_], miss[open_], f[-xt.size:][open_]
-            if not todo.size:
+            if not np.logical_or.reduce(open_):
                 break
-            xt = x[todo]
+            if lo is None:
+                todo, lo, hi = np.arange(xb.size), bb.copy(), bb + widths[rows]
+            todo, miss, slope, xt = todo[open_], miss[open_], f[open_, -1], xt[open_]
             lo[todo] = np.where(miss < 0.0, xt, lo[todo])
             hi[todo] = np.where(miss > 0.0, xt, hi[todo])
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = xt - miss / slope
             inside = (step > lo[todo]) & (step < hi[todo])
-            x[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
+            xb[todo] = np.where(inside, step, 0.5 * (lo[todo] + hi[todo]))
         else:
             raise QuadratureFailure(
                 "arc length inversion left %d knots above tolerance %g after %d "
@@ -497,11 +524,14 @@ def equidistant_params(
     table, each resolved to 0.5e-8 times the segment length; a path of
     zero length over the span gets evenly spread parameters.  Non-finite
     parameters, or a span that overflows, raise ValueError; n must be an
-    integer (TypeError otherwise) of at least 1.
+    integer (TypeError otherwise) from 1 to _MAX_SAMPLES, the bound of a
+    profile's steps, checked before anything is allocated (ValueError).
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError("need at least one segment")
+    if n > _MAX_SAMPLES:
+        raise ValueError("need at most %d segments, got %d" % (_MAX_SAMPLES, n))
     a, b = float(t0), float(t1)
     _check_finite(("t0", a), ("t1", b), ("t1 - t0", b - a))
     params = np.full(n + 1, a)
@@ -584,7 +614,7 @@ def _angle_table(mechanism: Mechanism, tool, start, delta) -> _Table:
     """Length table of the tool point path from start over delta radians."""
     harmonic, poles = _angle_chart(mechanism)
     coef = _affine_action(harmonic, tool)
-    if not np.isfinite(coef).all():
+    if not np.logical_and.reduce(np.isfinite(coef), axis=None):
         raise ValueError("point path coefficients must be finite")
     end = start + delta
     _check_poles(poles, min(start, end), max(start, end), TWO_PI)
@@ -668,7 +698,8 @@ def _profile(mode, theta0, theta1, duration, frequency, direction, space):
     times = steps / f
     thetas = space(float(theta0), delta, steps / n)
     omegas = np.empty(n + 1)
-    omegas[:n] = np.diff(thetas) * f
+    np.subtract(thetas[1:], thetas[:-1], out=omegas[:n])
+    omegas[:n] *= f
     omegas[n] = omegas[n - 1]
     return TrajectoryProfile(
         times=times, thetas=thetas, omegas=omegas, duration=n / f, frequency=f, mode=mode
@@ -782,7 +813,8 @@ def equidistant_profile(
     """
 
     def space(start, delta, u):
-        thetas = np.full(u.size, start)
+        thetas = np.empty(u.size)
+        thetas.fill(start)
         if delta != 0.0:
             table = _angle_table(mechanism, tool, start, delta)
             offsets = _knots(table, _blend_warp(u) if blend else u)

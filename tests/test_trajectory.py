@@ -163,6 +163,23 @@ def test_equidistant_params_segment_count_is_an_integer(circle_path):
     assert seg.params == equidistant_params(circle_path, 0.0, 1.0, 3).params
 
 
+def test_equidistant_params_segment_count_is_capped(monkeypatch, circle_path):
+    # the profiles' bound on steps holds here too, checked before any
+    # array of that size exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="at most %d segments" % trajectory._MAX_SAMPLES):
+            equidistant_params(circle_path, 0.0, 1.0, trajectory._MAX_SAMPLES + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e5
+    monkeypatch.setattr(trajectory, "_MAX_SAMPLES", 10)
+    assert len(equidistant_params(circle_path, 0.0, 1.0, 10).params) == 11
+    with pytest.raises(ValueError, match="at most 10 segments, got 11"):
+        equidistant_params(circle_path, 0.0, 1.0, 11)
+
+
 def test_resolve_arc_directions():
     th0, th1 = math.pi / 3, 1.5 * math.pi
     inc = th1 - th0
@@ -698,6 +715,59 @@ def test_knots_meet_their_tolerance(request, name, args, kwargs, most_nodes):
 
 
 @pytest.mark.parametrize(
+    "steps, block",
+    [(trajectory._GUESS_STEPS, trajectory._KNOT_BLOCK), (0, 7)],
+    ids=["guessed", "linear-blocks-of-7"],
+)
+def test_knots_meet_their_tolerance_on_generated_linkages(monkeypatch, random_linkage, steps, block):
+    # seeded profiles on linkages of 2 to 4 axes, every direction, with and
+    # without a tool and a blend; each knot's length from its panel start,
+    # by a 20-point Gauss rule of numpy's own, meets the knot tolerance.
+    # Without guess steps the linear starts miss, so the safeguarded steps
+    # inside each block's brackets place the knots
+    monkeypatch.setattr(trajectory, "_GUESS_STEPS", steps)
+    monkeypatch.setattr(trajectory, "_KNOT_BLOCK", block)
+    rng = np.random.default_rng(35)
+    for joints in (2, 3, 4):
+        mech = random_linkage(rng, joints)
+        for k, direction in enumerate(trajectory.ARC_DIRECTIONS):
+            for blend in (False, True):
+                tool = rng.normal(scale=0.4, size=3) if k % 2 else np.zeros(3)
+                theta0, theta1 = rng.uniform(0.0, 2 * math.pi, size=2)
+                delta = resolve_arc(theta0, theta1, direction)
+                table = trajectory._angle_table(mech, tool, theta0, delta)
+                n = 10 * (1 + k)
+                fractions = np.arange(n + 1) / n
+                if blend:
+                    fractions = trajectory._blend_warp(fractions)
+                x = trajectory._knots(table, fractions)
+                targets = fractions[1:-1] * table.total
+                idx = np.searchsorted(table.ends, targets)
+                lo = table.lo[idx]
+                nodes, weights = np.polynomial.legendre.leggauss(20)
+                at = lo[:, None] + (x - lo)[:, None] * (0.5 * (nodes + 1.0))
+                got = (table.speed(at.ravel()).reshape(at.shape) @ weights) * 0.5 * (x - lo)
+                miss = np.abs(table.ends[idx] - table.value[idx] + got - targets)
+                assert np.all(miss <= trajectory._KNOT_TOL * table.total / n)
+
+
+def assert_well_formed(table):
+    """Check that the table reads as one ordered tiling of [0, span], with
+    ends and total summing its values; return its node speeds and those
+    of a second evaluation at each kept panel's own Gauss nodes."""
+    lo, width, span = table.lo, table.width, table.span
+    assert lo[0] == 0.0
+    assert np.all(np.abs(lo[:-1] + width[:-1] - lo[1:]) <= 4 * np.spacing(span))
+    assert abs(lo[-1] + width[-1] - span) <= 4 * np.spacing(span)
+    assert np.array_equal(table.ends, np.cumsum(table.value))
+    assert table.total == table.ends[-1]
+    rows = table.speeds()
+    assert np.allclose(table.value, (rows @ trajectory._GL_WEIGHTS) * width, rtol=1e-15, atol=0.0)
+    nodes = lo[:, None] + width[:, None] * trajectory._GL_NODES
+    return rows, table.speed(nodes.ravel()).reshape(nodes.shape)
+
+
+@pytest.mark.parametrize(
     "name, tool, pieces, tol",
     [("bennett", (0.0, 0.0, 0.0), 2, 1e-13), ("sixbar", (0.1, -0.05, 0.02), 3, 1e-12)],
     ids=["bennett", "sixbar"],
@@ -710,18 +780,73 @@ def test_refined_table_is_well_formed(request, name, tool, pieces, tol):
     delta = resolve_arc(0.331, 5.893, "long")
     speed = trajectory._angle_table(mech, tool, 0.331, delta).speed
     table = trajectory._Table(speed, abs(delta), pieces, tol)
-    lo, width, span = table.lo, table.width, table.span
-    assert lo.size > 2 * pieces
-    assert lo[0] == 0.0
-    assert np.all(np.abs(lo[:-1] + width[:-1] - lo[1:]) <= 4 * np.spacing(span))
-    assert abs(lo[-1] + width[-1] - span) <= 4 * np.spacing(span)
-    assert np.array_equal(table.ends, np.cumsum(table.value))
-    assert table.total == table.ends[-1]
-    rows = table.speeds()
-    assert np.allclose(table.value, (rows @ trajectory._GL_WEIGHTS) * width, rtol=1e-15, atol=0.0)
-    nodes = lo[:, None] + width[:, None] * trajectory._GL_NODES
-    direct = speed(nodes.ravel()).reshape(nodes.shape)
+    assert table.lo.size > 2 * pieces
+    rows, direct = assert_well_formed(table)
     assert np.allclose(rows, direct, rtol=1e-15, atol=0.0)
+
+
+def test_one_level_table_is_well_formed(request):
+    # a table that meets the default tolerance on its first level ravels
+    # that level into its columns; its halves' nodes are the template's to
+    # the bit, and so are their speeds
+    name, args, kwargs = BENNETT_SHORT
+    delta = resolve_arc(*args, kwargs["direction"])
+    table = trajectory._angle_table(request.getfixturevalue(name), (0.0, 0.0, 0.0), args[0], delta)
+    assert len(table._levels) == 1
+    rows, direct = assert_well_formed(table)
+    assert rows.shape == (2 * math.ceil(abs(delta) / trajectory._ANGLE_PANEL), 12)
+    assert np.array_equal(rows, direct)
+
+
+def length_polynomials(rng, k):
+    """Length polynomials in s of k panels with smooth positive node speeds,
+    through _GL_ANTIDERIVATIVE, and each panel's Gauss length.
+
+    The speeds vary by up to 60 % of their mean across a panel, about the
+    90th percentile of the panels the benchmark's profiles invert; at 80 %
+    the guess steps leave up to 2.3e-12 in s, which the knot check absorbs.
+    """
+    tau = trajectory._GL_NODES
+    speeds = 1.0 + rng.uniform(-0.3, 0.3, (k, 1)) * np.sin(rng.uniform(0.5, 3.0, (k, 1)) * tau)
+    width = rng.uniform(0.05, 0.4, k)
+    return (speeds @ trajectory._GL_ANTIDERIVATIVE.T) * width[:, None], (speeds @ trajectory._GL_WEIGHTS) * width
+
+
+def bisection_roots(coef):
+    """Root in [-1, 1] of each row's rising polynomial, by bisection."""
+    lo, hi = -np.ones(len(coef)), np.ones(len(coef))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        value = np.polynomial.polynomial.polyval(mid, coef.T, tensor=False)
+        lo, hi = np.where(value < 0.0, mid, lo), np.where(value < 0.0, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_newton_in_panel_lands_on_the_length_root():
+    rng = np.random.default_rng(33)
+    poly, length = length_polynomials(rng, 200)
+    frac = rng.uniform(0.0, 1.0, 200)
+    coef = poly.copy()
+    coef[:, 0] -= frac * length
+    got = trajectory._newton_in_panel(coef, 2.0 * frac - 1.0)
+    assert np.max(np.abs(got - bisection_roots(coef))) <= 1e-12
+
+
+def test_newton_in_panel_clips_keeps_and_takes_empty_input():
+    rng = np.random.default_rng(34)
+    poly, length = length_polynomials(rng, 6)
+    # targets beyond either end of the panel clip to its ends
+    coef = poly.copy()
+    coef[:, 0] -= np.repeat([-1.0, 2.0], 3) * length
+    start = np.tile([-0.5, 0.0, 0.5], 2)
+    got = trajectory._newton_in_panel(coef, start)
+    assert np.array_equal(got, np.repeat([-1.0, 1.0], 3))
+    # a row of zero speeds has no slope, so its iterate stays put
+    coef[1] = (np.zeros(12) @ trajectory._GL_ANTIDERIVATIVE.T) * 0.2
+    coef[1, 0] -= 0.01
+    assert trajectory._newton_in_panel(coef, start)[1] == start[1]
+    empty = trajectory._newton_in_panel(np.empty((0, 13)), np.empty(0))
+    assert empty.shape == (0,)
 
 
 def test_antiderivative_matrix_integrates_the_interpolant():
@@ -915,10 +1040,14 @@ def test_zero_length_paths_get_evenly_spread_knots():
     # the origin on the axis of a pure rotation about z stays put
     spin = MotionPolynomial.from_axes([[0, 0, 0, 1, 0, 0, 0, 0]])
     mech = Mechanism(motion=spin, driving_axis=[0.0, 0.0, 0.0, 1.0])
-    got = equidistant_profile(mech, 0.5, 1.5, 1.0, 4.0)
     want = linear_profile(0.5, 1.5, 1.0, 4.0)
-    assert np.max(np.abs(got.thetas - want.thetas)) <= 1e-12
-    assert np.max(np.abs(got.omegas - want.omegas)) <= 1e-12
+    # so does every tool point under a motion of degree 0, whose
+    # harmonics stop at the constant one
+    fixed = Mechanism(motion=still, driving_axis=[0.0, 0.0, 0.0, 1.0])
+    for mech, tool in ((mech, (0.0, 0.0, 0.0)), (fixed, (0.1, 0.2, 0.3))):
+        got = equidistant_profile(mech, 0.5, 1.5, 1.0, 4.0, tool=tool)
+        assert np.max(np.abs(got.thetas - want.thetas)) <= 1e-12
+        assert np.max(np.abs(got.omegas - want.omegas)) <= 1e-12
 
 
 def test_trajectory_profile_needs_equal_shapes():
