@@ -290,6 +290,7 @@ class RationalPointPath:
     is (x1/x0, x2/x0, x3/x0).  The ascending coefficients of x0..x3 and
     of their derivatives are the columns of two read-only arrays, which
     hom and speed evaluate by Horner's rule; x0, xi, x0d and xid view them.
+    Both must be finite, or the constructor raises ValueError.
     """
 
     __slots__ = ("_hom", "_dhom")
@@ -299,12 +300,14 @@ class RationalPointPath:
         xi = np.asarray(xi, dtype=float)
         if x0.ndim != 1 or xi.shape != (3, x0.shape[0]):
             raise ValueError("expected x0 of shape (n,) and xi of shape (3, n)")
-        if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(xi))):
-            raise ValueError("coefficients must be finite")
+        self._hom = np.column_stack([x0, xi.T])
+        # k * c_k may overflow where c_k does not
+        with np.errstate(over="ignore"):
+            self._dhom = _derivative_rows(self._hom)
+        if not (np.all(np.isfinite(self._hom)) and np.all(np.isfinite(self._dhom))):
+            raise ValueError("coefficients and their derivatives must be finite")
         if float(np.max(np.abs(x0))) == 0.0:
             raise ValueError("homogeneous coordinate is identically zero")
-        self._hom = np.column_stack([x0, xi.T])
-        self._dhom = _derivative_rows(self._hom)
         for a in (self._hom, self._dhom):
             a.flags.writeable = False
 

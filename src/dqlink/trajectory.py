@@ -1,14 +1,14 @@
 """Arc length, equidistant segmentation and joint velocity profiles.
 
-A tool point path is a rational curve (x1 : x2 : x3) / x0 of degree D.
-It is integrated either in its curve parameter t or, for arcs between
-joint angles, in the unwrapped driving angle phi.  The t chart
-integrates the path's own speed, RationalPointPath.speed, a Horner
-evaluation of its monomial coefficients.  The angle chart is
-(a : s) = (r*cos(phi/2) + q0*sin(phi/2) : sin(phi/2)) of the parameter
-line, on which t = a/s, with q0 and r the scalar part and the vector
-length of the driving axis quaternion, so the home configuration (phi
-a multiple of 2*pi, t at infinity) is an ordinary point of it.
+A tool point path is a rational curve (x1 : x2 : x3) / x0 of degree D,
+integrated in a chart of its parameter line, (a : s) = (r*cos(phi/2) +
+q0*sin(phi/2) : sin(phi/2)) with t = a/s, in which the home
+configuration (phi a multiple of 2*pi, t at infinity) is an ordinary
+point.  Arcs between joint angles take q0 and r, the scalar part and
+the vector length of the driving axis quaternion, so that phi is the
+unwrapped driving angle; arcs between curve parameters take (0, 1), t =
+cot(phi/2).  Only a path whose x0 vanishes at home, where the point
+runs off to infinity, is integrated in t itself (_param_table).
 
 The tool path of a degree-n motion has degree D = 2n, since x0 is the
 primal norm |C(t)|**2.  Its homogeneous coordinates are forms of
@@ -67,7 +67,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -137,7 +137,7 @@ _GL_ANTIDERIVATIVE = _antiderivative_matrix(_GL_NODES)
 # a knot check's nodes in [panel start, knot]: the Gauss nodes, then the knot
 _CHECK_NODES = np.append(_GL_NODES, 1.0)
 
-# initial panel width in the angle chart; the t chart starts from one panel
+# initial panel width in the chart angle
 _ANGLE_PANEL = math.pi / 8.0
 # absolute tolerance per panel, and the refinement levels allowed to meet it
 _PANEL_TOL = 1e-10
@@ -191,6 +191,14 @@ def _check_poles(poles: np.ndarray, lo: float, hi: float, period=None):
         )
 
 
+def _pole_angles(x0: np.ndarray, q0: float, r: float) -> np.ndarray:
+    """Chart angles of the real roots of x0, and 0 where x0 drops degree."""
+    poles = (2.0 * np.arctan2(r, _real_roots(x0) - q0)) % TWO_PI
+    if _degree(x0) < x0.size - 1:
+        poles = np.append(poles, 0.0)
+    return poles
+
+
 def _harmonics(phi: np.ndarray, order: int) -> np.ndarray:
     """cos(m*phi), sin(m*phi) as rows, interleaved, for m = 0, 1, ..., order.
 
@@ -242,19 +250,16 @@ def _harmonic_map(order: int, q0: float, r: float) -> np.ndarray:
 
 
 class _Speed:
-    """Vectorized speed of a tool point path in the angle chart.
+    """Vectorized speed |dP/dphi| of a path in the chart angle phi.
 
-    The evaluator of the trigonometric form of the module docstring.
-    coef is the chart's affine combination for one tool point: the
-    harmonic coefficients, interleaved as _harmonics orders them, of
-    X0..X3 in its first four columns and of dX/dphi in the last four;
-    the evaluator keeps its transpose, one contiguous row per
-    coordinate.  The variable is the unwrapped driving angle phi.
-    Calling the object with offsets from start along the orientation
-    sigma, +1 or -1 and applied as one exact add or subtract, returns
-    |X0 * dX - X * dX0| / X0**2 (motionpoly._speed), at the cost of one
-    complex exponential, a complex product per higher harmonic and one
-    matrix product for all nodes, each coordinate a row of them.
+    coef holds the harmonic coefficients, interleaved as _harmonics
+    orders them, of X0..X3 in its first four columns and of dX/dphi in
+    the last four; the evaluator keeps its transpose, one contiguous row
+    per coordinate.  Called with offsets from start along sigma, +1 or
+    -1 and applied as one exact add or subtract, it returns |X0 * dX -
+    X * dX0| / X0**2 (motionpoly._speed) at the cost of one complex
+    exponential, a complex product per higher harmonic and one matrix
+    product for all nodes.
     """
 
     def __init__(self, coef, start, sigma):
@@ -472,11 +477,64 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
     return x
 
 
-def _t_table(path: RationalPointPath, a: float, b: float, tol: float) -> _Table:
-    """Length table of the path from parameter a towards b != a."""
-    _check_poles(_real_roots(path.x0), min(a, b), max(a, b))
+def _table(coef, poles, start: float, delta: float, tol: float) -> _Table:
+    """Length table of the harmonic coefficients coef (_Speed) from the
+    angle start over delta radians; PoleOnPath for the pole angles."""
+    if not np.logical_and.reduce(np.isfinite(coef), axis=None):
+        raise ValueError("point path coefficients must be finite")
+    _check_poles(poles, min(start, start + delta), max(start, start + delta), TWO_PI)
+    span = abs(delta)
+    speed = _Speed(coef, start, math.copysign(1.0, delta))
+    return _Table(speed, span, max(1, math.ceil(span / _ANGLE_PANEL)), tol)
+
+
+@lru_cache(maxsize=None)
+def _cot_map(order: int) -> np.ndarray:
+    """_harmonic_map of the chart t = cot(phi/2), read-only."""
+    maps = _harmonic_map(order, 0.0, 1.0)
+    maps.flags.writeable = False
+    return maps
+
+
+def _param_table(path: RationalPointPath, a: float, b: float, tol: float) -> tuple:
+    """Length table of the path from parameter a towards b, and the map
+    from its offsets back to parameters.
+
+    A path whose x0 vanishes at home (odd degree, or x0 below full
+    degree) has a pole of its speed in phi there, so it is integrated in
+    t.  Any other path is integrated in phi, t = cot(phi/2), over phi(b)
+    - phi(a) formed as one angle, so a short arc keeps its digits.  An
+    offset x maps back by the tangent addition formula from a, u =
+    tan(-sigma*x/2): t = a - c, c = u*(1 + a*a)/(1 + a*u), rounds like
+    a + (t - a) while |c| <= |a|/2; beyond, (a - u)/(1 + a*u) does not
+    cancel.  Either keeps t within about an ulp of phi.
+    """
     sigma = math.copysign(1.0, b - a)
-    return _Table(lambda u: path.speed(a + sigma * u), abs(b - a), 1, tol)
+    x0 = path.x0
+    if x0.size % 2 == 0 or _degree(x0) < x0.size - 1:
+        _check_poles(_real_roots(x0), min(a, b), max(a, b))
+        table = _Table(lambda u: path.speed(a + sigma * u), abs(b - a), 1, tol)
+        return table, lambda x: a + sigma * x
+    coef = np.concatenate(_cot_map(x0.size // 2) @ path._hom, axis=-1)
+    ab = a * b
+    if math.isfinite(ab):
+        delta = 2.0 * math.atan2(a - b, 1.0 + ab)
+    else:
+        # both terms divided by |ab|, beside which 1 drops out
+        sign = math.copysign(1.0, ab)
+        delta = 2.0 * math.atan2(sign * (1.0 / b - 1.0 / a), sign)
+    table = _table(coef, _pole_angles(x0, 0.0, 1.0), 2.0 * math.atan2(1.0, a), delta, tol)
+
+    def to_t(x):
+        u = -sigma * np.tan(0.5 * x)
+        if abs(a) <= 1.0:
+            c, far = u * (1.0 + a * a) / (1.0 + a * u), (a - u) / (1.0 + a * u)
+        else:
+            # divided through by a, against overflow of a*a and a*u
+            c, far = u * (a + 1.0 / a) / (1.0 / a + u), (1.0 - u / a) / (1.0 / a + u)
+        return np.where(np.abs(c) <= 0.5 * abs(a), a - c, far)
+
+    return table, to_t
 
 
 def arc_length(
@@ -484,12 +542,14 @@ def arc_length(
 ) -> float:
     """Length of the path between two finite parameters.
 
-    tol is the absolute tolerance per Gauss-Legendre panel.  Raises
-    PoleOnPath when x0 has a real root inside the interval and
-    QuadratureFailure when some panel still misses tolerance after
-    _MAX_DEPTH refinement levels.  Non-finite parameters, a span that
-    overflows, or a tol that is not positive and finite raise
-    ValueError.
+    The path is integrated in the variable _param_table picks, t or
+    phi of t = cot(phi/2), with tol the absolute tolerance per
+    Gauss-Legendre panel.  Raises PoleOnPath when x0 vanishes inside the
+    interval and QuadratureFailure when a panel still misses tol after
+    _MAX_DEPTH refinement levels; in phi the pole, interval and margin
+    are angles, and the panel bounds offsets from the angle of the lower
+    t.  Non-finite parameters, a span that overflows, or a tol that is
+    not positive and finite raise ValueError.
     """
     a, b = float(t0), float(t1)
     _check_finite(("t0", a), ("t1", b), ("t1 - t0", b - a))
@@ -497,8 +557,8 @@ def arc_length(
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if a == b:
         return 0.0
-    # integrate forward from the lower end, whichever end comes first
-    return _t_table(path, min(a, b), max(a, b), tol).total
+    # integrate from the lower end, whichever end comes first
+    return _param_table(path, min(a, b), max(a, b), tol)[0].total
 
 
 @dataclass(frozen=True)
@@ -520,12 +580,13 @@ def equidistant_params(
 ) -> PathSegmentation:
     """Split [t0, t1] into n pieces of equal arc length.
 
-    Interior knots come from one inversion of the cumulative length
-    table, each resolved to 0.5e-8 times the segment length; a path of
-    zero length over the span gets evenly spread parameters.  Non-finite
-    parameters, or a span that overflows, raise ValueError; n must be an
-    integer (TypeError otherwise) from 1 to _MAX_SAMPLES, the bound of a
-    profile's steps, checked before anything is allocated (ValueError).
+    Interior knots come from one inversion of arc_length's table, each
+    resolved to 0.5e-8 times the segment length, as far as the rounding
+    of t allows, and mapped back to t; a path of zero length over the
+    span gets evenly spread parameters.  Errors are those of arc_length, with its default
+    tol; n must be an integer (TypeError otherwise) from 1 to
+    _MAX_SAMPLES, the bound of a profile's steps, checked before
+    anything is allocated (ValueError).
     """
     n = operator.index(n)
     if n < 1:
@@ -537,10 +598,13 @@ def equidistant_params(
     params = np.full(n + 1, a)
     total = 0.0
     if a != b:
-        table = _t_table(path, a, b, _PANEL_TOL)
+        table, to_t = _param_table(path, a, b, _PANEL_TOL)
         total = table.total
-        offsets = _knots(table, np.arange(n + 1) / n)
-        params[1:-1] = a + math.copysign(1.0, b - a) * offsets
+        fractions = np.arange(n + 1) / n
+        if total == 0.0:
+            params[1:-1] = a + (b - a) * fractions[1:-1]
+        else:
+            params[1:-1] = to_t(_knots(table, fractions))
     params[-1] = b
     params = tuple(float(p) for p in params)
     angles = None
@@ -588,22 +652,15 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
     action[i], the harmonic coefficients in phi of _harmonic_map and
     then those of their phi-derivatives; its affine combination for a
     tool point is the coefficient array of _Speed.  The pole angles are
-    those of the real roots of x0, the primal norm of the tool motion,
-    and phi = 0 when x0 drops degree.  Neither depends on the tool
-    point.  Built on first use and kept, read-only, in the mechanism's
-    _chart slot.
+    those of x0, the primal norm of the tool motion.  Built on first use
+    and kept, read-only, in the mechanism's _chart slot.
     """
     if mechanism._chart is None:
         action = _point_action(mechanism._tool_coeffs)
-        x0 = action[0, :, 0]
         q0, r = mechanism._axis
-        poles = (2.0 * np.arctan2(r, _real_roots(x0) - q0)) % TWO_PI
-        if _degree(x0) < x0.size - 1:
-            # x0 drops degree: its homogeneous form vanishes at home
-            poles = np.append(poles, 0.0)
         maps = _harmonic_map(mechanism._tool_coeffs.shape[0] - 1, q0, r)
         harmonic = np.concatenate(maps[:, None] @ action[..., _POINT_COLUMNS], axis=-1)
-        chart = (harmonic, poles)
+        chart = (harmonic, _pole_angles(action[0, :, 0], q0, r))
         for arr in chart:
             arr.flags.writeable = False
         object.__setattr__(mechanism, "_chart", chart)
@@ -613,15 +670,7 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
 def _angle_table(mechanism: Mechanism, tool, start, delta) -> _Table:
     """Length table of the tool point path from start over delta radians."""
     harmonic, poles = _angle_chart(mechanism)
-    coef = _affine_action(harmonic, tool)
-    if not np.logical_and.reduce(np.isfinite(coef), axis=None):
-        raise ValueError("point path coefficients must be finite")
-    end = start + delta
-    _check_poles(poles, min(start, end), max(start, end), TWO_PI)
-    span = abs(delta)
-    speed = _Speed(coef, start, math.copysign(1.0, delta))
-    pieces = max(1, math.ceil(span / _ANGLE_PANEL))
-    return _Table(speed, span, pieces, _PANEL_TOL)
+    return _table(_affine_action(harmonic, tool), poles, start, delta, _PANEL_TOL)
 
 
 def arc_length_between(

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -291,6 +292,17 @@ def test_point_action_input_checks(cubic):
         RationalPointPath(np.array([1.0, math.nan]), np.zeros((3, 2)))
     with pytest.raises(ValueError, match="identically zero"):
         RationalPointPath(np.zeros(2), np.ones((3, 2)))
+
+
+def test_rational_point_path_rejects_derivatives_that_overflow():
+    # 2 * 1e308 overflows, though every coefficient is finite; the check
+    # raises before numpy warns about the multiply
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="derivatives must be finite"):
+            RationalPointPath([1e308, 0.0, 1e308], np.full((3, 3), 1e308))
+        path = RationalPointPath([1e308, 0.0, 0.5e308], np.full((3, 3), 0.5e308))
+    assert np.all(np.isfinite(path.x0d)) and np.all(np.isfinite(path.xid))
 
 
 def test_rational_point_path_shape_checks():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import pathlib
@@ -90,10 +91,15 @@ def test_pole_check_is_unchanged_when_poles_are_kept():
     assert math.isfinite(arc_length_between(border, 0.5, 1.0, tool=(0.1, 0, 0)))
 
 
-def test_arc_length_quadrature_failure(monkeypatch, circle_path):
+def test_arc_length_quadrature_failure(monkeypatch):
+    # the circle has constant speed in the chart angle, where Gauss is
+    # exact; the path of t + eps*k bends towards its pole at t = 0
+    border = MotionPolynomial(
+        np.array([[0, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0, 0]], dtype=float)
+    )
     monkeypatch.setattr(trajectory, "_MAX_DEPTH", 2)
     with pytest.raises(QuadratureFailure) as err:
-        arc_length(circle_path, -3.0, 3.0, tol=1e-16)
+        arc_length(border.point_path([0.0, 0.0, 0.0]), 0.1, 1.0, tol=1e-16)
     # plain floats, not numpy scalar reprs such as np.float64(0.5)
     assert re.search(r"panel \[-?[0-9.e+-]+, -?[0-9.e+-]+\] still above", str(err.value))
     assert "float64" not in str(err.value)
@@ -928,6 +934,109 @@ def test_trig_speed_matches_homogeneous_evaluation(random_linkage):
     turn = DualQuaternion(rng.normal(size=4).tolist() + [0.0] * 4)
     tool_home = turn * DualQuaternion.from_translation(rng.normal(size=3))
     check_chart_speeds(dataclasses.replace(mech, tool_home=tool_home), rng)
+
+
+# 30-digit mpmath lengths of t-arcs of both fixtures, written by
+# tools/reference_t_arcs.py
+T_ARC_REFERENCES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "t_arc_references.json").read_text(encoding="utf-8")
+)["arcs"]
+
+
+@pytest.mark.parametrize(
+    "arc",
+    T_ARC_REFERENCES,
+    ids=[
+        "%s-%s-%g-%g" % (a["fixture"], "tool" if any(a["tool"]) else "origin", a["t0"], a["t1"])
+        for a in T_ARC_REFERENCES
+    ],
+)
+def test_arc_length_meets_the_committed_references(request, arc):
+    path = request.getfixturevalue(arc["fixture"]).motion.point_path(arc["tool"])
+    want = float(arc["length"])
+    assert abs(arc_length(path, arc["t0"], arc["t1"]) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("name", ["sixbar", "bennett"])
+@pytest.mark.parametrize("tool", [(0.0, 0.0, 0.0), (0.05, -0.1, 0.07)], ids=["origin", "tool"])
+def test_equidistant_params_over_a_wide_interval(request, name, tool):
+    # t in [-1e7, 1e7] covers all but 4e-7 rad of the turn; each knot's
+    # cumulative length, by numpy's own 20-point Gauss rule on eight
+    # pieces of every segment in the angle of t = cot(phi/2), meets the
+    # knot tolerance
+    path = request.getfixturevalue(name).motion.point_path(tool)
+    n = 40
+    seg = equidistant_params(path, -1e7, 1e7, n)
+    params = np.array(seg.params)
+    assert params.size == n + 1 and params[0] == -1e7 and params[-1] == 1e7
+    assert np.all(np.diff(params) > 0.0)
+    coords = np.column_stack([path.x0, path.xi.T])
+    phi = 2.0 * np.arctan2(1.0, params)
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    pieces = np.linspace(phi[:-1], phi[1:], 9)
+    lo, width = pieces[:-1].ravel(), np.diff(pieces, axis=0).ravel()
+    at = lo[:, None] + width[:, None] * (0.5 * (nodes + 1.0))
+    speeds = np.array([reference_speed(coords, x, (0.0, 1.0)) for x in at.ravel()])
+    lengths = np.abs((speeds.reshape(at.shape) @ weights) * 0.5 * width).reshape(8, n).sum(axis=0)
+    total = lengths.sum()
+    assert math.isclose(seg.total_length, total, rel_tol=1e-12)
+    miss = np.cumsum(lengths)[:-1] - np.arange(1, n) * (total / n)
+    assert np.max(np.abs(miss)) <= trajectory._KNOT_TOL * total / n
+
+
+def test_paths_that_run_off_at_home_keep_their_length():
+    # a line, and a tool point of the translation 1 + t*eps*k, run off to
+    # infinity at home, where the speed in the angle of t = cot(phi/2) has
+    # a pole; in t both move at constant speed, 1 and 2
+    line = RationalPointPath([1.0, 0.0], [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    slide = MotionPolynomial([[1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1]])
+    for path, speed in ((line, 1.0), (slide.point_path([0.3, 0.0, 0.0]), 2.0)):
+        for t0, t1 in ((0.0, 1e4), (-1e12, 0.5), (1e11, 3e11)):
+            assert math.isclose(arc_length(path, t0, t1), speed * (t1 - t0), rel_tol=1e-14)
+        seg = equidistant_params(path, 0.0, 1e4, 8)
+        assert np.max(np.abs(np.array(seg.params) - np.linspace(0.0, 1e4, 9))) <= 1e-8 * 1e4 / 8
+
+
+@pytest.mark.parametrize("name", ["sixbar", "bennett"])
+@pytest.mark.parametrize("t0", [0.0, -1.0])
+def test_short_arcs_keep_their_digits(request, name, t0):
+    # 1e-6 in t is about 1e-6 rad in phi, which itself rounds to 4.4e-16
+    # near pi; the span and the knots are formed relative to t0, so the
+    # length and the knots hold against numpy's 20-point Gauss rule in t
+    path = request.getfixturevalue(name).motion.point_path((0.05, -0.1, 0.07))
+    coords = np.column_stack([path.x0, path.xi.T])
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+
+    def length(lo, hi):
+        at = lo + (hi - lo) * 0.5 * (nodes + 1.0)
+        return 0.5 * (hi - lo) * (np.array([reference_speed(coords, x) for x in at]) @ weights)
+
+    t1, n = t0 + 1e-6, 40
+    total = length(t0, t1)
+    assert math.isclose(arc_length(path, t0, t1), total, rel_tol=1e-13)
+    seg = equidistant_params(path, t0, t1, n)
+    assert seg.params[0] == t0 and seg.params[-1] == t1
+    pieces = [length(p, q) for p, q in zip(seg.params[:-1], seg.params[1:])]
+    miss = np.cumsum(pieces)[:-1] - np.arange(1, n) * (total / n)
+    assert np.max(np.abs(miss)) <= trajectory._KNOT_TOL * total / n
+
+
+def test_arcs_at_huge_parameters(sixbar):
+    # where t0*t1 overflows, the angle span comes from 1/t0 and 1/t1; near
+    # home the path moves at a steady speed in phi, so an arc there scales
+    # with 1/t0 - 1/t1
+    path = sixbar.motion.point_path((0.05, -0.1, 0.07))
+    near = arc_length(path, 1e14, 1e15) * 1e14
+    for t0, t1 in ((1e300, 1e301), (-1e301, -1e300)):
+        assert math.isclose(arc_length(path, t0, t1) * 1e300, near, rel_tol=1e-9)
+    wide = arc_length(path, -1e7, 1e7)
+    assert wide < arc_length(path, -1e200, 1e200) < wide * (1.0 + 1e-7)
+
+
+def test_cot_chart_map_is_built_once_per_order():
+    first = trajectory._cot_map(3)
+    assert trajectory._cot_map(3) is first and not first.flags.writeable
+    assert np.array_equal(first, trajectory._harmonic_map(3, 0.0, 1.0))
 
 
 def test_pole_at_home_when_x0_drops_degree():
