@@ -134,52 +134,19 @@ class DualQuaternion:
     def __repr__(self):
         return "DualQuaternion(%r)" % (self._c.tolist(),)
 
-    def __add__(self, other):
-        if not isinstance(other, DualQuaternion):
-            return NotImplemented
-        return DualQuaternion(self._c + other._c)
-
     def __sub__(self, other):
         if not isinstance(other, DualQuaternion):
             return NotImplemented
         return DualQuaternion(self._c - other._c)
 
-    def __neg__(self):
-        return DualQuaternion(-self._c)
-
     def __mul__(self, other):
-        if isinstance(other, DualQuaternion):
-            return DualQuaternion(_kernels.dq_mul8(self._c, other._c))
-        if isinstance(other, (int, float)):
-            return DualQuaternion(self._c * float(other))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return DualQuaternion(self._c * float(other))
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return DualQuaternion(self._c / float(other))
-        return NotImplemented
+        if not isinstance(other, DualQuaternion):
+            return NotImplemented
+        return DualQuaternion(_kernels.dq_mul8(self._c, other._c))
 
     def conjugate(self) -> "DualQuaternion":
         """Quaternion conjugation, negating both vector parts."""
         return DualQuaternion(self._c * _CONJ_SIGNS)
-
-    def eps_conjugate(self) -> "DualQuaternion":
-        """Dual conjugation eps -> -eps."""
-        return DualQuaternion(self._c * _EPS_SIGNS)
-
-    def norm_pair(self) -> tuple:
-        """Primal and dual part of h * conj(h).
-
-        The vector parts of that product vanish identically, so the norm
-        is fully described by the pair (primal, dual), the first two
-        entries of _norm_parts.  For a Study quaternion the dual is zero.
-        """
-        return _norm_parts(self._c)[:2]
 
     def _norm_and_scale(self) -> tuple:
         """_norm_parts of the binary normalized coefficients, shared with the
@@ -213,21 +180,6 @@ class DualQuaternion:
         if abs(c[0]) > tol * s or abs(c[4]) > tol * s:
             return False
         return abs(float(np.dot(d, m))) <= tol * s * s
-
-    def point(self):
-        """Coordinates of an embedded point s + eps*(s*x1*i + ...).
-
-        Accepts any scalar multiple of the standard embedding.  Raises
-        ValueError when the element is not a point within CANONICAL_TOL.
-        """
-        c = self._c
-        s = c[0]
-        scale = float(np.max(np.abs(c)))
-        if scale == 0.0 or abs(s) <= CANONICAL_TOL * scale:
-            raise ValueError("element is not an embedded point: zero scalar part")
-        if float(np.max(np.abs(c[1:5]))) > CANONICAL_TOL * scale:
-            raise ValueError("element is not an embedded point: nonscalar part")
-        return c[5:8] / s
 
     def act_on_point(self, x):
         """Apply the displacement to a point.

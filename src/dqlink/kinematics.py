@@ -392,7 +392,10 @@ def _global_start(form: tuple, p8: np.ndarray):
         companion = _subdiagonal(top).copy()
         companion[0] = -desc[1:] / desc[0]
         ts = np.linalg.eigvals(companion).real
-        values = np.divide(*_candidate_values(num, s, ts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.divide(*_candidate_values(num, s, ts))
+        # a candidate whose N/S is not finite is never picked
+        values[~np.isfinite(values)] = np.inf
         k = int(values.argmin())
         if values[k] <= num[-1] / s[-1]:
             best = float(ts[k])

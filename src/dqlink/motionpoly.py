@@ -134,8 +134,8 @@ class MotionPolynomial:
 
     Every instance is a motion: construction checks the leading
     coefficient and the norm polynomial.  A motion is a plain value:
-    nothing is set after construction, and the point action and the
-    poles of its point paths are computed on each call.
+    nothing is set after construction, and the point action is computed
+    on each call.
     """
 
     __slots__ = ("_coeffs", "_study_tol")
@@ -194,9 +194,6 @@ class MotionPolynomial:
             self._study_tol,
         )
 
-    def coefficient(self, k: int) -> DualQuaternion:
-        return DualQuaternion(self._coeffs[k])
-
     def norm_poly(self) -> np.ndarray:
         """Coefficients of C * conj(C), shape (2*degree + 1, 8)."""
         return _polymul(self._coeffs, _conj_rows(self._coeffs))
@@ -218,14 +215,19 @@ class MotionPolynomial:
     def evaluate(self, t) -> DualQuaternion:
         """Value at a parameter, with INFINITY giving the leading coefficient.
 
-        Raises OnBorderOfDomain when the primal part of the value
-        vanishes relative to its magnitude (dq._primal_vanishes), since
-        no displacement is defined there.
+        Where the value at t overflows, the reversed coefficients at 1/t
+        give the same projective pose, t**-degree * C(t).  Raises
+        OnBorderOfDomain when the primal part of the value vanishes
+        relative to its magnitude (dq._primal_vanishes), since no
+        displacement is defined there.
         """
         if t is INFINITY:
             value = self._coeffs[-1].copy()
         else:
-            value = _kernels.poly_eval8(self._coeffs, float(t))
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = _kernels.poly_eval8(self._coeffs, float(t))
+            if not np.logical_and.reduce(np.isfinite(value)):
+                value = _kernels.poly_eval8(self._coeffs[::-1], 1.0 / float(t))
         c = _binary_normalized(value)
         if _primal_vanishes(float(np.dot(c[:4], c[:4])), float(np.dot(c, c))):
             raise OnBorderOfDomain(
@@ -233,31 +235,15 @@ class MotionPolynomial:
             )
         return DualQuaternion(value)
 
-    def act_poly(self, x) -> np.ndarray:
-        """Coefficients of eps_conj(C) * (1 + eps x) * conj(C).
-
-        The action is affine in x: B0 + x1*B1 + x2*B2 + x3*B3, with B0 the
-        image of the origin and Bj that of eps times the j-th unit vector.
-        """
-        return _affine_action(_point_action(self._coeffs), x)
-
-    def path_poles(self) -> np.ndarray:
-        """Real roots of x0, shared by every point path.
-
-        x0 is the primal norm of C(t), so it does not depend on the point;
-        the roots come from one eigenvalue solve.
-        """
-        return _real_roots(_point_action(self._coeffs)[0, :, 0])
-
     def point_path(self, x) -> "RationalPointPath":
         """Rational path traced by a point under the motion.
 
         Returns homogeneous coordinates (x0 : x1 : x2 : x3) as real
-        polynomials of degree at most 2*degree, read off the affine point
-        action of act_poly.  Columns 1-4 of the action vanish for every
-        coefficient array, so they are not read.
+        polynomials of degree at most 2*degree, read off eps_conj(C) * (1 +
+        eps x) * conj(C), which is affine in x.  Columns 1-4 of it vanish
+        for every coefficient array, so they are not read.
         """
-        p = self.act_poly(x)
+        p = _affine_action(_point_action(self._coeffs), x)
         return RationalPointPath(p[:, 0], p[:, 5:8].T)
 
 

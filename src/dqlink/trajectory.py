@@ -296,19 +296,18 @@ class _Table:
 
     Panels are refined level by level until each one agrees with the
     sum of its halves to tol; the halves are kept, and so are the speeds
-    at their Gauss nodes, which speeds() returns for the first guesses of
-    _knots.  The first level evaluates its pieces <= 16 equal panels of
-    [0, span] with their halves in one speed call, at the nodes size *
-    _LEVEL0_G from the starts size * _LEVEL0; later levels evaluate only
-    the halves of the open panels, whose values the level before holds.
-    The halves of one level share one width, kept as one float.  Halving
-    is exact, so a half's nodes and value are those of the Gauss rule on
-    its own start and width.  Raises QuadratureFailure when a panel still
-    misses tol after _MAX_DEPTH levels.  Only total, the sum of the kept
-    halves in order of start, is built up front; the columns lo, width,
-    value, ends and node speeds, one entry per kept half in that order, on
-    first read.  A one-level table ravels its only level into them, with
-    no concatenation and no index.
+    at their Gauss nodes, for the first guesses of _knots.  The first
+    level evaluates its pieces <= 16 equal panels of [0, span] with their
+    halves in one speed call, at the nodes size * _LEVEL0_G from the
+    starts size * _LEVEL0; later levels evaluate only the halves of the
+    open panels, whose values the level before holds.  The halves of one
+    level share one width, kept as one float.  Halving is exact, so a
+    half's nodes and value are those of the Gauss rule on its own start
+    and width.  Raises QuadratureFailure when a panel still misses tol
+    after _MAX_DEPTH levels.  Only total, the sum of the kept halves in
+    order of start, is built up front; the columns of _columns, one entry
+    per kept half in that order, on first read.  A one-level table ravels
+    its only level into them, with no concatenation and no index.
     """
 
     def __init__(self, speed, span: float, pieces: int, tol: float):
@@ -361,15 +360,6 @@ class _Table:
             sizes, counts = zip(*[(level[3], level[1].size) for level in self._levels])
             width = np.repeat(sizes, counts)[self._order]
         return lo, width, value, value.cumsum(), f
-
-    lo = property(lambda self: self._columns[0])
-    width = property(lambda self: self._columns[1])
-    value = property(lambda self: self._columns[2])
-    ends = property(lambda self: self._columns[3])
-
-    def speeds(self) -> np.ndarray:
-        """Speeds at the Gauss nodes of the kept panels, one row per panel."""
-        return self._columns[4]
 
 
 def _newton_in_panel(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -507,7 +497,9 @@ def _param_table(path: RationalPointPath, a: float, b: float, tol: float) -> tup
     offset x maps back by the tangent addition formula from a, u =
     tan(-sigma*x/2): t = a - c, c = u*(1 + a*a)/(1 + a*u), rounds like
     a + (t - a) while |c| <= |a|/2; beyond, (a - u)/(1 + a*u) does not
-    cancel.  Either keeps t within about an ulp of phi.
+    cancel.  Either keeps t within about an ulp of phi.  For |a| > 1, |c|
+    > |a|/2 wherever |u| > 1, so c takes u clipped to [-1, 1], against
+    overflow of u*a in a branch that np.where discards.
     """
     sigma = math.copysign(1.0, b - a)
     x0 = path.x0
@@ -531,7 +523,8 @@ def _param_table(path: RationalPointPath, a: float, b: float, tol: float) -> tup
             c, far = u * (1.0 + a * a) / (1.0 + a * u), (a - u) / (1.0 + a * u)
         else:
             # divided through by a, against overflow of a*a and a*u
-            c, far = u * (a + 1.0 / a) / (1.0 / a + u), (1.0 - u / a) / (1.0 / a + u)
+            v = np.clip(u, -1.0, 1.0)
+            c, far = v * (a + 1.0 / a) / (1.0 / a + v), (1.0 - u / a) / (1.0 / a + u)
         return np.where(np.abs(c) <= 0.5 * abs(a), a - c, far)
 
     return table, to_t
@@ -625,11 +618,12 @@ def resolve_arc(theta0: float, theta1: float, direction: str = "short") -> float
     increasing/decreasing force the sign; short/long pick the smaller or
     larger angular span, breaking the half-turn tie towards increasing
     for short and decreasing for long.  Coincident angles travel zero.
+    Non-finite angles, or a span that overflows, raise ValueError.
     """
     if direction not in ARC_DIRECTIONS:
         raise ValueError("direction must be one of %s" % (ARC_DIRECTIONS,))
     a, b = float(theta0), float(theta1)
-    _check_finite(("theta0", a), ("theta1", b))
+    _check_finite(("theta0", a), ("theta1", b), ("theta1 - theta0", b - a))
     inc = (b - a) % TWO_PI
     if inc == 0.0:
         return 0.0

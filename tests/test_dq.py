@@ -25,6 +25,10 @@ def random_dq(rng):
     return DualQuaternion(rng.normal(size=8))
 
 
+def scaled(k, h):
+    return DualQuaternion(k * h.coeffs)
+
+
 def random_displacement(rng):
     # rotation times translation satisfies the Study condition exactly
     q = rng.normal(size=4)
@@ -79,7 +83,7 @@ def test_quaternion_unit_products():
     assert np.array_equal((I * J).coeffs, K.coeffs)
     assert np.array_equal((J * K).coeffs, I.coeffs)
     assert np.array_equal((K * I).coeffs, J.coeffs)
-    assert np.array_equal((J * I).coeffs, (-K).coeffs)
+    assert np.array_equal((J * I).coeffs, -K.coeffs)
     assert np.array_equal((I * I).coeffs, [-1, 0, 0, 0, 0, 0, 0, 0])
     # the dual unit squares to zero and commutes
     assert np.array_equal((EPS * EPS).coeffs, np.zeros(8))
@@ -102,16 +106,14 @@ def test_multiplication_is_associative(rng):
 
 
 def test_scalar_and_linear_operators():
+    # the product and the difference are the only operators; scalars
+    # scale the coefficients, DualQuaternion(k * h.coeffs)
     h = DualQuaternion(np.arange(8.0))
-    assert np.array_equal((2 * h).coeffs, (h * 2).coeffs)
-    assert np.array_equal((h / 2).coeffs, np.arange(8.0) / 2)
-    assert np.array_equal((h + h).coeffs, 2 * np.arange(8.0))
     assert np.array_equal((h - h).coeffs, np.zeros(8))
-    assert np.array_equal((-h).coeffs, -np.arange(8.0))
-    with pytest.raises(TypeError):
-        h * "nope"
-    with pytest.raises(TypeError):
-        h + 1.0
+    ops = (lambda: h * "nope", lambda: h * 2, lambda: 2 * h, lambda: h + h, lambda: -h)
+    for op in ops:
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_conjugation_is_anti_homomorphism(rng):
@@ -120,40 +122,30 @@ def test_conjugation_is_anti_homomorphism(rng):
         lhs = (a * b).conjugate().coeffs
         rhs = (b.conjugate() * a.conjugate()).coeffs
         assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_eps_conjugation_distributes(rng):
-    for _ in range(30):
-        a, b = random_dq(rng), random_dq(rng)
-        lhs = (a * b).eps_conjugate().coeffs
-        rhs = (a.eps_conjugate() * b.eps_conjugate()).coeffs
-        assert np.allclose(lhs, rhs, atol=1e-12)
     h = random_dq(rng)
     assert np.array_equal(h.conjugate().conjugate().coeffs, h.coeffs)
-    assert np.array_equal(h.eps_conjugate().eps_conjugate().coeffs, h.coeffs)
 
 
-def test_norm_pair_known_values():
-    one_plus_eps = DualQuaternion([1, 0, 0, 0, 1, 0, 0, 0])
-    assert one_plus_eps.norm_pair() == (1.0, 2.0)
-    axis = DualQuaternion([0, 0, 3, 0, 0, 0, 0, 1])
-    assert axis.norm_pair() == (9.0, 0.0)
-    assert DualQuaternion.identity().norm_pair() == (1.0, 0.0)
+def test_norm_parts_known_values():
+    # primal and dual part of h * conj(h)
+    assert _norm_parts(np.array([1.0, 0, 0, 0, 1, 0, 0, 0]))[:2] == (1.0, 2.0)
+    assert _norm_parts(np.array([0.0, 0, 3, 0, 0, 0, 0, 1]))[:2] == (9.0, 0.0)
+    assert _norm_parts(DualQuaternion.identity().coeffs)[:2] == (1.0, 0.0)
 
 
-def test_norm_pair_vector_parts_vanish(rng):
+def test_norm_vector_parts_vanish(rng):
     for _ in range(30):
         h = random_dq(rng)
         n = (h * h.conjugate()).coeffs
         assert np.allclose(n[[1, 2, 3, 5, 6, 7]], 0.0, atol=1e-12)
 
 
-def test_norm_pair_is_multiplicative(rng):
+def test_norm_parts_are_multiplicative(rng):
     for _ in range(30):
         a, b = random_dq(rng), random_dq(rng)
-        pa, da = a.norm_pair()
-        pb, db = b.norm_pair()
-        pab, dab = (a * b).norm_pair()
+        pa, da, _ = _norm_parts(a.coeffs)
+        pb, db, _ = _norm_parts(b.coeffs)
+        pab, dab, _ = _norm_parts((a * b).coeffs)
         assert math.isclose(pab, pa * pb, rel_tol=1e-10, abs_tol=1e-10)
         assert math.isclose(dab, pa * db + da * pb, rel_tol=1e-10, abs_tol=1e-10)
 
@@ -169,7 +161,7 @@ def test_study_condition(rng):
     for _ in range(20):
         h = random_displacement(rng)
         assert h.study_defect() <= 1e-12
-        assert (3.7 * h).is_study()
+        assert scaled(3.7, h).is_study()
 
 
 def test_study_condition_at_extreme_scales(rng):
@@ -178,21 +170,20 @@ def test_study_condition_at_extreme_scales(rng):
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         for scale in (1e160, 1e-10, 1e-160):
+            sh, sbent = scaled(scale, h), scaled(scale, bent)
             assert np.allclose(
-                (scale * h).canonical().coeffs, h.canonical().coeffs, rtol=1e-14, atol=0.0
+                sh.canonical().coeffs, h.canonical().coeffs, rtol=1e-14, atol=0.0
             )
             assert np.allclose(
-                (scale * h).act_on_point([0.1, 0.2, 0.3]),
+                sh.act_on_point([0.1, 0.2, 0.3]),
                 h.act_on_point([0.1, 0.2, 0.3]),
                 rtol=1e-14,
                 atol=1e-15,
             )
-            assert (scale * h).is_study()
-            assert (scale * h).study_defect() <= 1e-12
-            assert not (scale * bent).is_study()
-            assert math.isclose(
-                (scale * bent).study_defect(), bent.study_defect(), rel_tol=1e-12
-            )
+            assert sh.is_study()
+            assert sh.study_defect() <= 1e-12
+            assert not sbent.is_study()
+            assert math.isclose(sbent.study_defect(), bent.study_defect(), rel_tol=1e-12)
 
 
 def _product_norm(c):
@@ -202,7 +193,7 @@ def _product_norm(c):
 
 def test_norm_parts_match_the_product(rng):
     # _norm_parts of binary normalized coefficients, which the Study gate
-    # reads, over binary scales 2**-600 ... 2**600; norm_pair of the
+    # reads, over binary scales 2**-600 ... 2**600; _norm_parts of the
     # element itself wherever |c|**2 is a normal float
     for exponent in rng.integers(-600, 601, size=1000):
         c = np.ldexp(rng.normal(size=8), int(exponent))
@@ -215,7 +206,7 @@ def test_norm_parts_match_the_product(rng):
         with np.errstate(all="ignore"):
             size = float(np.dot(c, c))
         if np.finfo(float).tiny <= size < np.inf:
-            got, want = DualQuaternion(c).norm_pair(), _product_norm(c)
+            got, want = _norm_parts(c), _product_norm(c)
             tol = 4.0 * np.spacing(size)
             assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol
 
@@ -232,7 +223,7 @@ def test_study_verdicts_at_extreme_scales_match_the_product(rng):
     h = random_displacement(rng)
     bent = DualQuaternion(h.coeffs + [0, 0, 0, 0, 1e-3, 0, 0, 0])
     for scale in (1.0, 1e160, 1e-10, 1e-160):
-        for c in ((scale * h).coeffs, (scale * bent).coeffs):
+        for c in (scale * h.coeffs, scale * bent.coeffs):
             b = _binary_normalized(c)
             for tol in (1e-12, 1e-9, 1e-3):
                 assert _is_study(b, tol) == product_is_study(c, tol)
@@ -241,12 +232,9 @@ def test_study_verdicts_at_extreme_scales_match_the_product(rng):
 def test_point_embedding_roundtrip():
     p = DualQuaternion.from_point([1.5, -2.0, 0.25])
     assert np.array_equal(p.coeffs, [1, 0, 0, 0, 0, 1.5, -2.0, 0.25])
-    assert np.allclose(p.point(), [1.5, -2.0, 0.25])
-    assert np.allclose((-2.0 * p).point(), [1.5, -2.0, 0.25])
-    with pytest.raises(ValueError):
-        DualQuaternion([0, 0, 0, 0, 0, 1, 2, 3]).point()
-    with pytest.raises(ValueError):
-        DualQuaternion([1, 0.5, 0, 0, 0, 1, 2, 3]).point()
+    # any scalar multiple of the embedding reads back the same point
+    for q in (p, scaled(-2.0, p)):
+        assert np.allclose(q.coeffs[5:8] / q.coeffs[0], [1.5, -2.0, 0.25])
 
 
 def test_from_translation_moves_points(rng):
@@ -274,7 +262,7 @@ def test_act_on_point_accepts_embedded_form():
     h = DualQuaternion.from_translation([1, 2, 3])
     y = h.act_on_point(DualQuaternion.from_point([0, 0, 0]))
     assert isinstance(y, DualQuaternion)
-    assert np.allclose(y.point(), [1, 2, 3])
+    assert np.allclose(y.coeffs[5:8] / y.coeffs[0], [1, 2, 3])
 
 
 def test_act_on_point_is_scale_invariant_and_isometric(rng):
@@ -284,7 +272,7 @@ def test_act_on_point_is_scale_invariant_and_isometric(rng):
         hx, hy = h.act_on_point(x), h.act_on_point(y)
         d0 = np.linalg.norm(x - y)
         assert abs(np.linalg.norm(hx - hy) - d0) <= 1e-9 * (1 + d0)
-        assert np.allclose((-0.37 * h).act_on_point(x), hx, atol=1e-9)
+        assert np.allclose(scaled(-0.37, h).act_on_point(x), hx, atol=1e-9)
 
 
 def test_act_on_point_rejects_degenerate():
@@ -299,7 +287,7 @@ def test_canonical_scales_leading_coordinate():
     assert c.coeffs[0] == 1.0
     assert np.allclose(c.coeffs, p.coeffs / -1.732)
     # projective representatives normalize identically
-    assert np.allclose((5.0 * p).canonical().coeffs, c.coeffs, atol=1e-15)
+    assert np.allclose(scaled(5.0, p).canonical().coeffs, c.coeffs, atol=1e-15)
 
 
 def test_canonical_unit_branch():

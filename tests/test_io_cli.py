@@ -436,6 +436,59 @@ def test_cli_traj_sample_cap_exits_4(capsys):
     assert "duration*frequency" in capsys.readouterr().err
 
 
+# command lines with their exit code and a check of the stdout lines; the
+# first four also run in the console-script step of CI, through the
+# installed entry point
+CRIT08_POSE = "1 0.233 -0.043 0.078 -0.008 0.030 0.030 0.035".split()
+CLI_CASES = {
+    # criterion 08's rounded Bennett pose meets --success-tol 1e-4 only
+    "crit08-loose": (
+        ["ik", BENNETT, "--pose", *CRIT08_POSE, "--success-tol", "1e-4"], 0,
+        lambda out: {"theta=5.893000", "branch=direct"} <= set(out),
+    ),
+    "crit08-default": (["ik", BENNETT, "--pose", *CRIT08_POSE], 5, lambda out: out == []),
+    # duration*freq = 10.4 rounds to 10 steps: a header and 11 rows
+    "quintic-10.4": (
+        ["traj", SIXBAR, "--theta0", "0", "--theta1", "1", "--duration", "1",
+         "--freq", "10.4", "--mode", "quintic"], 0,
+        lambda out: out[0] == "index,time,theta,omega" and len(out) == 12
+        and float(out[-1].split(",")[2]) == 1.0,
+    ),
+    # a sixbar arc near phi = pi whose length table refines twice
+    "refining-arc": (
+        ["arclen", SIXBAR, "--theta0", "2.9", "--theta1", "3.4", "--tool", "0.15", "0.15", "-0.1"],
+        0, lambda out: len(out) == 1 and abs(float(out[0]) - 0.13055403039748303) <= 1e-9,
+    ),
+    # theta1 - theta0 overflows, where NaN rows once printed with exit 0
+    "overflowing-span": (
+        ["traj", SIXBAR, "--theta0", "1e308", "--theta1", "-1e308", "--duration", "1",
+         "--freq", "2", "--mode", "linear"], 4, lambda out: out == [],
+    ),
+    # t = r/tan(theta/2) overflows the Horner sum; the pose is the home one
+    "dk-near-home": (
+        ["dk", SIXBAR, "--theta", "1e-160"], 0,
+        lambda out: np.allclose(np.array(out[0].split(), float), np.eye(8)[0], atol=1e-150),
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, check", CLI_CASES.values(), ids=CLI_CASES.keys())
+def test_cli_cases(capsys, argv, code, check):
+    assert main(argv) == code
+    assert check(capsys.readouterr().out.splitlines())
+
+
+def test_cli_round_trip_with_a_scaled_tool(tmp_path, capsys, sixbar):
+    # a tool frame scaled by 1e-10: dk and ik see only the projective pose
+    tool = DualQuaternion(1e-10 * np.array([1, 0, 0, 0, 0, 0, 0.085, 0]))
+    path = str(tmp_path / "tooled.mech")
+    save_mechanism(Mechanism(sixbar.motion, sixbar.driving_axis, tool), path)
+    assert main(["dk", path, "--theta", "2.3"]) == 0
+    pose = capsys.readouterr().out.split()
+    assert main(["ik", path, "--pose", *pose]) == 0
+    assert "theta=2.300000" in capsys.readouterr().out.splitlines()
+
+
 def test_save_load_roundtrip_random_linkages(tmp_path, random_linkage):
     # generated chains of 2-4 axes, each with a random tool displacement
     rng = np.random.default_rng(4242)

@@ -193,6 +193,53 @@ def test_inverse_kinematics_home_pose_uses_reciprocal(sixbar):
     assert r.residual <= 1e-10
 
 
+@pytest.mark.parametrize("fixture", ["sixbar", "bennett"])
+def test_direct_kinematics_near_home(fixture, request):
+    # t = r/tan(theta/2) overflows the Horner sum from about 1e-104 rad
+    # (sixbar) and 1e-156 rad (Bennett), and is inf at 1e-320; the pose,
+    # then evaluated in 1/t, tends to the home pose, where IK finds it
+    mech = request.getfixturevalue(fixture)
+    home = direct_kinematics(mech, 0.0).canonical().coeffs
+    for theta in (1e-104, 1e-200, 1e-320):
+        pose = direct_kinematics(mech, theta)
+        assert np.max(np.abs(pose.canonical().coeffs - home)) <= 10.0 * theta
+        r = inverse_kinematics(mech, pose)
+        assert r.theta == 0.0 and r.branch == "reciprocal"
+
+
+@pytest.mark.parametrize(
+    "fixture, residual",
+    [("sixbar", 5.25e-160), ("bennett", 4.7508407808249915e-161)],
+    ids=["sixbar", "bennett"],
+)
+def test_inverse_kinematics_start_near_home(fixture, residual, request):
+    # within about 1e-52 rad (sixbar) or 1e-78 rad (Bennett) of home, N and
+    # S overflow at the largest start candidates; no warning escapes, and
+    # INFINITY stands for those candidates
+    mech = request.getfixturevalue(fixture)
+    r = inverse_kinematics(mech, direct_kinematics(mech, 1e-80))
+    assert (r.theta, r.branch, r.iterations) == (0.0, "reciprocal", 0)
+    assert math.isclose(r.residual, residual, rel_tol=1e-9)
+
+
+def test_start_never_picks_a_candidate_whose_ratio_is_not_finite(sixbar, monkeypatch):
+    # with N poisoned at every candidate but the best, the start is still
+    # the best one, not whichever candidate argmin would find first
+    p8 = _binary_normalized(direct_kinematics(sixbar, 1.0).coeffs)
+    want = kinematics._global_start(sixbar._ik_form, p8)
+    assert want is not INFINITY
+    evaluate = kinematics._candidate_values
+    for poison in (math.nan, math.inf, -math.inf):
+
+        def poisoned(num, s, ts):
+            rows = evaluate(num, s, ts)
+            rows[0, ts != want] = poison
+            return rows
+
+        monkeypatch.setattr(kinematics, "_candidate_values", poisoned)
+        assert kinematics._global_start(sixbar._ik_form, p8) == want
+
+
 def test_inverse_kinematics_second_table_pose(sixbar):
     r = inverse_kinematics(sixbar, DualQuaternion(POSE_MINUS1))
     assert abs(r.theta - 1.5 * math.pi) <= 1e-9
@@ -256,7 +303,7 @@ def test_displacements_far_from_the_origin(sixbar, bennett):
     far = DualQuaternion.from_translation
 
     def moved(mech, v):
-        coeffs = [far(v) * mech.motion.coefficient(k) for k in range(mech.motion.degree + 1)]
+        coeffs = [far(v) * DualQuaternion(c) for c in mech.motion.coeffs]
         return Mechanism(MotionPolynomial(coeffs, mech.motion.study_tol), mech.driving_axis)
 
     cases = [

@@ -272,11 +272,18 @@ def test_profile_argument_validation(bennett):
                     profile(*args.values())
     with pytest.raises(ValueError, match=r"duration\*frequency must be .*finite"):
         linear_profile(0.0, 1.0, duration=1e300, frequency=1e300)
-    for theta0, theta1, name in ((math.nan, 1.0, "theta0"), (0.0, math.inf, "theta1")):
+    # the last pair is finite, but its difference overflows; it once gave
+    # NaN angles
+    for theta0, theta1, name in (
+        (math.nan, 1.0, "theta0"), (0.0, math.inf, "theta1"), (1e308, -1e308, "theta1 - theta0")
+    ):
         with pytest.raises(ValueError, match="%s must be finite" % name):
             resolve_arc(theta0, theta1)
         with pytest.raises(ValueError, match="%s must be finite" % name):
             arc_length_between(bennett, theta0, theta1)
+    for profile in profiles:
+        with pytest.raises(ValueError, match="theta1 - theta0 must be finite"):
+            profile(1e308, -1e308, 1.0, 2.0)
 
 
 def test_profile_sample_count_is_capped(monkeypatch, bennett):
@@ -663,9 +670,7 @@ def test_arc_length_reads_only_the_total(
     def refuse(self):
         raise AssertionError("arc length read a column of its table")
 
-    for column in ("lo", "width", "value", "ends"):
-        monkeypatch.setattr(trajectory._Table, column, property(refuse))
-    monkeypatch.setattr(trajectory._Table, "speeds", refuse)
+    monkeypatch.setattr(trajectory._Table, "_columns", property(refuse))
     tables = []
     build = trajectory._angle_table
 
@@ -713,9 +718,10 @@ def test_knots_meet_their_tolerance(request, name, args, kwargs, most_nodes):
         fractions = trajectory._blend_warp(fractions)
     x = trajectory._knots(table, fractions)
     targets = fractions[1:-1] * table.total
-    idx = np.searchsorted(table.ends, targets)
-    start = table.ends[idx] - table.value[idx]
-    got = trajectory._gauss(table.speed, table.lo[idx], x - table.lo[idx])[0]
+    lo, _, value, ends, _ = table._columns
+    idx = np.searchsorted(ends, targets)
+    start = ends[idx] - value[idx]
+    got = trajectory._gauss(table.speed, lo[idx], x - lo[idx])[0]
     miss = np.abs(start + got - targets)
     assert np.all(miss <= trajectory._KNOT_TOL * table.total / n)
 
@@ -748,12 +754,13 @@ def test_knots_meet_their_tolerance_on_generated_linkages(monkeypatch, random_li
                     fractions = trajectory._blend_warp(fractions)
                 x = trajectory._knots(table, fractions)
                 targets = fractions[1:-1] * table.total
-                idx = np.searchsorted(table.ends, targets)
-                lo = table.lo[idx]
+                starts, _, value, ends, _ = table._columns
+                idx = np.searchsorted(ends, targets)
+                lo = starts[idx]
                 nodes, weights = np.polynomial.legendre.leggauss(20)
                 at = lo[:, None] + (x - lo)[:, None] * (0.5 * (nodes + 1.0))
                 got = (table.speed(at.ravel()).reshape(at.shape) @ weights) * 0.5 * (x - lo)
-                miss = np.abs(table.ends[idx] - table.value[idx] + got - targets)
+                miss = np.abs(ends[idx] - value[idx] + got - targets)
                 assert np.all(miss <= trajectory._KNOT_TOL * table.total / n)
 
 
@@ -761,14 +768,14 @@ def assert_well_formed(table):
     """Check that the table reads as one ordered tiling of [0, span], with
     ends and total summing its values; return its node speeds and those
     of a second evaluation at each kept panel's own Gauss nodes."""
-    lo, width, span = table.lo, table.width, table.span
+    lo, width, value, ends, rows = table._columns
+    span = table.span
     assert lo[0] == 0.0
     assert np.all(np.abs(lo[:-1] + width[:-1] - lo[1:]) <= 4 * np.spacing(span))
     assert abs(lo[-1] + width[-1] - span) <= 4 * np.spacing(span)
-    assert np.array_equal(table.ends, np.cumsum(table.value))
-    assert table.total == table.ends[-1]
-    rows = table.speeds()
-    assert np.allclose(table.value, (rows @ trajectory._GL_WEIGHTS) * width, rtol=1e-15, atol=0.0)
+    assert np.array_equal(ends, np.cumsum(value))
+    assert table.total == ends[-1]
+    assert np.allclose(value, (rows @ trajectory._GL_WEIGHTS) * width, rtol=1e-15, atol=0.0)
     nodes = lo[:, None] + width[:, None] * trajectory._GL_NODES
     return rows, table.speed(nodes.ravel()).reshape(nodes.shape)
 
@@ -786,7 +793,7 @@ def test_refined_table_is_well_formed(request, name, tool, pieces, tol):
     delta = resolve_arc(0.331, 5.893, "long")
     speed = trajectory._angle_table(mech, tool, 0.331, delta).speed
     table = trajectory._Table(speed, abs(delta), pieces, tol)
-    assert table.lo.size > 2 * pieces
+    assert table._columns[0].size > 2 * pieces
     rows, direct = assert_well_formed(table)
     assert np.allclose(rows, direct, rtol=1e-15, atol=0.0)
 
@@ -960,15 +967,27 @@ def test_arc_length_meets_the_committed_references(request, arc):
 @pytest.mark.parametrize("name", ["sixbar", "bennett"])
 @pytest.mark.parametrize("tool", [(0.0, 0.0, 0.0), (0.05, -0.1, 0.07)], ids=["origin", "tool"])
 def test_equidistant_params_over_a_wide_interval(request, name, tool):
-    # t in [-1e7, 1e7] covers all but 4e-7 rad of the turn; each knot's
-    # cumulative length, by numpy's own 20-point Gauss rule on eight
-    # pieces of every segment in the angle of t = cot(phi/2), meets the
-    # knot tolerance
+    # t in [-1e7, 1e7] covers all but 4e-7 rad of the turn
     path = request.getfixturevalue(name).motion.point_path(tool)
-    n = 40
-    seg = equidistant_params(path, -1e7, 1e7, n)
+    assert_knots_in_the_cot_angle(path, equidistant_params(path, -1e7, 1e7, 40), -1e7, 1e7)
+
+
+@pytest.mark.parametrize("name", ["sixbar", "bennett"])
+def test_equidistant_params_at_huge_parameters(request, name):
+    # the sixbar's middle knot lies within 1e-13 of t = 0, where the map
+    # back to t takes u = tan(-x/2) near 1e13 and u*t0 once overflowed in
+    # the branch that it discards
+    path = request.getfixturevalue(name).motion.point_path((0.0, 0.0, 0.0))
+    assert_knots_in_the_cot_angle(path, equidistant_params(path, -1e300, 1e300, 4), -1e300, 1e300)
+
+
+def assert_knots_in_the_cot_angle(path, seg, t0, t1):
+    """Check that each knot's cumulative length, by numpy's own 20-point
+    Gauss rule on eight pieces of every segment in the angle of t =
+    cot(phi/2), meets the knot tolerance."""
     params = np.array(seg.params)
-    assert params.size == n + 1 and params[0] == -1e7 and params[-1] == 1e7
+    n = params.size - 1
+    assert params[0] == t0 and params[-1] == t1
     assert np.all(np.diff(params) > 0.0)
     coords = np.column_stack([path.x0, path.xi.T])
     phi = 2.0 * np.arctan2(1.0, params)
