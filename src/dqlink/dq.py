@@ -18,19 +18,12 @@ import math
 import numpy as np
 
 from . import _kernels
+from ._tolerances import CANONICAL_TOL, STUDY_TOL, TOL, UNIT_NORM_TOL
 from .errors import (
     DegenerateDisplacement,
     ZeroDirection,
     ZeroElement,
 )
-
-# structural zero tests (Pluecker scalars, point form, first nonzero scan,
-# a vanishing primal part)
-TOL = 1e-9
-# Study condition defect, relative to the element's squared magnitude
-STUDY_TOL = 1e-9
-# minimum relative size of c0 for division by the first coordinate
-CANONICAL_TOL = 1e-6
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
 _EPS_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
@@ -222,7 +215,7 @@ class DualQuaternion:
             return DualQuaternion(c / c[0])
         # skip the division when already unit so the map is idempotent
         # down to the last bit
-        scaled = c if abs(n - 1.0) <= 4e-16 else c / n
+        scaled = c if abs(n - 1.0) <= UNIT_NORM_TOL else c / n
         return DualQuaternion(scaled * _first_nonzero_sign(scaled, 1.0))
 
 

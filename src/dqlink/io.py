@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .dq import STUDY_TOL, TOL, DualQuaternion
+from ._tolerances import STUDY_TOL, axis_line_tol
+from .dq import DualQuaternion
 from .errors import ParseError, SchemaError, StudyViolation
 from .kinematics import Mechanism
 from .motionpoly import MotionPolynomial
@@ -102,11 +103,10 @@ def load_mechanism(path) -> Mechanism:
     if axes is not None:
         if not isinstance(axes, list) or not axes:
             raise SchemaError("axes must be a non-empty list")
-        line_tol = max(TOL, study_tol)
         parsed = []
         for idx, row in enumerate(axes):
             h = DualQuaternion(_number_list(row, 8, "axes[%d]" % idx))
-            if not h.is_line(line_tol):
+            if not h.is_line(axis_line_tol(study_tol)):
                 raise StudyViolation("axes[%d] is not a Pluecker line" % idx)
             parsed.append(h)
         motion = MotionPolynomial.from_axes(parsed, study_tol=study_tol)

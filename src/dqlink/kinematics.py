@@ -26,21 +26,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dq import _CONJ_SIGNS, CANONICAL_TOL, STUDY_TOL, TOL, DualQuaternion
+from ._tolerances import CANONICAL_TOL, DIVERGENCE_BOUND as _DIVERGENCE_BOUND
+from ._tolerances import RESIDUAL_FLOOR as _RESIDUAL_FLOOR, SLOPE_FLOOR as _SLOPE_FLOOR
+from ._tolerances import STEP_TOL as _STEP_TOL, SUCCESS_TOL, TOL, pose_gate, study_floor
+from .dq import _CONJ_SIGNS, DualQuaternion
 from .dq import _binary_normalized, _first_nonzero_sign, _is_study
 from .errors import InvalidPose, NoConvergence, StudyViolation
 from .motionpoly import INFINITY, MotionPolynomial, _coeff_array, _derivative_rows
 
 TWO_PI = 2.0 * math.pi
 
-# Gauss-Newton polish: iterations allowed, residual small enough to stop,
-# step halvings per iteration, largest |t| a step may reach, and relative
-# stagnation step
+# Gauss-Newton polish: iterations allowed and step halvings per iteration;
+# its tolerances are those of dqlink._tolerances
 _MAX_ITERATIONS = 100
-_RESIDUAL_FLOOR = 1e-32
 _MAX_HALVINGS = 30
-_DIVERGENCE_BOUND = 1e8
-_STEP_TOL = 1e-14
 # vector and dual vector components of a dual quaternion
 _VECTOR_PARTS = [1, 2, 3, 5, 6, 7]
 
@@ -138,7 +137,7 @@ class Mechanism:
         tool = DualQuaternion.identity() if self.tool_home is None else self.tool_home
         if not isinstance(tool, DualQuaternion):
             tool = DualQuaternion(tool)
-        if not tool.is_study(max(self.motion.study_tol, STUDY_TOL)):
+        if not tool.is_study(study_floor(self.motion.study_tol)):
             raise StudyViolation("tool_home is not a displacement")
         object.__setattr__(self, "tool_home", tool)
         coeffs = _kernels.dq_mul8(self.motion.coeffs, _binary_normalized(tool.coeffs))
@@ -162,7 +161,7 @@ class IKOptions:
     success_tol must be finite and not negative (ValueError otherwise).
     """
 
-    success_tol: float = 1e-10
+    success_tol: float = SUCCESS_TOL
 
     def __post_init__(self):
         if not (math.isfinite(self.success_tol) and self.success_tol >= 0.0):
@@ -263,8 +262,9 @@ def _refine(rows, target, t0) -> tuple:
     residual trace; the slope of C_hat is formed only at an iterate that
     a step follows.  Stops after _MAX_ITERATIONS accepted steps, when no
     step halving lowers the residual before the step shrinks below
-    _STEP_TOL (the full step is always tried), or when a trial step
-    would leave |t| <= _DIVERGENCE_BOUND.
+    _STEP_TOL (the full step is always tried), when a trial step would
+    leave |t| <= _DIVERGENCE_BOUND, or when the squared slope is at most
+    _SLOPE_FLOOR, so that no step direction is defined.
     """
     t = float(t0)
     f, err, slope = _residual_terms(rows, target, t)
@@ -275,7 +275,7 @@ def _refine(rows, target, t0) -> tuple:
     while iters < _MAX_ITERATIONS and f > _RESIDUAL_FLOOR:
         chatd = slope()
         denom = float(np.dot(chatd, chatd))
-        if denom <= 1e-300:
+        if denom <= _SLOPE_FLOOR:
             break
         step = float(np.dot(chatd, err)) / denom
         lam = 1.0
@@ -422,17 +422,16 @@ def inverse_kinematics(
 
     Raises InvalidPose for targets that are clearly not displacements
     and NoConvergence, carrying the polished iterate as best, when the
-    residual stays above success_tol.  The pose gate allows a hundredfold
-    of the mechanism's Study tolerance: evaluating a curve with slightly
-    perturbed coefficients amplifies the norm defect pointwise, so poses
-    produced by such a mechanism's own direct kinematics would otherwise
-    be rejected.
+    residual stays above success_tol.  The pose gate is
+    dqlink._tolerances.pose_gate of the motion's study_tol, a hundredfold
+    of the mechanism's Study tolerance, since poses produced by its own
+    direct kinematics must pass.
     """
     opt = options if options is not None else IKOptions()
     if not isinstance(pose, DualQuaternion):
         pose = DualQuaternion(pose)
     p8 = _binary_normalized(pose.coeffs)
-    tol = min(0.1, 100.0 * max(mechanism.motion.study_tol, STUDY_TOL))
+    tol = pose_gate(mechanism.motion.study_tol)
     if not _is_study(p8, tol):
         raise InvalidPose(
             "target pose is not a displacement (Study defect above %.1e)" % tol

@@ -10,11 +10,13 @@ evaluates to its leading coefficient.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from . import _kernels
-from .dq import _CONJ_SIGNS, _EPS_SIGNS, STUDY_TOL, TOL, DualQuaternion
+from ._tolerances import REAL_ROOT_TOL, REL_ZERO as _REL_ZERO, STUDY_TOL, TOL
+from .dq import _CONJ_SIGNS, _EPS_SIGNS, DualQuaternion
 from .dq import _binary_normalized, _primal_vanishes
 from .errors import OnBorderOfDomain, PoleOnPath, StudyViolation
 
@@ -34,9 +36,6 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
-
-# relative zero of a polynomial's top coefficients and of a path's x0
-_REL_ZERO = 1e-14
 
 
 def _coeff_array(coeffs) -> np.ndarray:
@@ -82,8 +81,7 @@ def _degree(coeffs: np.ndarray) -> int:
 def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots of an ascending real coefficient polynomial."""
     roots = np.roots(coeffs[_degree(coeffs) :: -1])
-    real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))].real
-    return real
+    return roots[np.abs(roots.imag) <= REAL_ROOT_TOL * (1.0 + np.abs(roots.real))].real
 
 
 def _conj_rows(a: np.ndarray) -> np.ndarray:
@@ -247,13 +245,28 @@ class MotionPolynomial:
         return RationalPointPath(p[:, 0], p[:, 5:8].T)
 
 
-def _affine_action(basis: np.ndarray, x) -> np.ndarray:
-    """basis[0] + x1*basis[1] + x2*basis[2] + x3*basis[3] for a point x."""
+def _basis_sizes(basis: np.ndarray) -> np.ndarray:
+    """Largest magnitude of each basis[i], the bound _affine_action reads."""
+    return np.abs(basis).reshape(basis.shape[0], -1).max(axis=1)
+
+
+def _affine_action(basis: np.ndarray, x, sizes=None) -> np.ndarray:
+    """basis[0] + x1*basis[1] + x2*basis[2] + x3*basis[3] for a point x.
+
+    sizes is _basis_sizes(basis), formed when not given.  The point is
+    rejected with ValueError, before any product, when it is not finite
+    or when sizes[0] + sum |x_i| * sizes[i], a bound on every result
+    coefficient, exceeds half the float range, so no coefficient
+    overflows.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise ValueError("expected 3 point coordinates")
-    if not np.logical_and.reduce(np.isfinite(x)):
-        raise ValueError("point coordinates must be finite")
+    s0, s1, s2, s3 = (_basis_sizes(basis) if sizes is None else sizes).tolist()
+    x1, x2, x3 = x.tolist()
+    # Python floats: inf * 0 is nan and an overflow is inf, with no numpy warning
+    if not s0 + abs(x1) * s1 + abs(x2) * s2 + abs(x3) * s3 <= 0.5 * sys.float_info.max:
+        raise ValueError("point %r is not finite or its path overflows" % (x.tolist(),))
     return basis[0] + (x @ basis[1:].reshape(3, -1)).reshape(basis.shape[1:])
 
 

@@ -71,11 +71,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._tolerances import KNOT_TOL as _KNOT_TOL, PANEL_TOL as _PANEL_TOL, POLE_MARGIN
 from .errors import PoleOnPath, QuadratureFailure
 from .kinematics import TWO_PI, Mechanism, _axis_parts, _t_to_angle
 from .motionpoly import (
     RationalPointPath,
     _affine_action,
+    _basis_sizes,
     _degree,
     _point_action,
     _real_roots,
@@ -139,18 +141,16 @@ _CHECK_NODES = np.append(_GL_NODES, 1.0)
 
 # initial panel width in the chart angle
 _ANGLE_PANEL = math.pi / 8.0
-# absolute tolerance per panel, and the refinement levels allowed to meet it
-_PANEL_TOL = 1e-10
+# refinement levels allowed to meet the panel tolerance, _PANEL_TOL
 _MAX_DEPTH = 40
 # refinement stops with QuadratureFailure beyond this many open panels,
 # which bounds the memory of a level whatever the tolerance asks for
 _MAX_PANELS = 4096
-# knot inversion: iterates per knot before QuadratureFailure, and the
-# accepted deviation of a knot's cumulative length as a fraction of the
-# segment length (half of the 1e-8 allowed per segment, so that
-# neighbouring knot errors cannot add up beyond it)
+# knot inversion: iterates per knot before QuadratureFailure; the
+# accepted deviation of a knot's cumulative length is _KNOT_TOL of the
+# segment length, half of the 1e-8 allowed per segment, so that
+# neighbouring knot errors cannot add up beyond it
 _INVERSION_MAX_ITER = 50
-_KNOT_TOL = 0.5e-8
 # Newton steps on each panel's interpolant for the first guess of a knot
 _GUESS_STEPS = 3
 # knots per Newton pass: one pass evaluates 13 speed nodes per knot
@@ -179,7 +179,7 @@ def _check_poles(poles: np.ndarray, lo: float, hi: float, period=None):
     """
     if poles.size == 0:
         return
-    margin = 1e-12 * (1.0 + hi - lo)
+    margin = POLE_MARGIN * (1.0 + hi - lo)
     first = poles
     if period is not None:
         first = poles + period * np.ceil((lo - margin - poles) / period)
@@ -574,11 +574,14 @@ def equidistant_params(
     """Split [t0, t1] into n pieces of equal arc length.
 
     Interior knots come from one inversion of arc_length's table, each
-    resolved to 0.5e-8 times the segment length, as far as the rounding
-    of t allows, and mapped back to t; a path of zero length over the
-    span gets evenly spread parameters.  Errors are those of arc_length, with its default
-    tol; n must be an integer (TypeError otherwise) from 1 to
-    _MAX_SAMPLES, the bound of a profile's steps, checked before
+    resolved to _KNOT_TOL (0.5e-8) times the segment length as an offset
+    in the chart angle, and mapped back to t, which adds up to half an
+    ulp of t: on a short arc far from t = 0 that is the larger miss (8.8e-9
+    of a segment over [2, 2 + 1e-6] and 2.8e-7 over [100, 100 + 1e-6],
+    with 40 segments on a sixbar path).  A path of zero length over the
+    span gets evenly spread parameters.  Errors are those of arc_length,
+    with its default tol; n must be an integer (TypeError otherwise) from
+    1 to _MAX_SAMPLES, the bound of a profile's steps, checked before
     anything is allocated (ValueError).
     """
     n = operator.index(n)
@@ -638,7 +641,7 @@ def resolve_arc(theta0: float, theta1: float, direction: str = "short") -> float
 
 
 def _angle_chart(mechanism: Mechanism) -> tuple:
-    """Harmonic point action and pole angles of the tool paths.
+    """Harmonic point action, pole angles and basis sizes of the tool paths.
 
     The point action of the mechanism's tool motion maps a point x of
     the tool frame to action[0] + x @ action[1:], affine in x.  Row i of
@@ -646,15 +649,17 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
     action[i], the harmonic coefficients in phi of _harmonic_map and
     then those of their phi-derivatives; its affine combination for a
     tool point is the coefficient array of _Speed.  The pole angles are
-    those of x0, the primal norm of the tool motion.  Built on first use
-    and kept, read-only, in the mechanism's _chart slot.
+    those of x0, the primal norm of the tool motion.  The sizes of the
+    harmonic rows (motionpoly._basis_sizes) let _affine_action reject a
+    tool point whose coefficients would overflow.  Built on first use and
+    kept, read-only, in the mechanism's _chart slot.
     """
     if mechanism._chart is None:
         action = _point_action(mechanism._tool_coeffs)
         q0, r = mechanism._axis
         maps = _harmonic_map(mechanism._tool_coeffs.shape[0] - 1, q0, r)
         harmonic = np.concatenate(maps[:, None] @ action[..., _POINT_COLUMNS], axis=-1)
-        chart = (harmonic, _pole_angles(action[0, :, 0], q0, r))
+        chart = (harmonic, _pole_angles(action[0, :, 0], q0, r), _basis_sizes(harmonic))
         for arr in chart:
             arr.flags.writeable = False
         object.__setattr__(mechanism, "_chart", chart)
@@ -663,8 +668,8 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
 
 def _angle_table(mechanism: Mechanism, tool, start, delta) -> _Table:
     """Length table of the tool point path from start over delta radians."""
-    harmonic, poles = _angle_chart(mechanism)
-    return _table(_affine_action(harmonic, tool), poles, start, delta, _PANEL_TOL)
+    harmonic, poles, sizes = _angle_chart(mechanism)
+    return _table(_affine_action(harmonic, tool, sizes), poles, start, delta, _PANEL_TOL)
 
 
 def arc_length_between(

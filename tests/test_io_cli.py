@@ -1,5 +1,6 @@
 import copy
 import functools
+import importlib.util
 import io
 import math
 import operator
@@ -436,46 +437,21 @@ def test_cli_traj_sample_cap_exits_4(capsys):
     assert "duration*frequency" in capsys.readouterr().err
 
 
-# command lines with their exit code and a check of the stdout lines; the
-# first four also run in the console-script step of CI, through the
-# installed entry point
-CRIT08_POSE = "1 0.233 -0.043 0.078 -0.008 0.030 0.030 0.035".split()
-CLI_CASES = {
-    # criterion 08's rounded Bennett pose meets --success-tol 1e-4 only
-    "crit08-loose": (
-        ["ik", BENNETT, "--pose", *CRIT08_POSE, "--success-tol", "1e-4"], 0,
-        lambda out: {"theta=5.893000", "branch=direct"} <= set(out),
-    ),
-    "crit08-default": (["ik", BENNETT, "--pose", *CRIT08_POSE], 5, lambda out: out == []),
-    # duration*freq = 10.4 rounds to 10 steps: a header and 11 rows
-    "quintic-10.4": (
-        ["traj", SIXBAR, "--theta0", "0", "--theta1", "1", "--duration", "1",
-         "--freq", "10.4", "--mode", "quintic"], 0,
-        lambda out: out[0] == "index,time,theta,omega" and len(out) == 12
-        and float(out[-1].split(",")[2]) == 1.0,
-    ),
-    # a sixbar arc near phi = pi whose length table refines twice
-    "refining-arc": (
-        ["arclen", SIXBAR, "--theta0", "2.9", "--theta1", "3.4", "--tool", "0.15", "0.15", "-0.1"],
-        0, lambda out: len(out) == 1 and abs(float(out[0]) - 0.13055403039748303) <= 1e-9,
-    ),
-    # theta1 - theta0 overflows, where NaN rows once printed with exit 0
-    "overflowing-span": (
-        ["traj", SIXBAR, "--theta0", "1e308", "--theta1", "-1e308", "--duration", "1",
-         "--freq", "2", "--mode", "linear"], 4, lambda out: out == [],
-    ),
-    # t = r/tan(theta/2) overflows the Horner sum; the pose is the home one
-    "dk-near-home": (
-        ["dk", SIXBAR, "--theta", "1e-160"], 0,
-        lambda out: np.allclose(np.array(out[0].split(), float), np.eye(8)[0], atol=1e-150),
-    ),
-}
+# the command line cases of tests/data/cli_cases.json, which CI also runs
+# through the installed entry point with tools/cli_cases.py, whose checks
+# these are
+_spec = importlib.util.spec_from_file_location(
+    "cli_cases", pathlib.Path(__file__).parents[1] / "tools" / "cli_cases.py"
+)
+cli_cases = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_cases)
+CLI_CASES = cli_cases.load_cases()
 
 
-@pytest.mark.parametrize("argv, code, check", CLI_CASES.values(), ids=CLI_CASES.keys())
-def test_cli_cases(capsys, argv, code, check):
-    assert main(argv) == code
-    assert check(capsys.readouterr().out.splitlines())
+@pytest.mark.parametrize("case", CLI_CASES, ids=[case["id"] for case in CLI_CASES])
+def test_cli_cases(capsys, case):
+    code = main(case["argv"])
+    assert cli_cases.check(case, code, capsys.readouterr().out) == []
 
 
 def test_cli_round_trip_with_a_scaled_tool(tmp_path, capsys, sixbar):

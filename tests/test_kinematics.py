@@ -643,7 +643,7 @@ def _eager_refine(rows, target, t):
     trace, iters = [f], 0
     while iters < kinematics._MAX_ITERATIONS and f > kinematics._RESIDUAL_FLOOR:
         denom = float(np.dot(chatd, chatd))
-        if denom <= 1e-300:
+        if denom <= kinematics._SLOPE_FLOOR:
             break
         step, lam, accepted = float(np.dot(chatd, err)) / denom, 1.0, False
         for _ in range(kinematics._MAX_HALVINGS + 1):
@@ -708,6 +708,20 @@ def test_polish_stops_before_leaving_the_divergence_bound(sixbar):
     assert len(r.residual_trace) == 1
     assert math.isclose(r.residual, 8.1e-19, rel_tol=1e-2)
     assert math.isclose(r.theta, 8.1e-10, rel_tol=1e-2)
+
+
+def test_polish_stops_at_the_slope_floor():
+    # C(t) = 1 + t**2 i has a zero slope at t = 0, where the start lands
+    # for a pose off the curve, so the polish has no direction to step in
+    # and returns the start unpolished
+    coeffs = np.zeros((3, 8))
+    coeffs[0, 0] = coeffs[2, 1] = 1.0
+    mech = Mechanism(MotionPolynomial(coeffs), [0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(NoConvergence) as info:
+        inverse_kinematics(mech, DualQuaternion([1, 0, 0.1, 0, 0, 0, 0, 0]))
+    best = info.value.best
+    assert best.t == 0.0 and best.iterations == 0 and best.branch == "direct"
+    assert best.residual_trace == (best.residual,)
 
 
 def test_success_tol_must_be_finite_and_non_negative():

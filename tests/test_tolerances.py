@@ -1,0 +1,198 @@
+import ast
+import math
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+import dqlink
+from dqlink import (
+    DualQuaternion,
+    IKOptions,
+    Mechanism,
+    MotionPolynomial,
+    NoConvergence,
+    PoleOnPath,
+    _tolerances,
+    dq,
+    inverse_kinematics,
+    kinematics,
+    motionpoly,
+    trajectory,
+)
+
+SRC = pathlib.Path(_tolerances.__file__).resolve().parent
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def tolerance_literals(source: str) -> list:
+    """(line, value) of each float literal with 0 < |v| < 1e-3 or |v| >= 1e3."""
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and (0.0 < abs(node.value) < 1e-3 or abs(node.value) >= 1e3)
+    )
+
+
+def ledger_rows() -> list:
+    """(name, value, text) of each row of the ledger's docstring table."""
+    lines = _tolerances.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("=====")]
+    rows = []
+    for line in lines[rules[1] + 1 : rules[2]]:
+        if line[:1].strip():
+            name, value = line.split()[:2]
+            rows.append([name, value, line])
+        else:
+            rows[-1][2] += " " + line.strip()
+    return rows
+
+
+def test_tolerances_are_defined_only_in_the_ledger():
+    # every float literal that reads as a tolerance or a bound, small or
+    # large, lives in dqlink._tolerances; fourteen of them today
+    found = {
+        path.name: tolerance_literals(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert len(found.pop("_tolerances.py")) == 14
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    # the scan sees an inline tolerance
+    assert tolerance_literals("tol = 1e-12 * (1.0 + span)\nbig = 2.5e3\n") == [
+        (1, 1e-12),
+        (2, 2.5e3),
+    ]
+
+
+def test_ledger_table_matches_its_constants():
+    rows = ledger_rows()
+    constants = {
+        name: value
+        for name, value in vars(_tolerances).items()
+        if name.isupper() and isinstance(value, float)
+    }
+    assert [name for name, _, _ in rows] == list(constants)
+    # the public names keep their values, from dqlink and from dqlink.dq
+    for name in ("TOL", "STUDY_TOL", "CANONICAL_TOL"):
+        assert getattr(dqlink, name) == getattr(dq, name) == constants[name]
+    tests = "\n".join(path.read_text(encoding="utf-8") for path in TESTS.glob("test_*.py"))
+    for name, value, text in rows:
+        assert float(value) == constants[name], name
+        # the test named as the holder of each value exists
+        holders = re.findall(r"held by (test_\w+)", text)
+        assert holders, name
+        for holder in holders:
+            assert re.search(r"^def %s\(" % holder, tests, re.M), (name, holder)
+
+
+def test_zero_tests_act_at_their_tolerance():
+    # the values of the ledger, written out: each check passes at half its
+    # tolerance and fails at twice it, so a value moved by more than a
+    # factor of two fails here; TOL = 1e-9 on a Pluecker line's dual scalar
+    assert DualQuaternion([0, 1, 0, 0, 0.5e-9, 0, 0, 0]).is_line()
+    assert not DualQuaternion([0, 1, 0, 0, 2e-9, 0, 0, 0]).is_line()
+    # STUDY_TOL = 1e-9 on the dual norm part 2 * c0 * c4, with |c|**2 = 1
+    assert DualQuaternion([1, 0, 0, 0, 0.25e-9, 0, 0, 0]).is_study()
+    assert not DualQuaternion([1, 0, 0, 0, 1e-9, 0, 0, 0]).is_study()
+    # CANONICAL_TOL = 1e-6: division by c0 above it
+    assert DualQuaternion([2e-6, 1, 0, 0, 0, 0, 0, 0]).canonical().coeffs[0] == 1.0
+    assert DualQuaternion([0.5e-6, 1, 0, 0, 0, 0, 0, 0]).canonical().coeffs[0] < 1e-5
+    # UNIT_NORM_TOL = 4e-16: |c| - 1 of 2**-52 (2.2e-16) keeps the bits,
+    # 2**-50 (8.9e-16) divides
+    for c1, want in ((1.0 + 2.0**-52, 1.0 + 2.0**-52), (1.0 + 2.0**-50, 1.0)):
+        assert DualQuaternion([0, c1, 0, 0, 0, 0, 0, 0]).canonical().coeffs[1] == want
+    # REL_ZERO = 1e-14 on a top coefficient
+    assert motionpoly._degree(np.array([1.0, 0.0, 0.5e-14])) == 0
+    assert motionpoly._degree(np.array([1.0, 0.0, 2e-14])) == 2
+    # REAL_ROOT_TOL = 1e-8 on the roots +-i*e of t**2 + e**2
+    assert motionpoly._real_roots(np.array([0.5e-8**2, 0.0, 1.0])).size == 2
+    assert motionpoly._real_roots(np.array([2e-8**2, 0.0, 1.0])).size == 0
+    # POLE_MARGIN = 1e-12 times 1 + 1 around [0, 1]
+    with pytest.raises(PoleOnPath):
+        trajectory._check_poles(np.array([1.0 + 1e-12]), 0.0, 1.0)
+    trajectory._check_poles(np.array([1.0 + 4e-12]), 0.0, 1.0)
+
+
+def count_residuals(monkeypatch) -> list:
+    """A list that grows by one at each residual evaluation of the IK polish."""
+    calls = []
+    terms = kinematics._residual_terms
+    monkeypatch.setattr(kinematics, "_residual_terms", lambda *a: calls.append(1) or terms(*a))
+    return calls
+
+
+def polish(monkeypatch, t0, target, unreached=0.0, scale=1.0):
+    """Iterations and residual evaluations of the IK polish on the motion
+    scale + t*i from t0 towards its pose at target, moved by unreached
+    along j.  The normalized error at t is (0, (target - t)/scale,
+    unreached), so a Gauss-Newton step lands on target."""
+    coeffs = np.zeros((2, 8))
+    coeffs[0, 0], coeffs[1, 1] = scale, 1.0
+    rows = kinematics._kept_rows(coeffs, kinematics._derivative_rows(coeffs))
+    pose = np.array([1.0, target / scale, unreached, 0, 0, 0, 0, 0])
+    calls = count_residuals(monkeypatch)
+    iterations = kinematics._refine(rows, kinematics._Target(pose), t0)[2]
+    monkeypatch.undo()
+    return iterations, len(calls)
+
+
+def test_polish_stops_at_its_tolerances(monkeypatch):
+    # RESIDUAL_FLOOR = 1e-32: a start with a residual below it is final
+    assert polish(monkeypatch, math.sqrt(0.5e-32), 0.0)[0] == 0
+    assert polish(monkeypatch, math.sqrt(2e-32), 0.0)[0] == 1
+    # STEP_TOL = 1e-14: an accepted step that moves by at most it ends the
+    # polish; a longer one is followed by one more trial, which cannot
+    # lower the unreachable residual 1e-30
+    assert polish(monkeypatch, 0.5e-14, 0.0, 1e-15) == (1, 2)
+    assert polish(monkeypatch, 2e-14, 0.0, 1e-15) == (1, 3)
+    # DIVERGENCE_BOUND = 1e8: a trial beyond it is refused; the scale
+    # 2**20 keeps the target's canonical representative and every step exact
+    assert polish(monkeypatch, 0.25e8, 0.5e8, scale=2.0**20)[0] == 1
+    assert polish(monkeypatch, 0.25e8, 2e8, scale=2.0**20)[0] == 0
+
+
+def test_slope_floor_and_success_tol(monkeypatch):
+    # C(t) = 1 + t**2 i: the slope of the normalized curve at t is 2t
+    coeffs = np.zeros((3, 8))
+    coeffs[0, 0] = coeffs[2, 1] = 1.0
+    mech = Mechanism(MotionPolynomial(coeffs), [0.0, 0.0, 0.0, 1.0])
+    target = kinematics._Target(np.array([1.0, 0, 0.1, 0, 0, 0, 0, 0]))
+    # SLOPE_FLOOR = 1e-300: at a squared slope 4t**2 below it no trial
+    # step is evaluated
+    calls = count_residuals(monkeypatch)
+    kinematics._refine(mech._polish_rows[0], target, math.sqrt(0.5e-300 / 4))
+    assert len(calls) == 1
+    kinematics._refine(mech._polish_rows[0], target, math.sqrt(2e-300 / 4))
+    assert len(calls) > 2
+    monkeypatch.undo()
+    # SUCCESS_TOL = 1e-10: the pose (1, 0, d) is reached to the residual d**2
+    assert IKOptions().success_tol == 1e-10
+    pose = DualQuaternion([1, 0, math.sqrt(0.5e-10), 0, 0, 0, 0, 0])
+    assert inverse_kinematics(mech, pose).residual <= 1e-10
+    with pytest.raises(NoConvergence):
+        inverse_kinematics(mech, DualQuaternion([1, 0, math.sqrt(2e-10), 0, 0, 0, 0, 0]))
+
+
+def test_knot_tolerance_is_a_fraction_of_a_segment(monkeypatch):
+    # KNOT_TOL = 0.5e-8 of a segment.  A constant speed over [0, 1] gives
+    # a one-level table of two halves of width 0.5, on which the knot
+    # guesses are exact; a guess moved by ds in the centred panel variable
+    # misses its length by ds / 4 and is accepted in the first pass when
+    # that is at most KNOT_TOL segments
+    calls = []
+
+    def speed(x):
+        calls.append(1)
+        return np.ones_like(x)
+
+    table = trajectory._Table(speed, 1.0, 1, 1e-10)
+    guess, n = trajectory._newton_in_panel, 8
+    for segments, passes in ((0.5, 1), (2.0, 2)):
+        ds = 4.0 * segments * 0.5e-8 / n
+        monkeypatch.setattr(trajectory, "_newton_in_panel", lambda c, s: guess(c, s) + ds)
+        calls.clear()
+        trajectory._knots(table, np.arange(n + 1) / n)
+        assert len(calls) == passes

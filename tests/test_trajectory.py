@@ -909,7 +909,7 @@ def check_chart_speeds(mech, rng):
     # the chart's affine combination for a tool point is the speed's whole
     # input; the oracle reads the monomial path of the same point
     axis = (mech.driving_axis[0], np.linalg.norm(mech.driving_axis[1:]))
-    harmonic, _ = trajectory._angle_chart(mech)
+    harmonic = trajectory._angle_chart(mech)[0]
     assert harmonic.shape == (4, 2 * mech.motion.degree + 2, 8)
     for _ in range(3):
         tool = rng.normal(scale=0.5, size=3)
@@ -1094,19 +1094,22 @@ def test_tool_path_chart_is_built_once_and_read_only(monkeypatch, random_linkage
     assert dataclasses.replace(mech, tool_home=shifted)._chart is None
 
 
-def test_point_check_reaches_arc_length_between(random_linkage):
-    # a tool point that is not finite is rejected by point_path and by
-    # both angle chart entry points; an infinite coordinate is rejected
-    # before it meets the zeros of the point action, where inf * 0 would
-    # raise numpy's invalid-value RuntimeWarning instead
-    mech = random_linkage(np.random.default_rng(23), 2)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            mech.motion.point_path([0.1, bad, 0.3])
-        with pytest.raises(ValueError, match="finite"):
-            arc_length_between(mech, 0.4, 2.0, tool=(bad, 0.0, 0.0))
-        with pytest.raises(ValueError, match="finite"):
-            equidistant_profile(mech, 0.4, 2.0, 1.0, 5.0, tool=(0.0, 0.0, bad))
+def test_point_check_reaches_arc_length_between(random_linkage, sixbar):
+    # a tool point that is not finite, or on the sixbar one at 1e308 whose
+    # path coefficients would overflow, is rejected by point_path and by
+    # both angle chart entry points before any product; an infinite
+    # coordinate is rejected before it meets the zeros of the point action,
+    # where inf * 0 would raise numpy's invalid-value RuntimeWarning
+    # instead, and 1e308 before the matmul would raise its overflow warning
+    linkage = random_linkage(np.random.default_rng(23), 2)
+    for mech, bads in ((linkage, (math.nan, math.inf, -math.inf)), (sixbar, (1e308, -1e308))):
+        for bad in bads:
+            with pytest.raises(ValueError, match="finite"):
+                mech.motion.point_path([0.1, bad, 0.3])
+            with pytest.raises(ValueError, match="finite"):
+                arc_length_between(mech, 0.4, 2.0, tool=(bad, 0.0, 0.0))
+            with pytest.raises(ValueError, match="finite"):
+                equidistant_profile(mech, 0.4, 2.0, 1.0, 5.0, tool=(0.0, 0.0, bad))
 
 
 def test_arc_length_rejects_non_finite_parameters(circle_path):
