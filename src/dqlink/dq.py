@@ -164,8 +164,6 @@ class DualQuaternion:
         """
         c = _binary_normalized(self._c)
         s = float(np.sqrt(np.dot(c, c)))
-        if s == 0.0:
-            return False
         d = c[1:4]
         m = c[5:8]
         if np.sqrt(np.dot(d, d)) <= tol * s:
@@ -210,8 +208,6 @@ class DualQuaternion:
         if n == 0.0:
             raise ZeroElement("cannot normalize a zero dual quaternion")
         if abs(c[0]) > CANONICAL_TOL * n:
-            if c[0] == 1.0:
-                return self
             return DualQuaternion(c / c[0])
         # skip the division when already unit so the map is idempotent
         # down to the last bit

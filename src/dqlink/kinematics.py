@@ -60,8 +60,10 @@ def _axis_parts(axis) -> tuple:
     return float(q[0]), r
 
 
-def _angle_to_t(theta, q0: float, r: float):
+def _angle_to_t(theta, q0: float, r: float) -> float:
     th = float(theta) % TWO_PI
+    if math.isnan(th):
+        raise ValueError("theta must be finite, got %r" % (float(theta),))
     if th == 0.0:
         return INFINITY
     if th == math.pi:
@@ -70,23 +72,26 @@ def _angle_to_t(theta, q0: float, r: float):
 
 
 def _t_to_angle(t, q0: float, r: float) -> float:
-    if t is INFINITY:
-        return 0.0
-    return (2.0 * math.atan2(r, float(t) - q0)) % TWO_PI
+    # atan2(r, +-inf) is 0 or pi, so either infinity is the angle 0
+    theta = (2.0 * math.atan2(r, float(t) - q0)) % TWO_PI
+    if math.isnan(theta):
+        raise ValueError("t must not be nan")
+    return theta
 
 
-def angle_to_param(theta, axis):
+def angle_to_param(theta, axis) -> float:
     """Curve parameter for a joint angle of the driving revolute axis.
 
-    The angle is taken modulo 2*pi.  Zero maps to INFINITY and pi maps
-    exactly to the scalar part of the axis quaternion.
+    The angle is taken modulo 2*pi.  Zero maps to INFINITY, which is
+    math.inf, and pi maps exactly to the scalar part of the axis
+    quaternion.  An angle that is not finite raises ValueError.
     """
     return _angle_to_t(theta, *_axis_parts(axis))
 
 
 def param_to_angle(t, axis) -> float:
     """Joint angle in [0, 2*pi) for a curve parameter, inverse of
-    angle_to_param."""
+    angle_to_param; either infinity gives 0 and nan raises ValueError."""
     return _t_to_angle(t, *_axis_parts(axis))
 
 
@@ -178,10 +183,11 @@ class IKResult:
     final parameter; residual_trace lists it at the start and at every
     accepted iterate of the polish, so it is non-increasing by
     construction.  branch names the chart of the polish: "direct" for
-    t, "reciprocal" for u = 1/t, used when the start is at infinity.
+    t, "reciprocal" for u = 1/t, used when the start is at infinity.  t
+    is a float, and INFINITY (math.inf) itself when u ends at zero.
     """
 
-    t: object
+    t: float
     theta: float
     residual: float
     iterations: int
@@ -376,8 +382,8 @@ def _global_start(form: tuple, p8: np.ndarray):
     candidates (_candidate_values); the common factor |p|^2 is dropped.
     The candidates are the real parts of all roots of N'D - ND', a
     superset of the real critical points, and infinity, where N/D tends
-    to the ratio of the leading coefficients.  Returns INFINITY or a
-    finite parameter.
+    to the ratio of the leading coefficients.  Returns INFINITY, which
+    is math.inf, or a finite parameter.
     """
     a, crit_map, s = form
     num = (a @ p8) @ p8
@@ -437,7 +443,7 @@ def inverse_kinematics(
             "target pose is not a displacement (Study defect above %.1e)" % tol
         )
     start = _global_start(mechanism._ik_form, p8)
-    reciprocal = start is INFINITY
+    reciprocal = math.isinf(start)
     if reciprocal:
         start = 0.0
     t, residual, iterations, trace = _refine(

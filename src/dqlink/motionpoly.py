@@ -3,7 +3,7 @@
 A motion polynomial C(t) has dual quaternion coefficients and a norm
 polynomial C(t) * conj(C(t)) that is a nonzero real polynomial.  Curves
 are stored densely by ascending powers of t.  The projective parameter
-line is completed by the marker value INFINITY, at which a polynomial
+line is completed by INFINITY, which is math.inf, at which a polynomial
 evaluates to its leading coefficient.
 """
 
@@ -21,32 +21,13 @@ from .dq import _binary_normalized, _primal_vanishes
 from .errors import OnBorderOfDomain, PoleOnPath, StudyViolation
 
 
-class _Infinity:
-    """Parameter value at infinity on the projective line."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
+# the parameter value at infinity on the projective line
+INFINITY = math.inf
 
 
 def _coeff_array(coeffs) -> np.ndarray:
     """Normalize input to a read-only (n+1, 8) float array."""
-    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 2:
-        arr = np.array(coeffs, dtype=float)
-    else:
-        rows = []
-        for c in coeffs:
-            rows.append(c.coeffs if isinstance(c, DualQuaternion) else c)
-        arr = np.array(rows, dtype=float)
+    arr = np.array([c.coeffs if isinstance(c, DualQuaternion) else c for c in coeffs], dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 8 or arr.shape[0] < 1:
         raise ValueError("expected an (n+1, 8) coefficient array")
     if not np.all(np.isfinite(arr)):
@@ -214,18 +195,16 @@ class MotionPolynomial:
         """Value at a parameter, with INFINITY giving the leading coefficient.
 
         Where the value at t overflows, the reversed coefficients at 1/t
-        give the same projective pose, t**-degree * C(t).  Raises
+        give the same projective pose, t**-degree * C(t); at t = +-inf,
+        1/t is zero and that value is the leading coefficient.  Raises
         OnBorderOfDomain when the primal part of the value vanishes
         relative to its magnitude (dq._primal_vanishes), since no
         displacement is defined there.
         """
-        if t is INFINITY:
-            value = self._coeffs[-1].copy()
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = _kernels.poly_eval8(self._coeffs, float(t))
-            if not np.logical_and.reduce(np.isfinite(value)):
-                value = _kernels.poly_eval8(self._coeffs[::-1], 1.0 / float(t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _kernels.poly_eval8(self._coeffs, float(t))
+        if not np.logical_and.reduce(np.isfinite(value)):
+            value = _kernels.poly_eval8(self._coeffs[::-1], 1.0 / float(t))
         c = _binary_normalized(value)
         if _primal_vanishes(float(np.dot(c[:4], c[:4])), float(np.dot(c, c))):
             raise OnBorderOfDomain(
@@ -250,14 +229,14 @@ def _basis_sizes(basis: np.ndarray) -> np.ndarray:
     return np.abs(basis).reshape(basis.shape[0], -1).max(axis=1)
 
 
-def _affine_action(basis: np.ndarray, x, sizes=None) -> np.ndarray:
+def _affine_action(basis: np.ndarray, x, sizes=None, limit=0.5 * sys.float_info.max):
     """basis[0] + x1*basis[1] + x2*basis[2] + x3*basis[3] for a point x.
 
     sizes is _basis_sizes(basis), formed when not given.  The point is
     rejected with ValueError, before any product, when it is not finite
     or when sizes[0] + sum |x_i| * sizes[i], a bound on every result
-    coefficient, exceeds half the float range, so no coefficient
-    overflows.
+    coefficient, exceeds limit, by default half the float range, so no
+    coefficient overflows.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
@@ -265,7 +244,7 @@ def _affine_action(basis: np.ndarray, x, sizes=None) -> np.ndarray:
     s0, s1, s2, s3 = (_basis_sizes(basis) if sizes is None else sizes).tolist()
     x1, x2, x3 = x.tolist()
     # Python floats: inf * 0 is nan and an overflow is inf, with no numpy warning
-    if not s0 + abs(x1) * s1 + abs(x2) * s2 + abs(x3) * s3 <= 0.5 * sys.float_info.max:
+    if not s0 + abs(x1) * s1 + abs(x2) * s2 + abs(x3) * s3 <= limit:
         raise ValueError("point %r is not finite or its path overflows" % (x.tolist(),))
     return basis[0] + (x @ basis[1:].reshape(3, -1)).reshape(basis.shape[1:])
 

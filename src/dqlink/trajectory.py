@@ -32,22 +32,22 @@ Lengths come from composite Gauss-Legendre panels.  All panels of one
 refinement level are evaluated in a single numpy call; a panel whose
 value differs from the sum of its two halves by more than the panel
 tolerance (_PANEL_TOL, or arc_length's tol) is split, otherwise its
-halves are kept, for at most _MAX_DEPTH levels.  The first level's
-nodes, of its at most 16 equal panels and their halves, are the panel
-width times one constant template (_LEVEL0, _LEVEL0_G); later levels
+halves are kept, for at most _MAX_DEPTH levels.  The first level
+evaluates its at most 16 equal panels and their halves, whose starts are
+the panel width times one constant template (_LEVEL0); later levels
 evaluate only the halves of the open panels, all of one width.  The
 table sums its total up front and gathers its columns and node speeds
-only when knots read them; a table of one level ravels that level.
-Equidistant knots invert it, _KNOT_BLOCK knots per block.  A knot's
-first guess comes from the panel that holds its target length: a few
-Newton steps on the length of the degree-11 interpolant of the panel's
-node speeds, one fixed antiderivative matrix applied to the speeds of
-the block's panels, with no speed evaluation; each step is one power
-block and one stacked product.  The true-integral check is the
-postcondition: one speed call per pass, at the panel's Gauss nodes up to
-the knot and at the knot itself, and where a knot misses it takes
-safeguarded Newton steps, with the panel's Gauss length as value and
-the speed as derivative, inside that panel until it meets its tolerance.
+only when knots read them.  Equidistant knots invert it, _KNOT_BLOCK
+knots per block.  A knot's first guess comes from the panel that holds
+its target length: a few Newton steps on the length of the degree-11
+interpolant of the panel's node speeds, one fixed antiderivative matrix
+applied to the speeds of the block's panels, with no speed evaluation;
+each step is one power block and one stacked product.  The
+true-integral check is the postcondition: one speed call per pass, at
+the panel's Gauss nodes up to the knot and at the knot itself, and
+where a knot misses it takes safeguarded Newton steps, with the panel's
+Gauss length as value and the speed as derivative, inside that panel
+until it meets its tolerance.
 
 Profiles sample a duration T at frequency f into n = round(T*f) steps,
 n+1 samples with timestamps i/f, and report the duration n/f that the
@@ -66,12 +66,14 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ._tolerances import KNOT_TOL as _KNOT_TOL, PANEL_TOL as _PANEL_TOL, POLE_MARGIN
+from .dq import _binary_normalized
 from .errors import PoleOnPath, QuadratureFailure
 from .kinematics import TWO_PI, Mechanism, _axis_parts, _t_to_angle
 from .motionpoly import (
@@ -161,6 +163,9 @@ _KNOT_BLOCK = 1024
 _MAX_SAMPLES = 10**6
 # columns of x0, x1, x2, x3 in an acted point
 _POINT_COLUMNS = [0, 5, 6, 7]
+# bound of a path's harmonic coefficients, with x0's largest in [0.5, 1):
+# a quarter of the exponent range, so the squares of the speed stay finite
+_X_LIMIT = 2.0 ** (sys.float_info.max_exp // 4)
 # time fraction over which a blended profile ramps its speed in and out
 _BLEND_RAMP = 0.1
 
@@ -277,18 +282,17 @@ def _gauss(speed, lo: np.ndarray, width) -> tuple:
     """Gauss-Legendre integrals of speed over [lo, lo + width], per panel,
     and the speeds at the panels' nodes, along a last axis of nodes.
 
-    lo may have any shape; width has the same shape or is one float.
+    lo may have any shape; width is one float or broadcasts against lo.
     """
-    x = lo[..., None] + np.multiply.outer(width, _GL_NODES)
+    x = lo[..., None] + np.asarray(width)[..., None] * _GL_NODES
     f = speed(x.ravel()).reshape(x.shape)
     return (f @ _GL_WEIGHTS) * width, f
 
 
-# a panel and its halves: starts and widths in panel widths, then starts
-# and node offsets of the first level's at most 2*pi / _ANGLE_PANEL panels
+# a panel and its halves: starts and widths in panel widths, then the
+# starts of the first level's at most 2*pi / _ANGLE_PANEL panels
 _SPLIT = np.array([[0.0, 0.0, 0.5], [1.0, 0.5, 0.5]])
 _LEVEL0 = np.arange(round(TWO_PI / _ANGLE_PANEL))[:, None] + _SPLIT[0]
-_LEVEL0_G = _SPLIT[1][:, None] * _GL_NODES
 
 
 class _Table:
@@ -298,16 +302,15 @@ class _Table:
     sum of its halves to tol; the halves are kept, and so are the speeds
     at their Gauss nodes, for the first guesses of _knots.  The first
     level evaluates its pieces <= 16 equal panels of [0, span] with their
-    halves in one speed call, at the nodes size * _LEVEL0_G from the
-    starts size * _LEVEL0; later levels evaluate only the halves of the
-    open panels, whose values the level before holds.  The halves of one
-    level share one width, kept as one float.  Halving is exact, so a
-    half's nodes and value are those of the Gauss rule on its own start
-    and width.  Raises QuadratureFailure when a panel still misses tol
-    after _MAX_DEPTH levels.  Only total, the sum of the kept halves in
-    order of start, is built up front; the columns of _columns, one entry
-    per kept half in that order, on first read.  A one-level table ravels
-    its only level into them, with no concatenation and no index.
+    halves in one speed call, from the starts size * _LEVEL0; later
+    levels evaluate only the halves of the open panels, whose values the
+    level before holds.  The halves of one level share one width, kept
+    as one float.  Halving is exact, so a half's nodes and value are
+    those of the Gauss rule on its own start and width.  Raises
+    QuadratureFailure when a panel still misses tol after _MAX_DEPTH
+    levels.  Only total, the sum of the kept halves in order of start, is
+    built up front; the columns of _columns, one entry per kept half in
+    that order, on first read.
     """
 
     def __init__(self, speed, span: float, pieces: int, tol: float):
@@ -315,9 +318,7 @@ class _Table:
         self.span = span
         size = span / pieces
         start = size * _LEVEL0[:pieces]
-        x = start[..., None] + size * _LEVEL0_G
-        f = speed(x.ravel()).reshape(x.shape)
-        value = (f @ _GL_WEIGHTS) * (size * _SPLIT[1])
+        value, f = _gauss(speed, start, size * _SPLIT[1])
         whole, start, value, f = value[:, 0], start[:, 1:], value[:, 1:], f[:, 1:]
         width = 0.5 * size
         self._levels = levels = []
@@ -350,15 +351,9 @@ class _Table:
     @cached_property
     def _columns(self) -> tuple:
         """lo, width, value, ends and node speeds, in order of start."""
-        if len(self._levels) == 1:
-            start, value, f, size = self._levels[0]
-            lo, value, f = start.ravel(), value.ravel(), f.reshape(-1, _GL_ORDER)
-            width = np.empty(lo.size)
-            width.fill(size)
-        else:
-            lo, value, f = self._column(0), self._column(1), self._column(2)
-            sizes, counts = zip(*[(level[3], level[1].size) for level in self._levels])
-            width = np.repeat(sizes, counts)[self._order]
+        lo, value, f = self._column(0), self._column(1), self._column(2)
+        sizes, counts = zip(*[(level[3], level[1].size) for level in self._levels])
+        width = np.array(sizes).repeat(counts)[self._order]
         return lo, width, value, value.cumsum(), f
 
 
@@ -401,17 +396,15 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
     true length by about the knot tolerance, so the true-integral check
     stays the postcondition: one speed call per pass evaluates the
     panel's Gauss nodes scaled to [panel start, knot] and, as their 13th
-    node, the knot itself.  The first pass reads its block through
-    slices.  Only when a knot misses does the block build its brackets,
-    the knots' panels, and take safeguarded Newton steps inside them,
-    with the Gauss length from the panel start as value and the speed as
-    derivative, where a step that leaves the shrinking bracket is
-    replaced by bisection.  Knots are guessed and checked in blocks of
-    _KNOT_BLOCK, which bounds the memory of one speed evaluation
-    whatever the number of knots.  Raises QuadratureFailure when some
-    knot misses its tolerance after _INVERSION_MAX_ITER iterates.  A
-    path of zero length has no arc to follow, so its knots sit at the
-    fractions of the span instead.
+    node, the knot itself.  A knot that misses takes safeguarded Newton
+    steps inside its bracket, its panel, with the Gauss length from the
+    panel start as value and the speed as derivative, where a step that
+    leaves the shrinking bracket is replaced by bisection.  Knots are
+    guessed and checked in blocks of _KNOT_BLOCK, which bounds the memory
+    of one speed evaluation whatever the number of knots.  Raises
+    QuadratureFailure when some knot misses its tolerance after
+    _INVERSION_MAX_ITER iterates.  A path of zero length has no arc to
+    follow, so its knots sit at the fractions of the span instead.
 
     Knots are defined to _KNOT_TOL, not to the bit: the speed's matrix
     product rounds by batch shape, so _KNOT_BLOCK or the count of open
@@ -439,7 +432,7 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
         s = _newton_in_panel(poly, start[block])
         x[block] = base[block] + 0.5 * (s + 1.0) * widths[rows]
         xb, bb, wb = x[block], base[block], want[block]
-        todo, lo = slice(None), None
+        todo, lo, hi = np.arange(xb.size), bb.copy(), bb + widths[rows]
         for _ in range(_INVERSION_MAX_ITER):
             # length from the panel start to x by the panel's own rule,
             # and the speed at x, in one evaluation
@@ -450,8 +443,6 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
             open_ = np.abs(miss) > tol
             if not np.logical_or.reduce(open_):
                 break
-            if lo is None:
-                todo, lo, hi = np.arange(xb.size), bb.copy(), bb + widths[rows]
             todo, miss, slope, xt = todo[open_], miss[open_], f[open_, -1], xt[open_]
             lo[todo] = np.where(miss < 0.0, xt, lo[todo])
             hi[todo] = np.where(miss > 0.0, xt, hi[todo])
@@ -467,11 +458,21 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
     return x
 
 
+def _x0_scaled(coef: np.ndarray) -> np.ndarray:
+    """coef scaled by the power of two that brings the largest of X0 and
+    dX0 (columns 0 and 4 of the last axis) into [0.5, 1), which the speed
+    does not see; ValueError when X0 is zero or another coefficient
+    reaches _X_LIMIT times that largest one."""
+    top = float(np.max(np.abs(coef[..., [0, 4]])))
+    if not float(np.max(np.abs(coef))) < top * _X_LIMIT:
+        raise ValueError("point path overflows: its coordinates exceed x0 by 2**256 or more")
+    return np.ldexp(coef, -math.frexp(top)[1])
+
+
 def _table(coef, poles, start: float, delta: float, tol: float) -> _Table:
     """Length table of the harmonic coefficients coef (_Speed) from the
-    angle start over delta radians; PoleOnPath for the pole angles."""
-    if not np.logical_and.reduce(np.isfinite(coef), axis=None):
-        raise ValueError("point path coefficients must be finite")
+    angle start over delta radians; PoleOnPath for the pole angles.  coef
+    is scaled as _x0_scaled scales it and stays below _X_LIMIT."""
     _check_poles(poles, min(start, start + delta), max(start, start + delta), TWO_PI)
     span = abs(delta)
     speed = _Speed(coef, start, math.copysign(1.0, delta))
@@ -507,7 +508,9 @@ def _param_table(path: RationalPointPath, a: float, b: float, tol: float) -> tup
         _check_poles(_real_roots(x0), min(a, b), max(a, b))
         table = _Table(lambda u: path.speed(a + sigma * u), abs(b - a), 1, tol)
         return table, lambda x: a + sigma * x
-    coef = np.concatenate(_cot_map(x0.size // 2) @ path._hom, axis=-1)
+    # one power of two for all coordinates keeps the map in range
+    coef = np.concatenate(_cot_map(x0.size // 2) @ _binary_normalized(path._hom), axis=-1)
+    coef = _x0_scaled(coef)
     ab = a * b
     if math.isfinite(ab):
         delta = 2.0 * math.atan2(a - b, 1.0 + ab)
@@ -541,8 +544,9 @@ def arc_length(
     interval and QuadratureFailure when a panel still misses tol after
     _MAX_DEPTH refinement levels; in phi the pole, interval and margin
     are angles, and the panel bounds offsets from the angle of the lower
-    t.  Non-finite parameters, a span that overflows, or a tol that is
-    not positive and finite raise ValueError.
+    t.  Non-finite parameters, a span that overflows, a tol that is not
+    positive and finite, or a path whose coordinates exceed x0 by 2**256
+    or more in phi (_x0_scaled) raise ValueError.
     """
     a, b = float(t0), float(t1)
     _check_finite(("t0", a), ("t1", b), ("t1 - t0", b - a))
@@ -648,17 +652,20 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
     the (4, 2n+2, 8) harmonic array holds, for the columns x0..x3 of
     action[i], the harmonic coefficients in phi of _harmonic_map and
     then those of their phi-derivatives; its affine combination for a
-    tool point is the coefficient array of _Speed.  The pole angles are
-    those of x0, the primal norm of the tool motion.  The sizes of the
-    harmonic rows (motionpoly._basis_sizes) let _affine_action reject a
-    tool point whose coefficients would overflow.  Built on first use and
-    kept, read-only, in the mechanism's _chart slot.
+    tool point is the coefficient array of _Speed.  X0 is the same for
+    every tool point, so the array comes scaled once by _x0_scaled.  The
+    pole angles are those of x0, the primal norm of the tool motion.  The
+    sizes of the harmonic rows (motionpoly._basis_sizes) let
+    _affine_action reject a tool point whose coefficients would reach
+    _X_LIMIT.  Built on first use and kept, read-only, in the mechanism's
+    _chart slot.
     """
     if mechanism._chart is None:
         action = _point_action(mechanism._tool_coeffs)
         q0, r = mechanism._axis
         maps = _harmonic_map(mechanism._tool_coeffs.shape[0] - 1, q0, r)
         harmonic = np.concatenate(maps[:, None] @ action[..., _POINT_COLUMNS], axis=-1)
+        harmonic = _x0_scaled(harmonic)
         chart = (harmonic, _pole_angles(action[0, :, 0], q0, r), _basis_sizes(harmonic))
         for arr in chart:
             arr.flags.writeable = False
@@ -669,7 +676,8 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
 def _angle_table(mechanism: Mechanism, tool, start, delta) -> _Table:
     """Length table of the tool point path from start over delta radians."""
     harmonic, poles, sizes = _angle_chart(mechanism)
-    return _table(_affine_action(harmonic, tool, sizes), poles, start, delta, _PANEL_TOL)
+    coef = _affine_action(harmonic, tool, sizes, _X_LIMIT)
+    return _table(coef, poles, start, delta, _PANEL_TOL)
 
 
 def arc_length_between(
@@ -679,7 +687,11 @@ def arc_length_between(
     tool=(0.0, 0.0, 0.0),
     direction: str = "short",
 ) -> float:
-    """Tool point arc length between two joint angles along a chosen arc."""
+    """Tool point arc length between two joint angles along a chosen arc.
+
+    A tool point whose harmonic coefficients may reach _X_LIMIT, 2**256
+    times x0's largest, raises ValueError.
+    """
     delta = resolve_arc(theta0, theta1, direction)
     if delta == 0.0:
         return 0.0

@@ -51,6 +51,23 @@ def test_angle_to_param_known_values():
     assert angle_to_param(2.0 * math.pi, AXIS) is INFINITY
 
 
+def test_angle_to_param_rejects_angles_that_are_not_finite():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            angle_to_param(theta, AXIS)
+
+
+def test_param_to_angle_rejects_nan():
+    with pytest.raises(ValueError, match="t must not be nan"):
+        param_to_angle(math.nan, AXIS)
+
+
+def test_direct_kinematics_rejects_angles_that_are_not_finite(sixbar):
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            direct_kinematics(sixbar, theta)
+
+
 def test_angle_to_param_uses_axis_geometry():
     axis = np.array([2.0, 0.0, 0.0, 3.0])
     # scalar part shifts the chart, vector norm scales it
@@ -63,6 +80,7 @@ def test_angle_to_param_uses_axis_geometry():
 def test_param_to_angle_inverts_chart(rng):
     for axis in (AXIS, np.array([0.457, -0.060, -0.003, 0.068])):
         assert param_to_angle(INFINITY, axis) == 0.0
+        assert param_to_angle(-math.inf, axis) == 0.0
         for theta in rng.uniform(1e-3, 2 * math.pi - 1e-3, size=40):
             t = angle_to_param(theta, axis)
             assert math.isclose(param_to_angle(t, axis), theta, rel_tol=1e-12)

@@ -93,6 +93,24 @@ def test_evaluate_known_poses(cubic):
     assert np.array_equal(cubic.evaluate(INFINITY).coeffs, [1, 0, 0, 0, 0, 0, 0, 0])
 
 
+def test_infinity_is_the_float_infinity():
+    assert INFINITY is math.inf
+    assert motionpoly.INFINITY is math.inf
+
+
+def test_evaluate_at_either_infinity_is_the_leading_coefficient(sixbar, bennett, random_linkage):
+    motions = [sixbar.motion, bennett.motion]
+    motions.append(random_linkage(np.random.default_rng(35), 4).motion)
+    for motion in motions:
+        for t in (math.inf, -math.inf):
+            assert motion.evaluate(t).coeffs.tobytes() == motion.coeffs[-1].tobytes()
+
+
+def test_coefficient_array_and_rows_give_one_motion():
+    rows = MotionPolynomial([DualQuaternion(c) for c in SIXBAR_COEFFS])
+    assert rows.coeffs.tobytes() == MotionPolynomial(SIXBAR_COEFFS).coeffs.tobytes()
+
+
 def test_evaluate_on_border():
     border = MotionPolynomial(
         np.array([[0, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0, 0]], dtype=float)

@@ -799,8 +799,8 @@ def test_refined_table_is_well_formed(request, name, tool, pieces, tol):
 
 
 def test_one_level_table_is_well_formed(request):
-    # a table that meets the default tolerance on its first level ravels
-    # that level into its columns; its halves' nodes are the template's to
+    # a table that meets the default tolerance on its first level keeps
+    # that level as its columns; its halves' nodes are the template's to
     # the bit, and so are their speeds
     name, args, kwargs = BENNETT_SHORT
     delta = resolve_arc(*args, kwargs["direction"])
@@ -1110,6 +1110,34 @@ def test_point_check_reaches_arc_length_between(random_linkage, sixbar):
                 arc_length_between(mech, 0.4, 2.0, tool=(bad, 0.0, 0.0))
             with pytest.raises(ValueError, match="finite"):
                 equidistant_profile(mech, 0.4, 2.0, 1.0, 5.0, tool=(0.0, 0.0, bad))
+
+
+def test_paths_far_beyond_x0_are_rejected_without_overflow(sixbar):
+    # finite tool points whose paths exceed x0 by 2**256 or more, where the
+    # squares of the speed would overflow
+    for x in (1e160, 1e200, 1e307):
+        with pytest.raises(ValueError, match="its path overflows"):
+            arc_length_between(sixbar, 0.3, 1.2, tool=(x, 0.0, 0.0))
+        with pytest.raises(ValueError, match="its path overflows"):
+            equidistant_profile(sixbar, 0.3, 1.2, 1.0, 10.0, tool=(x, 0.0, 0.0))
+    # a bare path whose x0 is 1e-200 of its other coordinates, and one whose
+    # x0 underflows to zero once the path is scaled into range
+    for x0 in (1e-200, 5e-324):
+        path = RationalPointPath([x0, 0.0, x0], np.diag([1e300, 1e300, 5e299]))
+        with pytest.raises(ValueError, match="exceed x0 by 2\\*\\*256"):
+            arc_length(path, -1.0, 1.0)
+
+
+def test_huge_path_coefficients_keep_the_scale_free_length():
+    # the speed sees the coefficients scaled by a power of two, so a path
+    # near the float limit has the length of its mantissa-sized copy
+    def path(s):
+        return RationalPointPath([s, 0.0, s], np.diag([s, s, s / 2.0]))
+
+    for s in (1e307, 5e307):
+        small = math.ldexp(s, -math.frexp(s)[1])
+        assert arc_length(path(s), -1.0, 1.0) == arc_length(path(small), -1.0, 1.0)
+        assert math.isclose(arc_length(path(s), -1.0, 1.0), 1.66479180539134, rel_tol=1e-14)
 
 
 def test_arc_length_rejects_non_finite_parameters(circle_path):

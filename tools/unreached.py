@@ -45,11 +45,6 @@ ALLOWED = {
     ("kinematics.py", "_refine", "return t, f, 0, ()"): (
         "the zero-norm case of _error_and_slope at the start"
     ),
-    ("trajectory.py", "_table", 'raise ValueError("point path coefficients must be finite")'): (
-        "harmonic coefficients that overflow; motionpoly._affine_action rejects"
-        " such a tool point first, so only a RationalPointPath with coefficients"
-        " near 1e308 reaches it, after numpy warns of the overflow in _param_table"
-    ),
 }
 
 
