@@ -40,7 +40,7 @@ def dq_mul8(a, b):
 
 def poly_eval8(coeffs, t):
     """Horner evaluation of the columns of an (n+1, k) ascending coefficient
-    array; after the first step, which broadcasts against t, in place."""
+    array at one t; after the first step, in place."""
     out = coeffs[-1].copy() if len(coeffs) == 1 else coeffs[-1] * t + coeffs[-2]
     for row in coeffs[-3::-1]:
         out *= t

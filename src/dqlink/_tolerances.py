@@ -82,7 +82,7 @@ STEP_TOL          1e-14   t, relative to        an accepted polish step at or
 DIVERGENCE_BOUND  1e8     t                     the largest |t| a polish trial
                                                 may reach; held by
                                                 test_polish_stops_at_its_tolerances
-POLE_MARGIN       1e-12   t or chart radians,   the distance outside an
+POLE_MARGIN       1e-12   chart radians,        the distance outside an
                           relative to 1 + span  interval at which a pole of the
                                                 path still counts as on it;
                                                 held by

@@ -69,13 +69,14 @@ def _number_list(value, length: int, what: str) -> list:
 def load_mechanism(path) -> Mechanism:
     """Read a mechanism file.
 
-    Raises ParseError for files that are not YAML mappings, SchemaError
-    for structural problems, and StudyViolation when the motion or an
-    axis fails validation.
+    The file is decoded as UTF-8, or as UTF-16 after a byte order mark,
+    whatever the locale.  Raises ParseError for files that do not decode
+    or are not YAML mappings, SchemaError for structural problems, and
+    StudyViolation when the motion or an axis fails validation.
     """
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.safe_load(data)
     except yaml.YAMLError as exc:
         raise ParseError("invalid YAML in %s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):

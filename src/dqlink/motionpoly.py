@@ -250,11 +250,11 @@ def _affine_action(basis: np.ndarray, x, sizes=None, limit=0.5 * sys.float_info.
 
 
 def _speed(h: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """|X0 * dX - X * dX0| / X0**2 from the values h = (X0, X1, X2, X3)
-    and the derivatives d along the first axis.
+    """|X0 * dX - X * dX0| / X0**2 from the rows h = (X0, X1, X2, X3) of
+    values and the rows d of derivatives, one entry per node.
 
-    Each coordinate is one row, so every operation runs on whole rows;
-    the squares are summed in the order X1, X2, X3 whatever the shape.
+    Every operation runs on whole rows, and the squares are summed in the
+    order X1, X2, X3.
     """
     num = d[1:] * h[0] - h[1:] * d[0]
     num *= num
@@ -267,7 +267,7 @@ class RationalPointPath:
     x0 is the homogeneous coordinate; the Euclidean point at parameter t
     is (x1/x0, x2/x0, x3/x0).  The ascending coefficients of x0..x3 and
     of their derivatives are the columns of two read-only arrays, which
-    hom and speed evaluate by Horner's rule; x0, xi, x0d and xid view them.
+    x0, xi, x0d and xid view; hom evaluates the first by Horner's rule.
     Both must be finite, or the constructor raises ValueError.
     """
 
@@ -325,16 +325,3 @@ class RationalPointPath:
         if scale == 0.0 or abs(h[0]) <= _REL_ZERO * scale:
             raise PoleOnPath("path has a pole at t = %r" % (t,))
         return h[1:] / h[0]
-
-    def speed(self, t):
-        """Norm of the Euclidean velocity at t, a float or an array of them.
-
-        Each coordinate and its derivative evaluate to an array of the
-        shape of t, along the first axis of motionpoly._speed.
-        """
-        t = np.asarray(t, dtype=float)
-        coords = (c.reshape((-1, 4) + (1,) * t.ndim) for c in (self._hom, self._dhom))
-        h, d = (_kernels.poly_eval8(c, t) for c in coords)
-        out = _speed(h, d)
-        # a constant path evaluates to one row whatever the shape of t
-        return float(out) if t.ndim == 0 else np.broadcast_to(out, t.shape).copy()

@@ -7,8 +7,7 @@ configuration (phi a multiple of 2*pi, t at infinity) is an ordinary
 point.  Arcs between joint angles take q0 and r, the scalar part and
 the vector length of the driving axis quaternion, so that phi is the
 unwrapped driving angle; arcs between curve parameters take (0, 1), t =
-cot(phi/2).  Only a path whose x0 vanishes at home, where the point
-runs off to infinity, is integrated in t itself (_param_table).
+cot(phi/2).
 
 The tool path of a degree-n motion has degree D = 2n, since x0 is the
 primal norm |C(t)|**2.  Its homogeneous coordinates are forms of
@@ -177,17 +176,13 @@ def _check_finite(*named):
             raise ValueError("%s must be finite, got %r" % (name, value))
 
 
-def _check_poles(poles: np.ndarray, lo: float, hi: float, period=None):
-    """Raise PoleOnPath when a pole lies in [lo, hi].
-
-    With a period the poles repeat at every multiple of it.
-    """
+def _check_poles(poles: np.ndarray, lo: float, hi: float):
+    """Raise PoleOnPath when a pole angle, repeated at every multiple of
+    2*pi, lies in the chart angles [lo, hi]."""
     if poles.size == 0:
         return
     margin = POLE_MARGIN * (1.0 + hi - lo)
-    first = poles
-    if period is not None:
-        first = poles + period * np.ceil((lo - margin - poles) / period)
+    first = poles + TWO_PI * np.ceil((lo - margin - poles) / TWO_PI)
     inside = first[(first >= lo - margin) & (first <= hi + margin)]
     if inside.size:
         raise PoleOnPath(
@@ -473,7 +468,7 @@ def _table(coef, poles, start: float, delta: float, tol: float) -> _Table:
     """Length table of the harmonic coefficients coef (_Speed) from the
     angle start over delta radians; PoleOnPath for the pole angles.  coef
     is scaled as _x0_scaled scales it and stays below _X_LIMIT."""
-    _check_poles(poles, min(start, start + delta), max(start, start + delta), TWO_PI)
+    _check_poles(poles, min(start, start + delta), max(start, start + delta))
     span = abs(delta)
     speed = _Speed(coef, start, math.copysign(1.0, delta))
     return _Table(speed, span, max(1, math.ceil(span / _ANGLE_PANEL)), tol)
@@ -491,23 +486,25 @@ def _param_table(path: RationalPointPath, a: float, b: float, tol: float) -> tup
     """Length table of the path from parameter a towards b, and the map
     from its offsets back to parameters.
 
-    A path whose x0 vanishes at home (odd degree, or x0 below full
-    degree) has a pole of its speed in phi there, so it is integrated in
-    t.  Any other path is integrated in phi, t = cot(phi/2), over phi(b)
-    - phi(a) formed as one angle, so a short arc keeps its digits.  An
-    offset x maps back by the tangent addition formula from a, u =
-    tan(-sigma*x/2): t = a - c, c = u*(1 + a*a)/(1 + a*u), rounds like
-    a + (t - a) while |c| <= |a|/2; beyond, (a - u)/(1 + a*u) does not
-    cancel.  Either keeps t within about an ulp of phi.  For |a| > 1, |c|
-    > |a|/2 wherever |u| > 1, so c takes u clipped to [-1, 1], against
-    overflow of u*a in a branch that np.where discards.
+    The path is integrated in phi, t = cot(phi/2), over phi(b) - phi(a)
+    formed as one angle, so a short arc keeps its digits.  A path whose
+    x0 vanishes at home (odd degree, or x0 below full degree) runs off to
+    infinity there, where its speed in phi has a pole, and raises
+    ValueError before any quadrature.  An offset x maps back by the
+    tangent addition formula from a, u = tan(-sigma*x/2): t = a - c, c =
+    u*(1 + a*a)/(1 + a*u), rounds like a + (t - a) while |c| <= |a|/2;
+    beyond, (a - u)/(1 + a*u) does not cancel.  Either keeps t within
+    about an ulp of phi.  For |a| > 1, |c| > |a|/2 wherever |u| > 1, so c
+    takes u clipped to [-1, 1], against overflow of u*a in a branch that
+    np.where discards.
     """
-    sigma = math.copysign(1.0, b - a)
     x0 = path.x0
     if x0.size % 2 == 0 or _degree(x0) < x0.size - 1:
-        _check_poles(_real_roots(x0), min(a, b), max(a, b))
-        table = _Table(lambda u: path.speed(a + sigma * u), abs(b - a), 1, tol)
-        return table, lambda x: a + sigma * x
+        raise ValueError(
+            "point path runs off to infinity at t = inf, where x0 has odd "
+            "degree or drops degree; its arcs in t are not supported"
+        )
+    sigma = math.copysign(1.0, b - a)
     # one power of two for all coordinates keeps the map in range
     coef = np.concatenate(_cot_map(x0.size // 2) @ _binary_normalized(path._hom), axis=-1)
     coef = _x0_scaled(coef)
@@ -538,15 +535,16 @@ def arc_length(
 ) -> float:
     """Length of the path between two finite parameters.
 
-    The path is integrated in the variable _param_table picks, t or
-    phi of t = cot(phi/2), with tol the absolute tolerance per
-    Gauss-Legendre panel.  Raises PoleOnPath when x0 vanishes inside the
-    interval and QuadratureFailure when a panel still misses tol after
-    _MAX_DEPTH refinement levels; in phi the pole, interval and margin
-    are angles, and the panel bounds offsets from the angle of the lower
-    t.  Non-finite parameters, a span that overflows, a tol that is not
-    positive and finite, or a path whose coordinates exceed x0 by 2**256
-    or more in phi (_x0_scaled) raise ValueError.
+    The path is integrated in phi of t = cot(phi/2) (_param_table), with
+    tol the absolute tolerance per Gauss-Legendre panel.  Raises
+    PoleOnPath when x0 vanishes inside the interval and QuadratureFailure
+    when a panel still misses tol after _MAX_DEPTH refinement levels; the
+    pole, interval and margin are angles, and the panel bounds offsets
+    from the angle of the lower t.  Non-finite parameters, a span that
+    overflows, a tol that is not positive and finite, a path that runs
+    off to infinity at home (x0 of odd degree or below full degree), or
+    one whose coordinates exceed x0 by 2**256 or more (_x0_scaled) raise
+    ValueError; an empty interval has length 0 on any path.
     """
     a, b = float(t0), float(t1)
     _check_finite(("t0", a), ("t1", b), ("t1 - t0", b - a))
@@ -584,7 +582,8 @@ def equidistant_params(
     of a segment over [2, 2 + 1e-6] and 2.8e-7 over [100, 100 + 1e-6],
     with 40 segments on a sixbar path).  A path of zero length over the
     span gets evenly spread parameters.  Errors are those of arc_length,
-    with its default tol; n must be an integer (TypeError otherwise) from
+    with its default tol, so a path that runs off to infinity at home
+    raises ValueError; n must be an integer (TypeError otherwise) from
     1 to _MAX_SAMPLES, the bound of a profile's steps, checked before
     anything is allocated (ValueError).
     """

@@ -4,12 +4,16 @@ import importlib.util
 import io
 import math
 import operator
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import dqlink
 from dqlink import (
     DualQuaternion,
     Mechanism,
@@ -452,6 +456,30 @@ CLI_CASES = cli_cases.load_cases()
 def test_cli_cases(capsys, case):
     code = main(case["argv"])
     assert cli_cases.check(case, code, capsys.readouterr().out) == []
+
+
+def test_mechanism_files_decode_as_utf8_in_any_locale(sixbar):
+    # under the C locale without UTF-8 mode, Python decodes text files as
+    # ASCII; the loader hands the file's bytes to PyYAML instead, which
+    # reads non-ASCII metadata as UTF-8 and rejects a byte that is not
+    code = (
+        "import locale, sys, dqlink\n"
+        "print(locale.getpreferredencoding(False))\n"
+        "print(dqlink.direct_kinematics(dqlink.load_mechanism(sys.argv[1]), 1.0).coeffs.tolist())\n"
+    )
+    src = str(pathlib.Path(dqlink.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(DATA / "sixbar_utf8.mech")],
+        env=dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    encoding, pose = run.stdout.splitlines()
+    assert encoding.lower().replace("-", "") != "utf8"
+    assert pose == repr(direct_kinematics(sixbar, 1.0).coeffs.tolist())
+    with pytest.raises(ParseError, match="#x00ff"):
+        load_mechanism(DATA / "bad_byte.mech")
 
 
 def test_cli_round_trip_with_a_scaled_tool(tmp_path, capsys, sixbar):

@@ -728,6 +728,17 @@ def test_polish_stops_before_leaving_the_divergence_bound(sixbar):
     assert math.isclose(r.theta, 8.1e-10, rel_tol=1e-2)
 
 
+def test_polish_stops_where_the_curve_value_vanishes():
+    # C = t passes the norm check, since its norm polynomial t**2 is real,
+    # but C(0) = 0 has no normalized error: the polish returns its start
+    # with an infinite residual, no step and no trace
+    mech = Mechanism(MotionPolynomial([[0.0] * 8, [1, 0, 0, 0, 0, 0, 0, 0]]), [0, 1, 0, 0])
+    target = kinematics._Target(np.array([1.0, 0, 0, 0, 0, 0, 0, 0]))
+    rows = mech._polish_rows[False]
+    assert kinematics._refine(rows, target, 0.0) == (0.0, math.inf, 0, ())
+    assert _eager_refine(rows, target, 0.0) == (0.0, math.inf, 0, ())
+
+
 def test_polish_stops_at_the_slope_floor():
     # C(t) = 1 + t**2 i has a zero slope at t = 0, where the start lands
     # for a pose off the curve, so the polish has no direction to step in

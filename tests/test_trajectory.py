@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -918,7 +920,6 @@ def check_chart_speeds(mech, rng):
         coords = np.column_stack([path.x0, path.xi.T])
         phi = rng.uniform(-2 * math.pi, 2 * math.pi, size=40)
         assert_speeds(trajectory._Speed(coef, 0.0, 1.0), phi, coords, axis)
-        assert_speeds(path.speed, rng.uniform(-3.0, 3.0, size=40), coords)
 
 
 def test_trig_speed_matches_homogeneous_evaluation(random_linkage):
@@ -934,13 +935,45 @@ def test_trig_speed_matches_homogeneous_evaluation(random_linkage):
         coef = np.hstack(trajectory._harmonic_map(2, *axis) @ coords)
         speed = trajectory._Speed(coef, 0.0, 1.0)
         assert_speeds(speed, 2.0 * np.arctan2(axis[1], t - axis[0]), coords, axis)
-    assert_speeds(path.speed, t, coords)
     # a tool frame that turns and shifts, so the chart acts through the
     # tool motion rather than the motion itself
     rng = np.random.default_rng(23)
     turn = DualQuaternion(rng.normal(size=4).tolist() + [0.0] * 4)
     tool_home = turn * DualQuaternion.from_translation(rng.normal(size=3))
     check_chart_speeds(dataclasses.replace(mech, tool_home=tool_home), rng)
+
+
+def exact_speed(path, t):
+    """|dP/dt| = |X0 * dX - X * dX0| / X0**2 from an exact rational
+    evaluation of the path's coefficients at t."""
+
+    def value(coeffs):
+        acc = Fraction(0)
+        for c in coeffs[::-1]:
+            acc = acc * Fraction(t) + Fraction(float(c))
+        return acc
+
+    w, wd = value(path.x0), value(path.x0d)
+    num = [value(path.xid[i]) * w - value(path.xi[i]) * wd for i in range(3)]
+    return math.sqrt(float(sum(n * n for n in num) / w**4))
+
+
+def test_chart_speed_matches_exact_evaluation(sixbar, bennett):
+    # the joint angle theta of t = q0 + r*cot(theta/2) turns |dP/dt| into
+    # |dP/dtheta| = |dP/dt| * (r**2 + (t - q0)**2) / (2*r)
+    rng = np.random.default_rng(31)
+    for mech in (sixbar, bennett):
+        q0, r = mech._axis
+        harmonic = trajectory._angle_chart(mech)[0]
+        for _ in range(4):
+            tool = rng.normal(scale=0.5, size=3)
+            path = mech.motion.point_path(mech.tool_home.act_on_point(tool))
+            coef = harmonic[0] + (tool @ harmonic[1:].reshape(3, -1)).reshape(harmonic.shape[1:])
+            speed = trajectory._Speed(coef, 0.0, 1.0)
+            t = rng.uniform(-3.0, 3.0, size=50)
+            got = speed(2.0 * np.arctan2(r, t - q0))
+            want = np.array([exact_speed(path, x) * (r * r + (x - q0) ** 2) / (2 * r) for x in t])
+            assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 # 30-digit mpmath lengths of t-arcs of both fixtures, written by
@@ -1003,17 +1036,24 @@ def assert_knots_in_the_cot_angle(path, seg, t0, t1):
     assert np.max(np.abs(miss)) <= trajectory._KNOT_TOL * total / n
 
 
-def test_paths_that_run_off_at_home_keep_their_length():
-    # a line, and a tool point of the translation 1 + t*eps*k, run off to
-    # infinity at home, where the speed in the angle of t = cot(phi/2) has
-    # a pole; in t both move at constant speed, 1 and 2
+def test_paths_that_run_off_at_home_are_rejected():
+    # a line, a tool point of the translation 1 + t*eps*k, whose x0 drops
+    # degree, and lines of odd degree at every coefficient scale run off
+    # to infinity at home, where the speed in the angle of t = cot(phi/2)
+    # has a pole; their arcs in t raise ValueError, with no overflow
+    # warning at any scale
     line = RationalPointPath([1.0, 0.0], [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     slide = MotionPolynomial([[1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1]])
-    for path, speed in ((line, 1.0), (slide.point_path([0.3, 0.0, 0.0]), 2.0)):
-        for t0, t1 in ((0.0, 1e4), (-1e12, 0.5), (1e11, 3e11)):
-            assert math.isclose(arc_length(path, t0, t1), speed * (t1 - t0), rel_tol=1e-14)
-        seg = equidistant_params(path, 0.0, 1e4, 8)
-        assert np.max(np.abs(np.array(seg.params) - np.linspace(0.0, 1e4, 9))) <= 1e-8 * 1e4 / 8
+    paths = [line, slide.point_path([0.3, 0.0, 0.0])] + [
+        RationalPointPath([s, s], [[s, 0.0], [0.0, s], [0.0, 0.0]]) for s in (1.0, 1e150, 1e300)
+    ]
+    for path in paths:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="runs off to infinity"):
+                arc_length(path, -0.5, 1.0)
+            with pytest.raises(ValueError, match="runs off to infinity"):
+                equidistant_params(path, 0.0, 1e4, 8)
 
 
 @pytest.mark.parametrize("name", ["sixbar", "bennett"])

@@ -36,15 +36,6 @@ ALLOWED = {
     ("_kernels.py", "arc_simpson", None): (
         "no library code calls it; the benchmark tracer still wraps it by name"
     ),
-    ("kinematics.py", "_error_and_slope", "return None"): (
-        "a curve value of zero norm; C(t) of a motion polynomial never vanishes"
-    ),
-    ("kinematics.py", "_residual_terms", "return math.inf, None, None"): (
-        "the zero-norm case of _error_and_slope"
-    ),
-    ("kinematics.py", "_refine", "return t, f, 0, ()"): (
-        "the zero-norm case of _error_and_slope at the start"
-    ),
 }
 
 
