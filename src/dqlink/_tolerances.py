@@ -98,6 +98,16 @@ KNOT_TOL          0.5e-8  fraction of a         the deviation of a knot's
                                                 target, on chart-angle offsets
                                                 (see below); held by
                                                 test_knot_tolerance_is_a_fraction_of_a_segment
+START_DELTA       1e-12   dimensionless,        the largest N/S at the
+                          relative to lam_max   certified IK start t*, and so
+                                                the largest smallest eigenvalue
+                                                lam0, of the pencil of N and S
+                                                (see below); held by
+                                                test_start_delta_bounds_the_ratio_at_the_start
+START_GAP         1e-6    dimensionless,        the gap lam1 - lam0 of that
+                          relative to lam_max   pencil at or below which no
+                                                start is certified; held by
+                                                test_start_gap_bounds_the_second_eigenvalue
 ================  ======  ====================  ==============================
 
 KNOT_TOL bounds the knots as offsets in the chart angle, before they
@@ -106,6 +116,14 @@ of t more, so on a short arc far from t = 0 the knots of
 trajectory.equidistant_params miss by more: over [t0, t0 + 1e-6] with
 40 segments on a sixbar tool path, by 8.8e-9 of a segment at t0 = 2
 and 2.8e-7 at t0 = 100, about half an ulp of t in both cases.
+
+START_DELTA and START_GAP are relative to the largest eigenvalue
+lam_max of the pencil (P, Q) of kinematics._rayleigh_start, whose
+Rayleigh quotient is N/S, the start's squared pose distance without
+its common factor |p|**2.  Both lie far from the values that direct
+kinematics poses give: over 2,520 seeded poses of the two fixtures and
+of 40 generated linkages of one to four axes, |lam0| stayed below
+6e-16 and N/S(t*) below 2e-24 of lam_max, and the gap above 5e-5.
 
 Three gates derive from the study_tol of a mechanism file, which is
 the motion's norm tolerance (MotionPolynomial); each is written once
@@ -128,6 +146,8 @@ DIVERGENCE_BOUND = 1e8
 POLE_MARGIN = 1e-12
 PANEL_TOL = 1e-10
 KNOT_TOL = 0.5e-8
+START_DELTA = 1e-12
+START_GAP = 1e-6
 
 
 def axis_line_tol(study_tol: float) -> float:

@@ -8,19 +8,27 @@ The driving revolute joint has a rotation quaternion q0 + qx*i + qy*j
 which maps theta = 0 to the point at infinity and theta = pi to q0.
 Inverse kinematics solves a pose against the tool motion C(t) *
 tool_home, which a mechanism builds once: it starts from the global
-minimiser of an algebraic pose distance, found among the real roots of
-one polynomial and the point at infinity, and polishes it with a damped
-Gauss-Newton iteration on normalized pose representatives.  The
-start polynomials come from a quadratic form that the mechanism builds
-with its tool motion, so per pose the start is one matrix product, one
-eigenvalue solve and one Vandermonde product; each polish trial is one
-Horner pass over the rows [C | C'] of a chart, which the mechanism keeps.
+minimiser of an algebraic pose distance N/D and polishes it with a
+damped Gauss-Newton iteration on normalized pose representatives.  N/D
+is a ratio of two quadratic forms in the monomial vector (1, t, ..,
+t^n), so the smallest eigenvalue of their pencil bounds it from below
+on the whole parameter line.  A pose that the motion reaches once,
+away from home, takes its start from that eigenvalue's eigenvector,
+certified as the global minimiser: one matrix product and one
+symmetric eigenvalue solve of size n + 1.  Every other pose takes the
+companion start, among the real roots of one polynomial of degree
+4n - 2 and the point at infinity: one eigenvalue solve of that size and
+one Vandermonde product.  The mechanism keeps the forms of both starts,
+and the rows [C | C'] of the two charts of the polish, each of whose
+trials is one Horner pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +36,7 @@ import numpy as np
 from . import _kernels
 from ._tolerances import CANONICAL_TOL, DIVERGENCE_BOUND as _DIVERGENCE_BOUND
 from ._tolerances import RESIDUAL_FLOOR as _RESIDUAL_FLOOR, SLOPE_FLOOR as _SLOPE_FLOOR
+from ._tolerances import START_DELTA as _START_DELTA, START_GAP as _START_GAP
 from ._tolerances import STEP_TOL as _STEP_TOL, SUCCESS_TOL, TOL, pose_gate, study_floor
 from .dq import _CONJ_SIGNS, DualQuaternion
 from .dq import _binary_normalized, _first_nonzero_sign, _is_study
@@ -40,6 +49,12 @@ TWO_PI = 2.0 * math.pi
 # its tolerances are those of dqlink._tolerances
 _MAX_ITERATIONS = 100
 _MAX_HALVINGS = 30
+# bits to which a certified start is rounded, and the bits to which an
+# eigenvector coordinate of magnitude about 1 is known (_rayleigh_start)
+_START_BITS = 40
+_NOISE_BITS = sys.float_info.mant_dig - 1
+# the context of a companion start whose candidates cannot overflow
+_QUIET = contextlib.nullcontext()
 # vector and dual vector components of a dual quaternion
 _VECTOR_PARTS = [1, 2, 3, 5, 6, 7]
 
@@ -115,7 +130,8 @@ class Mechanism:
     study_tol that is finite and > 0.  The coefficients of the tool motion
     C(t) * tool_home, with tool_home scaled exactly by a power of two, are
     built once into the private read-only array _tool_coeffs, the read-only
-    start form of inverse kinematics for them into _ik_form, and the
+    forms of both inverse kinematics starts for them into _ik_form
+    (_start_form), and the
     read-only polish rows [C | C'] of its t chart and reciprocal chart into
     _polish_rows; the scalar part q0 and vector length r of the driving axis
     go into _axis.  The tool path chart of dqlink.trajectory, which depends
@@ -229,12 +245,6 @@ def _error_and_slope(c: np.ndarray, cd: np.ndarray, target: _Target):
     return target.unit - k * c, lambda: k * (cd - c * (float(np.dot(c, cd)) / n2))
 
 
-def _error_terms(c: np.ndarray, cd: np.ndarray, target: _Target):
-    """Error and derivative of C_hat of _error_and_slope, both formed."""
-    terms = _error_and_slope(c, cd, target)
-    return None if terms is None else (terms[0], terms[1]())
-
-
 def _kept_rows(coeffs, dcoeffs) -> np.ndarray:
     """Read-only rows [C | C'] of ascending coefficients, C' zero-padded on top."""
     pad = coeffs.shape[0] - dcoeffs.shape[0]
@@ -255,10 +265,6 @@ def _residual_terms(rows, target, t) -> tuple:
         return math.inf, None, None
     err, slope = terms
     return float(np.dot(err, err)), err, slope
-
-
-def _residual_at(coeffs, dcoeffs, target, t) -> float:
-    return _residual_terms(_kept_rows(coeffs, dcoeffs), target, t)[0]
 
 
 def _refine(rows, target, t0) -> tuple:
@@ -321,7 +327,7 @@ def _sum_of_squares(rows: np.ndarray) -> np.ndarray:
 
 
 def _start_form(coeffs: np.ndarray) -> tuple:
-    """Read-only form (A, L, S) of the start polynomials of a motion.
+    """Read-only form (A, L, S, radius, W) of the start of a motion.
 
     coeffs holds the motion's coefficients C_k, ascending.
 
@@ -331,7 +337,11 @@ def _start_form(coeffs: np.ndarray) -> tuple:
     with A_m = sum over k + l = m of G_k G_l^T restricted to those
     parts.  D(t) = S(t) |p|^2 with S = |C(t)|^2, and N'S - NS' = L N,
     whose top coefficient cancels in exact arithmetic and is left out
-    of L.
+    of L.  Where |t| is below the radius, N(t) and S(t) of a pose whose
+    coefficients lie below 1 in magnitude, as binary normalized ones do,
+    stay two binary orders below the largest float.  W is the whitened
+    form of _rayleigh_start, or None where Q = sum over k of C_k C_k^T,
+    the Gram matrix of S, is singular.
     """
     g = _kernels.dq_mul8(coeffs[:, None, :], np.diag(_CONJ_SIGNS))
     g = g[..., _VECTOR_PARTS]
@@ -349,7 +359,99 @@ def _start_form(coeffs: np.ndarray) -> tuple:
     crit_map = np.where(inside, (2 * i - m - 1) * s[np.where(inside, j, 0)], 0.0)
     for arr in (a, crit_map, s):
         arr.flags.writeable = False
-    return a, crit_map, s
+    # |N(t)| and S(t) are at most s.size * bound * |t|**(s.size - 1) for |t| >= 1
+    bound = max(float(np.abs(a).sum(axis=(1, 2)).max()), float(np.abs(s).max()))
+    spare = sys.float_info.max_exp - 2 - max(math.log2(s.size * bound), 0.0)
+    radius = 2.0 ** (spare / (s.size - 1)) if s.size > 1 else INFINITY
+    return a, crit_map, s, radius, _whitened(coeffs, g)
+
+
+def _whitened(coeffs: np.ndarray, g: np.ndarray):
+    """Read-only form (H, R, K, E) of _rayleigh_start, or None for a
+    constant motion, which has no parameter to certify, and where
+    Q = C C^T is singular, so that its Cholesky factorization fails.
+
+    With Q = R R^T and V the matrix of rows G_k p, p @ H holds the rows
+    of B = R^-1 V one after the other and then G_n p, the coefficient of
+    V at infinity.  K = R^-T maps an eigenvector of B B^T to the monomial
+    basis, and E holds the exponents 0 .. n of m = (1, t, .., t^n).
+    """
+    if len(coeffs) < 2:
+        return None
+    try:
+        root = np.linalg.cholesky(coeffs @ coeffs.T)
+    except np.linalg.LinAlgError:
+        return None
+    inv = np.linalg.inv(root)
+    rows = np.tensordot(inv, g, axes=1).transpose(1, 0, 2).reshape(8, -1)
+    form = (np.hstack([rows, g[-1]]), root, inv.T.copy(), np.arange(float(len(root))))
+    for arr in form:
+        arr.flags.writeable = False
+    return form
+
+
+def _rayleigh_start(whitened: tuple, s_inf: float, p8: np.ndarray):
+    """The start of a pose that the motion reaches once, away from home,
+    from one symmetric eigenvalue solve; None for every other pose.
+
+    N(t) = m^T P m and S(t) = m^T Q m over m = (1, t, .., t^n), with
+    P = V V^T, so the smallest eigenvalue lam0 of the pencil (P, Q)
+    bounds N/S from below on the whole projective line, and for a pose
+    that the motion reaches at t0 its eigenvector is m(t0).  The pencil
+    is solved as the symmetric B B^T of the whitened rows B = R^-1 V.
+    t* is the ratio of the first two monomial coordinates of the
+    eigenvector, or of the last two in the chart u = 1/t where |t*| > 1,
+    so that either ratio is at most 1 in magnitude.  The certificate:
+    lam1 - lam0 exceeds START_GAP * lam_max, so that every t whose N/S
+    is as small as at t* lies near t*; N/S(t*), and so lam0, is at most
+    START_DELTA * lam_max; and N/S(t*) is no larger than N/S at infinity
+    (a finite start wins ties).  The eigenvalues are checked before the
+    eigenvector is formed, and a pose whose N vanishes at infinity, such
+    as the identity of a motion without a tool, takes the companion
+    start at once.
+
+    The certified t* is rounded to _START_BITS bits: to 2**-40 where
+    |t*| < 1, and relative to |t*| elsewhere.  t* itself lies within the
+    rounding noise of the polish's residual, where no step lowers it, so
+    the polish would end at once and leave the answer at the last bits
+    of t*, which the whitening rounds differently at every float scale
+    of the pose; from the rounded start the polish takes its last step
+    from a distance, as from the companion start.  An eigenvector
+    coordinate is known to about an ulp of 1, so in the chart u = 1/t
+    the relative noise of t* grows as |t*| ulp; a start farther out than
+    2**(52 - _START_BITS) = 2**12, next to home, where that noise would
+    exceed the rounding, takes the companion start.
+    """
+    h, root, back, exps = whitened
+    out = p8 @ h
+    n_inf = float(out[-6:] @ out[-6:])
+    if n_inf == 0.0:
+        return None
+    b = out[:-6].reshape(-1, 6)
+    lam, vecs = np.linalg.eigh(b @ b.T)
+    lam = lam.tolist()
+    delta = _START_DELTA * lam[-1]
+    if lam[1] - lam[0] <= _START_GAP * lam[-1] or lam[0] > delta:
+        return None
+    w = (back @ vecs[:, 0]).tolist()
+    reciprocal = abs(w[-1]) > abs(w[0])
+    if reciprocal:
+        w.reverse()
+    if w[0] == 0.0 or abs(w[1]) > abs(w[0]):
+        return None
+    x = w[1] / w[0]
+    powers = x**exps
+    z = (powers[::-1] if reciprocal else powers) @ root
+    zb = z @ b
+    n_x, s_x = float(zb @ zb), float(z @ z)
+    if n_x > delta * s_x or n_x * s_inf > n_inf * s_x:
+        return None
+    if reciprocal:
+        if math.ldexp(abs(x), _NOISE_BITS - _START_BITS) < 1.0:
+            return None
+        x = 1.0 / x
+    k = _START_BITS - max(math.frexp(x)[1], 0)
+    return math.ldexp(round(math.ldexp(x, k)), -k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -360,13 +462,13 @@ def _subdiagonal(n: int) -> np.ndarray:
     return m
 
 
-def _candidate_values(num: np.ndarray, s: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Rows N and S at the candidates ts: running powers times [num | s]."""
+def _candidate_values(num: np.ndarray, s: np.ndarray, ts: np.ndarray) -> tuple:
+    """N and S at the candidates ts: running powers times num and s."""
     powers = np.empty((num.size, ts.size))
     powers[0] = 1.0
     powers[1:] = ts
     np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
-    return np.array((num, s)) @ powers
+    return num @ powers, s @ powers
 
 
 def _global_start(form: tuple, p8: np.ndarray):
@@ -376,16 +478,28 @@ def _global_start(form: tuple, p8: np.ndarray):
     vector parts, which vanish where C(t) is a multiple of p, and
     D(t) = |C(t)|^2 |p|^2.  The dual scalar would vanish there too for
     exact displacements; leaving it out keeps a Study defect of rounded
-    data from shifting the minimiser.  N and N'D - ND' come from the
-    form of _start_form, so per pose the start is one matrix product, one
-    eigenvalue solve and one Vandermonde product for N and S at all
-    candidates (_candidate_values); the common factor |p|^2 is dropped.
-    The candidates are the real parts of all roots of N'D - ND', a
-    superset of the real critical points, and infinity, where N/D tends
-    to the ratio of the leading coefficients.  Returns INFINITY, which
-    is math.inf, or a finite parameter.
+    data from shifting the minimiser.  The common factor |p|^2 is
+    dropped.  A pose that the motion reaches at one parameter away from
+    home gets the certified start of _rayleigh_start, one symmetric
+    eigenvalue solve of the size of the motion's coefficient count.
+    Every other pose (one off the motion, or at or near home), and every
+    pose of a motion whose Q is singular, as it is where the motion
+    reaches a pose at two parameters, takes
+    the companion start: N and N'D - ND' come from the form of
+    _start_form, the candidates are the real parts of all roots of
+    N'D - ND', a superset of the real critical points, from one
+    eigenvalue solve, and infinity, where N/D tends to the ratio of the
+    leading coefficients; N and S at all candidates come from one
+    Vandermonde product each (_candidate_values), under an errstate
+    only where a candidate lies beyond the form's radius or Q is
+    singular, so that S may vanish.  Returns INFINITY, which is
+    math.inf, or a finite parameter.
     """
-    a, crit_map, s = form
+    a, crit_map, s, radius, whitened = form
+    if whitened is not None:
+        start = _rayleigh_start(whitened, s[-1], p8)
+        if start is not None:
+            return start
     num = (a @ p8) @ p8
     crit = crit_map @ num
     best = INFINITY
@@ -398,11 +512,15 @@ def _global_start(form: tuple, p8: np.ndarray):
         companion = _subdiagonal(top).copy()
         companion[0] = -desc[1:] / desc[0]
         ts = np.linalg.eigvals(companion).real
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.divide(*_candidate_values(num, s, ts))
-        # a candidate whose N/S is not finite is never picked
-        values[~np.isfinite(values)] = np.inf
+        risky = whitened is None or max(ts.max(), -ts.min()) >= radius
+        with np.errstate(over="ignore", invalid="ignore") if risky else _QUIET:
+            n_ts, s_ts = _candidate_values(num, s, ts)
+            values = n_ts / s_ts
         k = int(values.argmin())
+        if not math.isfinite(values[k]):
+            # a candidate whose N/S is not finite is never picked
+            values[~np.isfinite(values)] = np.inf
+            k = int(values.argmin())
         if values[k] <= num[-1] / s[-1]:
             best = float(ts[k])
     return best
@@ -416,8 +534,11 @@ def inverse_kinematics(
     The pose is solved against the mechanism's tool motion, which
     already carries tool_home, so no tool is divided out.  The start is
     the global minimiser of an algebraic pose distance N(t)/D(t) on the
-    projective parameter line, taken from the real roots of one
-    polynomial and the point at infinity.  A damped
+    projective parameter line (_global_start): for a pose that the
+    motion reaches once, away from home, the certified eigenvector start
+    of one small symmetric eigenvalue problem, rounded to 40 bits; for
+    every other pose, the best of the real roots of one polynomial and
+    the point at infinity.  A damped
     Gauss-Newton iteration in the normalized metric then polishes it:
     in the t chart from a finite start, and from u = 0 in the
     reciprocal chart u = 1/t when the start is at infinity (joint angle

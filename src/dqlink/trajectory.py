@@ -339,17 +339,19 @@ class _Table:
         self.total = float(value.cumsum()[-1])
 
     def _column(self, field: int) -> np.ndarray:
-        """Starts, values or node speeds of the kept halves, in order."""
-        kept = np.concatenate([level[field] for level in self._levels])
+        """Starts, values or node speeds of the kept halves, in order; a
+        one-level table holds them in that order."""
+        levels = self._levels
+        kept = levels[0][field] if len(levels) == 1 else np.concatenate([lv[field] for lv in levels])
         return kept.reshape(-1, *kept.shape[2:])[self._order]
 
     @cached_property
     def _columns(self) -> tuple:
         """lo, width, value, ends and node speeds, in order of start."""
-        lo, value, f = self._column(0), self._column(1), self._column(2)
+        value = self._column(1)
         sizes, counts = zip(*[(level[3], level[1].size) for level in self._levels])
-        width = np.array(sizes).repeat(counts)[self._order]
-        return lo, width, value, value.cumsum(), f
+        width = np.repeat(sizes, counts)[self._order]
+        return self._column(0), width, value, value.cumsum(), self._column(2)
 
 
 def _newton_in_panel(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -412,7 +414,7 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
     tol = _KNOT_TOL * table.total / (fractions.size - 1)
     starts, widths, values, ends, speeds = table._columns
     idx = np.minimum(ends.searchsorted(targets), ends.size - 1)
-    base, value = starts[idx], values[idx]
+    base, size, value = starts[idx], widths[idx], values[idx]
     want = targets - (ends[idx] - value)
     # the linear guesses in the centred s = 2*frac - 1, 0 in an empty panel
     start = np.divide(want, 0.5 * value, out=np.ones(want.size), where=value > 0.0)
@@ -420,14 +422,14 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
     x = np.empty_like(base)
     for first in range(0, targets.size, _KNOT_BLOCK):
         block = slice(first, first + _KNOT_BLOCK)
-        rows = idx[block]
+        width = size[block]
         # the interpolant's length from the panel start, a polynomial in s
-        poly = (speeds[rows] @ _GL_ANTIDERIVATIVE.T) * widths[rows, None]
+        poly = (speeds[idx[block]] @ _GL_ANTIDERIVATIVE.T) * width[:, None]
         poly[:, 0] -= want[block]
         s = _newton_in_panel(poly, start[block])
-        x[block] = base[block] + 0.5 * (s + 1.0) * widths[rows]
+        x[block] = base[block] + 0.5 * (s + 1.0) * width
         xb, bb, wb = x[block], base[block], want[block]
-        todo, lo, hi = np.arange(xb.size), bb.copy(), bb + widths[rows]
+        todo, lo, hi = np.arange(xb.size), bb.copy(), bb + width
         for _ in range(_INVERSION_MAX_ITER):
             # length from the panel start to x by the panel's own rule,
             # and the speed at x, in one evaluation

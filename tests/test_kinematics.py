@@ -242,17 +242,21 @@ def test_inverse_kinematics_start_near_home(fixture, residual, request):
 
 def test_start_never_picks_a_candidate_whose_ratio_is_not_finite(sixbar, monkeypatch):
     # with N poisoned at every candidate but the best, the start is still
-    # the best one, not whichever candidate argmin would find first
-    p8 = _binary_normalized(direct_kinematics(sixbar, 1.0).coeffs)
-    want = kinematics._global_start(sixbar._ik_form, p8)
+    # the best one, not whichever candidate argmin would find first; the
+    # pose is off the motion, so that its start is the companion start
+    twist = DualQuaternion([math.cos(0.025), 0, 0, math.sin(0.025), 0, 0, 0, 0])
+    p8 = _binary_normalized((direct_kinematics(sixbar, 1.0) * twist).coeffs)
+    form = sixbar._ik_form
+    assert kinematics._rayleigh_start(form[-1], form[2][-1], p8) is None
+    want = kinematics._global_start(form, p8)
     assert want is not INFINITY
     evaluate = kinematics._candidate_values
     for poison in (math.nan, math.inf, -math.inf):
 
         def poisoned(num, s, ts):
-            rows = evaluate(num, s, ts)
-            rows[0, ts != want] = poison
-            return rows
+            n_ts, s_ts = evaluate(num, s, ts)
+            n_ts[ts != want] = poison
+            return n_ts, s_ts
 
         monkeypatch.setattr(kinematics, "_candidate_values", poisoned)
         assert kinematics._global_start(sixbar._ik_form, p8) == want
@@ -399,23 +403,20 @@ def test_gauss_newton_step_matches_finite_difference(sixbar):
     # the GN increment for a scalar parameter is the normalized-residual
     # gradient over the squared derivative norm; cross-check the gradient
     # of f(t) = |p_hat - C_hat(t)|^2 by central differences
-    from dqlink.kinematics import _derivative_rows, _residual_at, _Target
-
     coeffs = sixbar.motion.coeffs
-    dcoeffs = _derivative_rows(coeffs)
-    target = _Target(POSE_SQRT3.copy())
+    dcoeffs = kinematics._derivative_rows(coeffs)
+    rows = kinematics._kept_rows(coeffs, dcoeffs)
+    target = kinematics._Target(POSE_SQRT3.copy())
     h = 1e-6
     for t in (0.4, 1.0, 2.2):
         g_fd = (
-            _residual_at(coeffs, dcoeffs, target, t + h)
-            - _residual_at(coeffs, dcoeffs, target, t - h)
+            kinematics._residual_terms(rows, target, t + h)[0]
+            - kinematics._residual_terms(rows, target, t - h)[0]
         ) / (2 * h)
         c = np.array([np.polynomial.polynomial.polyval(t, coeffs[:, k]) for k in range(8)])
         cd = np.array([np.polynomial.polynomial.polyval(t, dcoeffs[:, k]) for k in range(8)])
-        from dqlink.kinematics import _error_terms
-
-        err, chatd = _error_terms(c, cd, target)
-        g = -2.0 * float(np.dot(chatd, err))
+        err, slope = kinematics._error_and_slope(c, cd, target)
+        g = -2.0 * float(np.dot(slope(), err))
         assert abs(g - g_fd) <= 1e-5 * max(1.0, abs(g_fd))
 
 
@@ -486,7 +487,7 @@ def test_start_form_matches_independent_products(sixbar, bennett, random_linkage
     for joints in (1, 2, 3, 4):
         mechs += [random_linkage(rng, joints) for _ in range(3)]
     for mech in mechs:
-        a, crit_map, _ = kinematics._start_form(mech.motion.coeffs)
+        a, crit_map, *_ = kinematics._start_form(mech.motion.coeffs)
         poses = [direct_kinematics(mech, th).coeffs for th in rng.uniform(0, 2 * math.pi, 4)]
         poses += [rng.normal(size=8) for _ in range(2)]
         for p8 in poses:
@@ -519,7 +520,9 @@ def test_start_form_is_built_once_and_read_only(random_linkage, monkeypatch):
     monkeypatch.undo()
     assert mech._ik_form is form
     assert mech._polish_rows is rows
-    for arr in form + rows:
+    # A, L and S, the radius, and the whitened form of the Rayleigh start
+    assert len(form) == 5 and form[3] > 1.0 and form[4] is not None
+    for arr in form[:3] + form[4] + rows:
         with pytest.raises(ValueError):
             arr[0] = 0.0
     # [C | C'] of the t chart and of the reciprocal chart, whose
@@ -541,10 +544,11 @@ def test_start_form_is_built_once_and_read_only(random_linkage, monkeypatch):
 def test_start_candidate_values_match_polyval_within_8_ulp(
     sixbar, bennett, random_linkage, monkeypatch
 ):
-    # the start evaluates N and S at all candidates of the companion with
-    # one Vandermonde product; its values stay within 8 ulp of the sum of
-    # the absolute terms of np.polyval, and the start it returns is bit
-    # for bit the one that the np.polyval values pick
+    # the companion start evaluates N and S at all its candidates with
+    # one Vandermonde product each; its values stay within 8 ulp of the
+    # sum of the absolute terms of np.polyval, and the start it returns
+    # is bit for bit the one that the np.polyval values pick.  The form
+    # without its whitened part sends the DK poses to the companion start
     rng = np.random.default_rng(36)
     mechs = [sixbar, bennett]
     mechs += [random_linkage(rng, joints) for joints in (1, 2, 3, 4) for _ in range(2)]
@@ -564,7 +568,7 @@ def test_start_candidate_values_match_polyval_within_8_ulp(
     for mech, pose in cases:
         p8 = _binary_normalized(pose)
         seen.clear()
-        start = kinematics._global_start(mech._ik_form, p8)
+        start = kinematics._global_start(mech._ik_form[:4] + (None,), p8)
         [(num, s, ts, values)] = seen
         assert ts.size >= 1 and np.all(np.isfinite(ts))
         for row, coeffs in zip(values, (num, s)):
@@ -631,6 +635,80 @@ def test_polish_forms_the_slope_only_where_a_step_follows(sixbar, bennett, rng, 
         assert len(stepped_from) in (r.iterations, r.iterations + 1)
 
 
+def _companion_start(mech, p8):
+    """The start of the companion solve alone, as for a singular Q."""
+    return kinematics._global_start(mech._ik_form[:4] + (None,), p8)
+
+
+def test_certified_start_agrees_with_the_companion_start(sixbar, bennett, random_linkage):
+    # on seeded, scaled DK poses of both fixtures and of generated 1- to
+    # 4-axis linkages the Rayleigh start is certified, lies within 1e-9
+    # rad of the companion start, and polishes to the same angle
+    rng = np.random.default_rng(37)
+    mechs = [sixbar, bennett]
+    mechs += [random_linkage(rng, joints) for joints in (1, 2, 3, 4) for _ in range(2)]
+    for mech in mechs:
+        form, axis, rows = mech._ik_form, mech._axis, mech._polish_rows[0]
+        for theta in rng.uniform(0.0, 2 * math.pi, size=12):
+            pose = direct_kinematics(mech, theta).coeffs * 10.0 ** rng.uniform(-1.0, 1.0)
+            p8 = _binary_normalized(pose)
+            start = kinematics._rayleigh_start(form[-1], form[2][-1], p8)
+            assert start is not None and kinematics._global_start(form, p8) == start
+            companion = _companion_start(mech, p8)
+            gap = kinematics._t_to_angle(start, *axis) - kinematics._t_to_angle(companion, *axis)
+            assert abs((gap + math.pi) % (2 * math.pi) - math.pi) <= 1e-9
+            target = kinematics._Target(p8)
+            polished = [
+                kinematics._t_to_angle(kinematics._refine(rows, target, t)[0], *axis)
+                for t in (start, companion)
+            ]
+            assert abs(polished[0] - polished[1]) <= 1e-12
+
+
+def test_uncertified_poses_take_the_companion_start(sixbar, bennett):
+    def certified(mech, pose):
+        form = mech._ik_form
+        p8 = _binary_normalized(np.asarray(pose, dtype=float))
+        if form[-1] is None:
+            return False
+        start = kinematics._rayleigh_start(form[-1], form[2][-1], p8)
+        if start is None:
+            assert kinematics._global_start(form, p8) == _companion_start(mech, p8)
+        return start is not None
+
+    # criterion 08's rounded poses lie off the motion
+    assert not certified(bennett, BENNETT_P1) and not certified(bennett, BENNETT_P2)
+    # the identity, where N vanishes at infinity
+    assert not certified(sixbar, DualQuaternion.identity().coeffs)
+    # the sixbar's t is about 2 / theta next to home: a pose with t* near
+    # 2**13, beyond 2**12, and one with t* near 2**11
+    assert not certified(sixbar, direct_kinematics(sixbar, 2.0**-12).coeffs)
+    assert certified(sixbar, direct_kinematics(sixbar, 2.0**-10).coeffs)
+    # (t - h)**2 about one axis h reaches each pose twice, so Q is singular
+    h = DualQuaternion([0, 0.6, 0, 0.8, 0, 0.4, 0.5, -0.3])
+    doubled = Mechanism(MotionPolynomial.from_axes([h, h]), [0.2, 0.6, 0.0, 0.8])
+    assert doubled._ik_form[-1] is None
+    pose = direct_kinematics(doubled, 2.0)
+    assert not certified(doubled, pose.coeffs)
+    assert inverse_kinematics(doubled, pose).residual <= 1e-20
+    # coefficient rows whose vector parts i and j, the columns (2, -1, 0)
+    # and (0, 1, -2), leave the identity a null vector (1, 2, 1) of the
+    # pencil that is no monomial vector (1, t, t**2)
+    rows = np.zeros((3, 8))
+    rows[:, 0], rows[:, 4], rows[:, 1], rows[:, 2] = (1, 0, 1), (0, 1, 0), (2, -1, 0), (0, 1, -2)
+    form = kinematics._start_form(rows)
+    assert kinematics._rayleigh_start(form[-1], form[2][-1], np.eye(8)[0]) is None
+    # a constant motion, with no parameter to certify
+    still = Mechanism(MotionPolynomial([[1, 0, 0, 0, 0, 0, 0, 0]]), [0, 1, 0, 0])
+    assert still._ik_form[-1] is None
+    r = inverse_kinematics(still, DualQuaternion([0.9, 0.1, 0, 0, 0, 0, 0, 0]), IKOptions(1.0))
+    assert (r.t, r.branch, r.iterations) == (INFINITY, "reciprocal", 0)
+    # C = t, whose Q = diag(0, 1) is singular
+    line = Mechanism(MotionPolynomial([[0.0] * 8, [1, 0, 0, 0, 0, 0, 0, 0]]), [0, 1, 0, 0])
+    assert line._ik_form[-1] is None
+    assert inverse_kinematics(line, DualQuaternion.identity()).residual == 0.0
+
+
 def test_canonical_solve_forms_no_unit_norm_representative(sixbar, bennett, monkeypatch):
     calls = []
     sign = kinematics._first_nonzero_sign
@@ -648,12 +726,13 @@ def test_canonical_solve_forms_no_unit_norm_representative(sixbar, bennett, monk
 
 
 def _eager_refine(rows, target, t):
-    """The polish with error and slope formed at every evaluation, as
-    _error_terms forms them; _refine must match it bit for bit."""
+    """The polish with error and slope formed at every evaluation;
+    _refine, which forms the slope only where a step follows, must match
+    it bit for bit."""
     def terms(t):
         v = _kernels.poly_eval8(rows, t)
-        e = kinematics._error_terms(v[:8], v[8:], target)
-        return (math.inf, None, None) if e is None else (float(np.dot(e[0], e[0])),) + e
+        e = kinematics._error_and_slope(v[:8], v[8:], target)
+        return (math.inf, None, None) if e is None else (float(np.dot(e[0], e[0])), e[0], e[1]())
 
     f, err, chatd = terms(t)
     if err is None:

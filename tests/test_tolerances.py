@@ -15,12 +15,14 @@ from dqlink import (
     NoConvergence,
     PoleOnPath,
     _tolerances,
+    direct_kinematics,
     dq,
     inverse_kinematics,
     kinematics,
     motionpoly,
     trajectory,
 )
+from dqlink.dq import _binary_normalized
 
 SRC = pathlib.Path(_tolerances.__file__).resolve().parent
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -53,12 +55,12 @@ def ledger_rows() -> list:
 
 def test_tolerances_are_defined_only_in_the_ledger():
     # every float literal that reads as a tolerance or a bound, small or
-    # large, lives in dqlink._tolerances; fourteen of them today
+    # large, lives in dqlink._tolerances; sixteen of them today
     found = {
         path.name: tolerance_literals(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
     }
-    assert len(found.pop("_tolerances.py")) == 14
+    assert len(found.pop("_tolerances.py")) == 16
     assert {name: hits for name, hits in found.items() if hits} == {}
     # the scan sees an inline tolerance
     assert tolerance_literals("tol = 1e-12 * (1.0 + span)\nbig = 2.5e3\n") == [
@@ -196,3 +198,73 @@ def test_knot_tolerance_is_a_fraction_of_a_segment(monkeypatch):
         calls.clear()
         trajectory._knots(table, np.arange(n + 1) / n)
         assert len(calls) == passes
+
+
+def pencil(coeffs, p8) -> tuple:
+    """Eigenvalues, ascending, of the pencil (P, Q) of the Rayleigh start
+    and the eigenvector of the smallest, in the monomial basis, from
+    products of dual quaternions and a dense eigenvalue solve of Q^-1 P."""
+    conj_p = DualQuaternion(p8).conjugate()
+    v = np.array([(DualQuaternion(c) * conj_p).coeffs[[1, 2, 3, 5, 6, 7]] for c in coeffs])
+    lam, vecs = np.linalg.eig(np.linalg.solve(coeffs @ coeffs.T, v @ v.T))
+    order = np.argsort(lam.real)
+    return lam.real[order], vecs[:, order[0]].real, v
+
+
+def start_ratio(coeffs, p8) -> float:
+    """N/S at the start that the smallest eigenvector w gives, relative
+    to the largest eigenvalue of the pencil: at w[1] / w[0], or at
+    w[-1] / w[-2] where |w[-1]| > |w[0]|."""
+    lam, w, v = pencil(coeffs, p8)
+    t = w[-1] / w[-2] if abs(w[-1]) > abs(w[0]) else w[1] / w[0]
+    m = t ** np.arange(w.size)
+    return float(np.sum((m @ v) ** 2) / np.sum((m @ coeffs) ** 2)) / lam[-1]
+
+
+def tuned(quantity, x0, target):
+    """x with quantity(x) near target, for a quantity that grows as x**2."""
+    x = x0 * math.sqrt(target / quantity(x0))
+    assert 0.7 * target <= quantity(x) <= 1.4 * target
+    return x
+
+
+def test_start_delta_bounds_the_ratio_at_the_start(sixbar):
+    # START_DELTA = 1e-12: a sixbar pose moved off the motion by a
+    # translation of length e has N/S at its start of about e**2; the
+    # start is certified at half of START_DELTA and refused at twice it
+    coeffs = sixbar._tool_coeffs
+    form = sixbar._ik_form
+    pose = direct_kinematics(sixbar, 1.0)
+
+    def moved(e):
+        shift = DualQuaternion.from_translation([0.6 * e, -0.8 * e, 0.0])
+        return _binary_normalized((pose * shift).coeffs)
+
+    for share, certified in ((0.5, True), (2.0, False)):
+        e = tuned(lambda e: start_ratio(coeffs, moved(e)), 1e-5, share * 1e-12)
+        start = kinematics._rayleigh_start(form[-1], form[2][-1], moved(e))
+        assert (start is not None) == certified
+
+
+def test_start_gap_bounds_the_second_eigenvalue():
+    # START_GAP = 1e-6: coefficients with scalar part 1 + t**2, dual
+    # scalar t and vector parts (t - 1/2) i + g (t - 1/2)(t + 2) eps*j
+    # reach the identity at t = 1/2 only; the second eigenvalue of the
+    # pencil grows as g**2, and the start is refused at half of START_GAP
+    # and certified at twice it
+    def coeffs(g):
+        c = np.zeros((3, 8))
+        c[0, 0] = c[2, 0] = c[1, 4] = 1.0
+        c[:2, 1] = -0.5, 1.0
+        c[:, 6] = -g, 1.5 * g, g
+        return c
+
+    def gap(g):
+        lam = pencil(coeffs(g), np.eye(8)[0])[0]
+        return (lam[1] - lam[0]) / lam[-1]
+
+    p8 = _binary_normalized(np.eye(8)[0])
+    for share, certified in ((0.5, False), (2.0, True)):
+        form = kinematics._start_form(coeffs(tuned(gap, 1e-3, share * 1e-6)))
+        start = kinematics._rayleigh_start(form[-1], form[2][-1], p8)
+        assert start == (0.5 if certified else None)
