@@ -339,19 +339,17 @@ class _Table:
         self.total = float(value.cumsum()[-1])
 
     def _column(self, field: int) -> np.ndarray:
-        """Starts, values or node speeds of the kept halves, in order; a
-        one-level table holds them in that order."""
-        levels = self._levels
-        kept = levels[0][field] if len(levels) == 1 else np.concatenate([lv[field] for lv in levels])
+        """Starts, values or node speeds of the kept halves, in order."""
+        kept = np.concatenate([level[field] for level in self._levels])
         return kept.reshape(-1, *kept.shape[2:])[self._order]
 
     @cached_property
     def _columns(self) -> tuple:
         """lo, width, value, ends and node speeds, in order of start."""
-        value = self._column(1)
+        lo, value, f = self._column(0), self._column(1), self._column(2)
         sizes, counts = zip(*[(level[3], level[1].size) for level in self._levels])
-        width = np.repeat(sizes, counts)[self._order]
-        return self._column(0), width, value, value.cumsum(), self._column(2)
+        width = np.array(sizes).repeat(counts)[self._order]
+        return lo, width, value, value.cumsum(), f
 
 
 def _newton_in_panel(coef: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -520,9 +520,9 @@ def test_start_form_is_built_once_and_read_only(random_linkage, monkeypatch):
     monkeypatch.undo()
     assert mech._ik_form is form
     assert mech._polish_rows is rows
-    # A, L and S, the radius, and the whitened form of the Rayleigh start
-    assert len(form) == 5 and form[3] > 1.0 and form[4] is not None
-    for arr in form[:3] + form[4] + rows:
+    # A, L and S, and the whitened form of the Rayleigh start
+    assert len(form) == 4 and form[3] is not None
+    for arr in form[:3] + form[3] + rows:
         with pytest.raises(ValueError):
             arr[0] = 0.0
     # [C | C'] of the t chart and of the reciprocal chart, whose
@@ -568,7 +568,7 @@ def test_start_candidate_values_match_polyval_within_8_ulp(
     for mech, pose in cases:
         p8 = _binary_normalized(pose)
         seen.clear()
-        start = kinematics._global_start(mech._ik_form[:4] + (None,), p8)
+        start = kinematics._global_start(mech._ik_form[:3] + (None,), p8)
         [(num, s, ts, values)] = seen
         assert ts.size >= 1 and np.all(np.isfinite(ts))
         for row, coeffs in zip(values, (num, s)):
@@ -637,7 +637,7 @@ def test_polish_forms_the_slope_only_where_a_step_follows(sixbar, bennett, rng, 
 
 def _companion_start(mech, p8):
     """The start of the companion solve alone, as for a singular Q."""
-    return kinematics._global_start(mech._ik_form[:4] + (None,), p8)
+    return kinematics._global_start(mech._ik_form[:3] + (None,), p8)
 
 
 def test_certified_start_agrees_with_the_companion_start(sixbar, bennett, random_linkage):
