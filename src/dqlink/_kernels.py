@@ -4,7 +4,7 @@ The dual quaternion product is one multiplication table; ``dq_mul8``
 broadcasts over it, so one call multiplies any number of pairs.
 ``poly_eval8`` evaluates the columns of an ascending coefficient array
 at once, by Horner's rule, in place; per pose, inverse kinematics calls
-it once per polish trial and ``dq_mul8`` never.  Library code calls these as
+neither.  Library code calls these as
 ``_kernels.name(...)``, so a profiler or a test that replaces a module
 attribute sees every call.
 

@@ -9,6 +9,8 @@ dqlink.  Units:
 - length: the unit of the mechanism's translations and tool points;
 - t or chart radians: the curve parameter t, or the angle phi of the
   chart in which a tool path is integrated (dqlink.trajectory);
+- psi radians: the half joint angle psi = theta/2 in which inverse
+  kinematics polishes (dqlink.kinematics);
 - squared residual: the squared norm of a normalized pose error
   (dqlink.kinematics), whose representatives have magnitude about 1;
 - fraction of a segment: of the nominal length total/n of one
@@ -65,8 +67,8 @@ REAL_ROOT_TOL     1e-8    dimensionless         the imaginary part of a root
 RESIDUAL_FLOOR    1e-32   squared residual      the residual at which the IK
                                                 polish stops as converged; held
                                                 by test_polish_stops_at_its_tolerances
-SLOPE_FLOOR       1e-300  squared residual      the squared slope |dE/dt|**2
-                          per t**2              at or below which the IK polish
+SLOPE_FLOOR       1e-300  squared residual      the squared slope |dE/dpsi|**2
+                          per psi**2            at or below which the IK polish
                                                 stops, having no direction to
                                                 step in; held by
                                                 test_slope_floor_and_success_tol
@@ -74,13 +76,10 @@ SUCCESS_TOL       1e-10   squared residual      the polished residual that IK
                                                 accepts, the default of
                                                 IKOptions.success_tol; held by
                                                 test_slope_floor_and_success_tol
-STEP_TOL          1e-14   t, relative to        an accepted polish step at or
-                          1 + |t|               below which the iteration has
+STEP_TOL          1e-10   psi radians           an accepted polish step at or
+                                                below which the iteration has
                                                 stagnated, and the shortest
                                                 halved step it tries; held by
-                                                test_polish_stops_at_its_tolerances
-DIVERGENCE_BOUND  1e8     t                     the largest |t| a polish trial
-                                                may reach; held by
                                                 test_polish_stops_at_its_tolerances
 POLE_MARGIN       1e-12   chart radians,        the distance outside an
                           relative to 1 + span  interval at which a pole of the
@@ -141,8 +140,7 @@ REAL_ROOT_TOL = 1e-8
 RESIDUAL_FLOOR = 1e-32
 SLOPE_FLOOR = 1e-300
 SUCCESS_TOL = 1e-10
-STEP_TOL = 1e-14
-DIVERGENCE_BOUND = 1e8
+STEP_TOL = 1e-10
 POLE_MARGIN = 1e-12
 PANEL_TOL = 1e-10
 KNOT_TOL = 0.5e-8

@@ -9,7 +9,8 @@ which maps theta = 0 to the point at infinity and theta = pi to q0.
 Inverse kinematics solves a pose against the tool motion C(t) *
 tool_home, which a mechanism builds once: it starts from the global
 minimiser of an algebraic pose distance N/D and polishes it with a
-damped Gauss-Newton iteration on normalized pose representatives.  N/D
+damped Gauss-Newton iteration on normalized pose representatives, in
+the half angle psi = theta/2, whose chart passes through home.  N/D
 is a ratio of two quadratic forms in the monomial vector (1, t, ..,
 t^n), so the smallest eigenvalue of their pencil bounds it from below
 on the whole parameter line.  A pose that the motion reaches once,
@@ -18,29 +19,28 @@ certified as the global minimiser: one matrix product and one
 symmetric eigenvalue solve of size n + 1.  Every other pose takes the
 companion start, among the real roots of one polynomial of degree
 4n - 2 and the point at infinity: one eigenvalue solve of that size and
-one Vandermonde product.  The mechanism keeps the forms of both starts,
-and the rows [C | C'] of the two charts of the polish, each of whose
-trials is one Horner pass.
+one Vandermonde product.  The mechanism keeps the forms of both starts
+and the one form of the polish, each of whose trials is one matrix
+product.  The answer is the angle theta, and its t is derived from it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from ._tolerances import CANONICAL_TOL, DIVERGENCE_BOUND as _DIVERGENCE_BOUND
+from ._tolerances import CANONICAL_TOL
 from ._tolerances import RESIDUAL_FLOOR as _RESIDUAL_FLOOR, SLOPE_FLOOR as _SLOPE_FLOOR
 from ._tolerances import START_DELTA as _START_DELTA, START_GAP as _START_GAP
 from ._tolerances import STEP_TOL as _STEP_TOL, SUCCESS_TOL, TOL, pose_gate, study_floor
 from .dq import _CONJ_SIGNS, DualQuaternion
 from .dq import _binary_normalized, _first_nonzero_sign, _is_study
 from .errors import InvalidPose, NoConvergence, StudyViolation
-from .motionpoly import INFINITY, MotionPolynomial, _coeff_array, _derivative_rows
+from .motionpoly import INFINITY, MotionPolynomial, _coeff_array
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,10 +48,8 @@ TWO_PI = 2.0 * math.pi
 # its tolerances are those of dqlink._tolerances
 _MAX_ITERATIONS = 100
 _MAX_HALVINGS = 30
-# bits to which a certified start is rounded, and the bits to which an
-# eigenvector coordinate of magnitude about 1 is known (_rayleigh_start)
+# bits after the binary point to which a certified start psi is rounded
 _START_BITS = 40
-_NOISE_BITS = sys.float_info.mant_dig - 1
 # vector and dual vector components of a dual quaternion
 _VECTOR_PARTS = [1, 2, 3, 5, 6, 7]
 
@@ -128,12 +126,11 @@ class Mechanism:
     C(t) * tool_home, with tool_home scaled exactly by a power of two, are
     built once into the private read-only array _tool_coeffs, the read-only
     forms of both inverse kinematics starts for them into _ik_form
-    (_start_form), and the
-    read-only polish rows [C | C'] of its t chart and reciprocal chart into
-    _polish_rows; the scalar part q0 and vector length r of the driving axis
-    go into _axis.  The tool path chart of dqlink.trajectory, which depends
-    only on the tool coefficients and the driving axis, is built on first
-    use into the _chart slot.
+    (_start_form), and the read-only form of its polish in the half angle
+    into _polish (_polish_form); the scalar part q0 and vector length r of
+    the driving axis go into _axis.  The tool path chart of
+    dqlink.trajectory, which depends only on the tool coefficients and the
+    driving axis, is built on first use into the _chart slot.
     """
 
     motion: MotionPolynomial
@@ -141,7 +138,7 @@ class Mechanism:
     tool_home: DualQuaternion = None
     _tool_coeffs: np.ndarray = field(default=None, init=False, repr=False)
     _ik_form: tuple = field(default=None, init=False, repr=False)
-    _polish_rows: tuple = field(default=None, init=False, repr=False)
+    _polish: tuple = field(default=None, init=False, repr=False)
     _axis: tuple = field(default=None, init=False, repr=False)
     _chart: tuple = field(default=None, init=False, repr=False)
 
@@ -162,8 +159,7 @@ class Mechanism:
         coeffs = _coeff_array(coeffs)
         object.__setattr__(self, "_tool_coeffs", coeffs)
         object.__setattr__(self, "_ik_form", _start_form(coeffs))
-        rows = tuple(_kept_rows(c, _derivative_rows(c)) for c in (coeffs, coeffs[::-1]))
-        object.__setattr__(self, "_polish_rows", rows)
+        object.__setattr__(self, "_polish", _polish_form(coeffs, *self._axis))
 
 
 def direct_kinematics(mechanism: Mechanism, theta) -> DualQuaternion:
@@ -193,11 +189,11 @@ class IKResult:
     """Converged inverse kinematics solution.
 
     residual is the squared norm of the normalized pose error at the
-    final parameter; residual_trace lists it at the start and at every
+    final angle; residual_trace lists it at the start and at every
     accepted iterate of the polish, so it is non-increasing by
-    construction.  branch names the chart of the polish: "direct" for
-    t, "reciprocal" for u = 1/t, used when the start is at infinity.  t
-    is a float, and INFINITY (math.inf) itself when u ends at zero.
+    construction.  theta lies in [0, 2*pi).  t is derived from it, and is
+    INFINITY (math.inf) itself at theta = 0.  branch names whether the
+    start was home: "reciprocal" when it was, "direct" otherwise.
     """
 
     t: float
@@ -242,21 +238,46 @@ def _error_and_slope(c: np.ndarray, cd: np.ndarray, target: _Target):
     return target.unit - k * c, lambda: k * (cd - c * (float(np.dot(c, cd)) / n2))
 
 
-def _kept_rows(coeffs, dcoeffs) -> np.ndarray:
-    """Read-only rows [C | C'] of ascending coefficients, C' zero-padded on top."""
-    pad = coeffs.shape[0] - dcoeffs.shape[0]
-    rows = np.hstack([coeffs, np.pad(dcoeffs, ((0, pad), (0, 0)))])
-    rows.flags.writeable = False
-    return rows
+def _polish_form(coeffs: np.ndarray, q0: float, r: float) -> tuple:
+    """Read-only form (M, q0', r') of the polish in the half angle psi.
+
+    q0' and r' are q0 and r scaled by the power of two 2**-e of the
+    larger of r and |q0|, so that with a = r' cos(psi) + q0' sin(psi) and
+    s = sin(psi) the parameter is t = 2**e a / s, and C(t) is, up to a
+    factor, the chart form C(a, s) = sum of C_k 2**(e k) a**k s**(n - k),
+    which is the leading coefficient at home, s = 0.  The form is kept
+    times 2**-max(e n, 0), which changes no projective pose, so that no
+    coefficient overflows.  With b the monomials a**j s**(n-1-j) of
+    degree n - 1, [C | dC/dpsi] is the vector [a**k s**(n-k) | a' b |
+    s' b] times the (3n + 1) x 16 matrix M.
+    """
+    e = math.frexp(max(r, abs(q0)))[1]
+    n = len(coeffs) - 1
+    c = np.ldexp(coeffs, e * np.arange(n + 1)[:, None] - max(e * n, 0))
+    k = np.arange(1.0, n + 1)[:, None]
+    m = np.zeros((3 * n + 1, 16))
+    m[: n + 1, :8], m[n + 1 : 2 * n + 1, 8:], m[2 * n + 1 :, 8:] = c, k * c[1:], k[::-1] * c[:-1]
+    m.flags.writeable = False
+    return m, math.ldexp(q0, -e), math.ldexp(r, -e)
 
 
-def _residual_terms(rows, target, t) -> tuple:
-    """Squared error f, error and slope function of _error_and_slope at t,
-    from one Horner pass over the rows [C | C'] of _kept_rows.
+def _residual_terms(form, target, psi) -> tuple:
+    """Squared error f, error and slope function of _error_and_slope at
+    psi, from one product of the matrix of _polish_form with a vector of
+    Python float products.
 
     f is inf, and the other two None, where the curve value vanishes.
     """
-    v = _kernels.poly_eval8(rows, t)
+    m, q0, r = form
+    cos, sin = math.cos(psi), math.sin(psi)
+    a, da = r * cos + q0 * sin, q0 * cos - r * sin
+    pa, ps = [1.0], [1.0]
+    for _ in range(len(m) // 3):
+        pa.append(pa[-1] * a)
+        ps.append(ps[-1] * sin)
+    b = [x * y for x, y in zip(pa, ps[-2::-1])]
+    v = [x * y for x, y in zip(pa, ps[::-1])] + [da * x for x in b] + [cos * x for x in b]
+    v = np.dot(v, m)
     terms = _error_and_slope(v[:8], v[8:], target)
     if terms is None:
         return math.inf, None, None
@@ -264,21 +285,22 @@ def _residual_terms(rows, target, t) -> tuple:
     return float(np.dot(err, err)), err, slope
 
 
-def _refine(rows, target, t0) -> tuple:
-    """Damped Gauss-Newton from one start, run to stagnation.
+def _refine(form, target, psi0) -> tuple:
+    """Damped Gauss-Newton in the half angle psi from one start, run to
+    stagnation.
 
-    Returns the final t, its residual, the accepted steps and the
+    Returns the final psi, its residual, the accepted steps and the
     residual trace; the slope of C_hat is formed only at an iterate that
-    a step follows.  Stops after _MAX_ITERATIONS accepted steps, when no
-    step halving lowers the residual before the step shrinks below
-    _STEP_TOL (the full step is always tried), when a trial step would
-    leave |t| <= _DIVERGENCE_BOUND, or when the squared slope is at most
-    _SLOPE_FLOOR, so that no step direction is defined.
+    a step follows.  Stops after _MAX_ITERATIONS accepted steps, after an
+    accepted step of at most _STEP_TOL, when no step halving lowers the
+    residual before the step shrinks to _STEP_TOL (the full step is always
+    tried), or when the squared slope is at most _SLOPE_FLOOR, so that no
+    step direction is defined.
     """
-    t = float(t0)
-    f, err, slope = _residual_terms(rows, target, t)
+    psi = float(psi0)
+    f, err, slope = _residual_terms(form, target, psi)
     if err is None:
-        return t, f, 0, ()
+        return psi, f, 0, ()
     trace = [f]
     iters = 0
     while iters < _MAX_ITERATIONS and f > _RESIDUAL_FLOOR:
@@ -290,27 +312,25 @@ def _refine(rows, target, t0) -> tuple:
         lam = 1.0
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
-            if lam < 1.0 and abs(lam * step) <= _STEP_TOL * (1.0 + abs(t)):
-                # a shorter step could not move t beyond the step tolerance
+            if lam < 1.0 and abs(lam * step) <= _STEP_TOL:
+                # a shorter step could not move psi beyond the step tolerance
                 break
-            t_try = t + lam * step
-            if abs(t_try) > _DIVERGENCE_BOUND:
-                break
-            trial = _residual_terms(rows, target, t_try)
+            psi_try = psi + lam * step
+            trial = _residual_terms(form, target, psi_try)
             if trial[0] < f:
                 accepted = True
                 break
             lam *= 0.5
         if not accepted:
             break
-        moved = abs(t_try - t)
-        t = t_try
+        moved = abs(psi_try - psi)
+        psi = psi_try
         f, err, slope = trial
         trace.append(f)
         iters += 1
-        if moved <= _STEP_TOL * (1.0 + abs(t)):
+        if moved <= _STEP_TOL:
             break
-    return t, f, iters, tuple(trace)
+    return psi, f, iters, tuple(trace)
 
 
 def _sum_of_squares(rows: np.ndarray) -> np.ndarray:
@@ -380,9 +400,9 @@ def _whitened(coeffs: np.ndarray, g: np.ndarray):
     return form
 
 
-def _rayleigh_start(whitened: tuple, s_inf: float, p8: np.ndarray):
-    """The start of a pose that the motion reaches once, away from home,
-    from one symmetric eigenvalue solve; None for every other pose.
+def _rayleigh_start(whitened: tuple, s_inf: float, p8: np.ndarray, axis: tuple):
+    """The start psi of a pose that the motion reaches once, away from
+    home, from one symmetric eigenvalue solve; None for every other pose.
 
     N(t) = m^T P m and S(t) = m^T Q m over m = (1, t, .., t^n), with
     P = V V^T, so the smallest eigenvalue lam0 of the pencil (P, Q)
@@ -400,20 +420,20 @@ def _rayleigh_start(whitened: tuple, s_inf: float, p8: np.ndarray):
     as the identity of a motion without a tool, takes the companion
     start at once.
 
-    The certified t* is rounded to _START_BITS bits: to 2**-40 where
-    |t*| < 1, and relative to |t*| elsewhere.  t* itself lies within the
-    rounding noise of the polish's residual, where no step lowers it, so
-    the polish would end at once and leave the answer at the last bits
-    of t*, which the whitening rounds differently at every float scale
+    The certified start is the half angle psi = atan2(r s, a - q0 s) of
+    the homogeneous parameter (a : s), (t* : 1) or (1 : u*) with the
+    driving axis parts (q0, r), rounded to 2**-40.  psi itself lies within
+    the rounding noise of the polish's residual, where no step lowers it,
+    so the polish would end at once and leave the answer at the last bits
+    of psi, which the whitening rounds differently at every float scale
     of the pose; from the rounded start the polish takes its last step
     from a distance, as from the companion start.  Measured against the
     exact minimiser of the residual on seeded direct kinematics poses,
     roundings to 32 to 40 bits land as close as the companion start or
-    closer, and wider ones or none farther.  An eigenvector
-    coordinate is known to about an ulp of 1, so in the chart u = 1/t
-    the relative noise of t* grows as |t*| ulp; a start farther out than
-    2**(52 - _START_BITS) = 2**12, next to home, where that noise would
-    exceed the rounding, takes the companion start.
+    closer, and wider ones or none farther.  An eigenvector coordinate is
+    known to about an ulp of 1, so next to home, where (a : s) is
+    (1 : u*), psi is known about as well as u*, far below the rounding,
+    where t* = 1/u* was not.
     """
     h, root, back, exps = whitened
     out = p8 @ h
@@ -439,12 +459,10 @@ def _rayleigh_start(whitened: tuple, s_inf: float, p8: np.ndarray):
     n_x, s_x = float(zb @ zb), float(z @ z)
     if n_x > delta * s_x or n_x * s_inf > n_inf * s_x:
         return None
-    if reciprocal:
-        if math.ldexp(abs(x), _NOISE_BITS - _START_BITS) < 1.0:
-            return None
-        x = 1.0 / x
-    k = _START_BITS - max(math.frexp(x)[1], 0)
-    return math.ldexp(round(math.ldexp(x, k)), -k)
+    q0, r = axis
+    a, s = (1.0, x) if reciprocal else (x, 1.0)
+    psi = math.atan2(r * s, a - q0 * s)
+    return math.ldexp(round(math.ldexp(psi, _START_BITS)), -_START_BITS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,8 +482,9 @@ def _candidate_values(num: np.ndarray, s: np.ndarray, ts: np.ndarray) -> tuple:
     return num @ powers, s @ powers
 
 
-def _global_start(form: tuple, p8: np.ndarray):
-    """Global minimiser of N(t)/D(t) over the projective parameter line.
+def _global_start(form: tuple, p8: np.ndarray, axis: tuple) -> float:
+    """Global minimiser of N(t)/D(t) over the projective parameter line,
+    as the half angle psi of the driving axis parts axis = (q0, r).
 
     V(t) = C(t) * conj(p); N sums the squares of V's vector and dual
     vector parts, which vanish where C(t) is a multiple of p, and
@@ -483,12 +502,12 @@ def _global_start(form: tuple, p8: np.ndarray):
     N'D - ND', a superset of the real critical points, from one
     eigenvalue solve, and infinity, where N/D tends to the ratio of the
     leading coefficients; N and S at all candidates come from one
-    Vandermonde product each (_candidate_values).  Returns INFINITY,
-    which is math.inf, or a finite parameter.
+    Vandermonde product each (_candidate_values).  Its t, INFINITY for
+    home, is mapped to psi in [0, pi) once, with _t_to_angle.
     """
     a, crit_map, s, whitened = form
     if whitened is not None:
-        start = _rayleigh_start(whitened, s[-1], p8)
+        start = _rayleigh_start(whitened, s[-1], p8, axis)
         if start is not None:
             return start
     num = (a @ p8) @ p8
@@ -510,7 +529,7 @@ def _global_start(form: tuple, p8: np.ndarray):
         k = int(values.argmin())
         if values[k] <= num[-1] / s[-1]:
             best = float(ts[k])
-    return best
+    return 0.5 * _t_to_angle(best, *axis)
 
 
 def inverse_kinematics(
@@ -523,14 +542,13 @@ def inverse_kinematics(
     the global minimiser of an algebraic pose distance N(t)/D(t) on the
     projective parameter line (_global_start): for a pose that the
     motion reaches once, away from home, the certified eigenvector start
-    of one small symmetric eigenvalue problem, rounded to 40 bits; for
-    every other pose, the best of the real roots of one polynomial and
-    the point at infinity.  A damped
-    Gauss-Newton iteration in the normalized metric then polishes it:
-    in the t chart from a finite start, and from u = 0 in the
-    reciprocal chart u = 1/t when the start is at infinity (joint angle
-    zero).  The result is accepted when the polished residual is at most
-    success_tol.  The pose is first scaled by the power of two that
+    of one small symmetric eigenvalue problem; for every other pose, the
+    best of the real roots of one polynomial and the point at infinity.
+    A damped Gauss-Newton iteration in the normalized metric then
+    polishes it in the half angle psi = theta/2, whose chart passes
+    through home; theta is 2*psi folded into [0, 2*pi), and t is derived
+    from theta.  The result is accepted when the polished residual is at
+    most success_tol.  The pose is first scaled by the power of two that
     brings its largest coefficient into [0.5, 1), which is exact, so
     every nonzero float scale of a pose gives the same answer.
 
@@ -550,21 +568,16 @@ def inverse_kinematics(
         raise InvalidPose(
             "target pose is not a displacement (Study defect above %.1e)" % tol
         )
-    start = _global_start(mechanism._ik_form, p8)
-    reciprocal = math.isinf(start)
-    if reciprocal:
-        start = 0.0
-    t, residual, iterations, trace = _refine(
-        mechanism._polish_rows[reciprocal], _Target(p8), start
-    )
-    if reciprocal:
-        t = INFINITY if t == 0.0 else 1.0 / t
+    start = _global_start(mechanism._ik_form, p8, mechanism._axis)
+    psi, residual, iterations, trace = _refine(mechanism._polish, _Target(p8), start)
+    # x % 2pi rounds to 2pi for x just below zero, which the second % folds
+    theta = (2.0 * psi) % TWO_PI % TWO_PI
     result = IKResult(
-        t=t,
-        theta=_t_to_angle(t, *mechanism._axis),
+        t=_angle_to_t(theta, *mechanism._axis),
+        theta=theta,
         residual=residual,
         iterations=iterations,
-        branch="reciprocal" if reciprocal else "direct",
+        branch="reciprocal" if start == 0.0 else "direct",
         residual_trace=trace,
     )
     if residual <= opt.success_tol:

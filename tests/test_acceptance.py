@@ -23,18 +23,15 @@ from dqlink import (
     inverse_kinematics,
     quintic_time_scaling,
 )
-from dqlink.kinematics import (
-    _derivative_rows,
-    _error_and_slope,
-    _kept_rows,
-    _residual_terms,
-    _Target,
-)
+from dqlink.kinematics import _error_and_slope, _Target
+from dqlink.motionpoly import _derivative_rows
 
 
 def _residual_at(coeffs, dcoeffs, target, t):
-    """Squared error of the IK polish at t."""
-    return _residual_terms(_kept_rows(coeffs, dcoeffs), target, t)[0]
+    """Squared normalized pose error of the IK polish at the parameter t."""
+    pv = np.polynomial.polynomial.polyval
+    err, _ = _error_and_slope(pv(t, coeffs), pv(t, dcoeffs), target)
+    return float(np.dot(err, err))
 
 
 def _error_terms(c, cd, target):

@@ -104,7 +104,7 @@ def test_axis_validation():
             param_to_angle(1.0, bad)
 
 
-def test_axis_length_at_any_float_scale():
+def test_axis_length_at_any_float_scale(sixbar):
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         for scale in (1e200, 1e-10, 1e-200):
@@ -113,6 +113,11 @@ def test_axis_length_at_any_float_scale():
             assert t == scale / math.tan(0.5)
             assert param_to_angle(t, axis) == pytest.approx(1.0, rel=1e-15)
             Mechanism(MotionPolynomial.from_axes([[0, 1, 0, 0, 0, 0, 0, 0]]), axis)
+        # the IK polish form of a cubic on such axes does not overflow; its
+        # coefficients C_k 2**(e k) may underflow, as the terms of C(t) do
+        with np.errstate(under="ignore"):
+            for scale in (1e200, 1e-200):
+                Mechanism(sixbar.motion, [0.0, scale, 0.0, 0.0])
     # the vector part is zero relative to the whole quaternion, or exactly
     for bad in ([1.0, 1e-10, 0.0, 0.0], [1e-200, 0.0, 0.0, 0.0], [0.0, 0.0, -0.0, 0.0]):
         with pytest.raises(ValueError, match="nonzero vector part"):
@@ -211,6 +216,16 @@ def test_inverse_kinematics_home_pose_uses_reciprocal(sixbar):
     assert r.residual <= 1e-10
 
 
+def test_theta_just_below_a_full_turn_folds_to_zero(sixbar):
+    # the sixbar's t is cot(psi); its pose at psi = -1e-16 polishes in one
+    # step from home to a psi whose 2*psi % (2*pi) rounds to 2*pi, and
+    # theta, which lies in [0, 2*pi), is 0 there, with t = INFINITY
+    pose = sixbar.motion.evaluate(1.0 / math.tan(-1e-16)) * sixbar.tool_home
+    r = inverse_kinematics(sixbar, pose)
+    assert r.iterations == 1 and r.branch == "reciprocal"
+    assert r.theta == 0.0 and r.t is INFINITY
+
+
 @pytest.mark.parametrize("fixture", ["sixbar", "bennett"])
 def test_direct_kinematics_near_home(fixture, request):
     # t = r/tan(theta/2) overflows the Horner sum from about 1e-104 rad
@@ -246,20 +261,20 @@ def test_start_never_picks_a_candidate_whose_ratio_is_not_finite(sixbar, monkeyp
     # pose is off the motion, so that its start is the companion start
     twist = DualQuaternion([math.cos(0.025), 0, 0, math.sin(0.025), 0, 0, 0, 0])
     p8 = _binary_normalized((direct_kinematics(sixbar, 1.0) * twist).coeffs)
-    form = sixbar._ik_form
-    assert kinematics._rayleigh_start(form[-1], form[2][-1], p8) is None
-    want = kinematics._global_start(form, p8)
-    assert want is not INFINITY
+    form, axis = sixbar._ik_form, sixbar._axis
+    assert kinematics._rayleigh_start(form[-1], form[2][-1], p8, axis) is None
+    want = kinematics._global_start(form, p8, axis)
+    assert want != 0.0
     evaluate = kinematics._candidate_values
     for poison in (math.nan, math.inf, -math.inf):
 
         def poisoned(num, s, ts):
             n_ts, s_ts = evaluate(num, s, ts)
-            n_ts[ts != want] = poison
+            n_ts[[0.5 * kinematics._t_to_angle(t, *axis) != want for t in ts]] = poison
             return n_ts, s_ts
 
         monkeypatch.setattr(kinematics, "_candidate_values", poisoned)
-        assert kinematics._global_start(sixbar._ik_form, p8) == want
+        assert kinematics._global_start(form, p8, axis) == want
 
 
 def test_inverse_kinematics_second_table_pose(sixbar):
@@ -381,43 +396,42 @@ def test_roundtrip_random_angles(sixbar, bennett, rng):
 
 
 def test_polish_stops_halving_at_step_tolerance(sixbar, bennett, rng, monkeypatch):
-    # one Horner pass per residual evaluation of the polish and none for
-    # the start; a converged polish tries its next full step and stops at
-    # the first halving that falls below the step tolerance instead of
-    # halving on
+    # one residual evaluation per trial of the polish and none for the
+    # start; a polish whose last accepted step is longer than the step
+    # tolerance tries its next full step and stops at the first halving
+    # that falls below the step tolerance instead of halving on
     calls = []
-    evaluate = _kernels.poly_eval8
+    terms = kinematics._residual_terms
+    monkeypatch.setattr(kinematics, "_residual_terms", lambda *a: calls.append(1) or terms(*a))
     for mech in (sixbar, bennett):
         for theta in rng.uniform(0.0, 2 * math.pi, size=100):
             pose = direct_kinematics(mech, theta)
-            monkeypatch.setattr(
-                _kernels, "poly_eval8", lambda c, t: calls.append(1) or evaluate(c, t)
-            )
             calls.clear()
             r = inverse_kinematics(mech, pose)
-            monkeypatch.setattr(_kernels, "poly_eval8", evaluate)
-            assert len(calls) <= r.iterations + 3
+            assert len(calls) <= r.iterations + 2
 
 
 def test_gauss_newton_step_matches_finite_difference(sixbar):
     # the GN increment for a scalar parameter is the normalized-residual
     # gradient over the squared derivative norm; cross-check the gradient
-    # of f(t) = |p_hat - C_hat(t)|^2 by central differences
-    coeffs = sixbar.motion.coeffs
-    dcoeffs = kinematics._derivative_rows(coeffs)
-    rows = kinematics._kept_rows(coeffs, dcoeffs)
+    # of f(psi) = |p_hat - C_hat(psi)|^2 in the half angle by central
+    # differences, and f itself against the curve in t at t(psi)
+    form = sixbar._polish
+    coeffs = sixbar._tool_coeffs
     target = kinematics._Target(POSE_SQRT3.copy())
     h = 1e-6
-    for t in (0.4, 1.0, 2.2):
+    for psi in (0.4, 1.0, 2.2, -0.3, 1e-3):
         g_fd = (
-            kinematics._residual_terms(rows, target, t + h)[0]
-            - kinematics._residual_terms(rows, target, t - h)[0]
+            kinematics._residual_terms(form, target, psi + h)[0]
+            - kinematics._residual_terms(form, target, psi - h)[0]
         ) / (2 * h)
-        c = np.array([np.polynomial.polynomial.polyval(t, coeffs[:, k]) for k in range(8)])
-        cd = np.array([np.polynomial.polynomial.polyval(t, dcoeffs[:, k]) for k in range(8)])
-        err, slope = kinematics._error_and_slope(c, cd, target)
+        f, err, slope = kinematics._residual_terms(form, target, psi)
         g = -2.0 * float(np.dot(slope(), err))
         assert abs(g - g_fd) <= 1e-5 * max(1.0, abs(g_fd))
+        t = angle_to_param(2.0 * psi, sixbar.driving_axis)
+        c = np.polynomial.polynomial.polyval(t, coeffs)
+        want = kinematics._error_and_slope(c, np.zeros(8), target)[0]
+        assert abs(f - float(np.dot(want, want))) <= 1e-12 * max(1.0, f)
 
 
 HOME_OFFSETS = [s * d for d in (1e-5, 1e-8, 1e-13) for s in (1.0, -1.0)]
@@ -507,37 +521,42 @@ def test_start_form_matches_independent_products(sixbar, bennett, random_linkage
 def test_start_form_is_built_once_and_read_only(random_linkage, monkeypatch):
     mech = random_linkage(np.random.default_rng(35), 3)
     form = mech._ik_form
-    rows = mech._polish_rows
-    # a solve takes the polish rows of the chart as kept, on either branch
-    def no_derivative(c):
-        raise AssertionError("derivative rows built during a solve")
+    polish = mech._polish
+    # a solve takes the polish form as kept, whether its start is home or not
+    def no_form(*args):
+        raise AssertionError("polish form built during a solve")
 
-    monkeypatch.setattr(kinematics, "_derivative_rows", no_derivative)
+    monkeypatch.setattr(kinematics, "_polish_form", no_form)
     pose = direct_kinematics(mech, 1.0)
     assert inverse_kinematics(mech, pose).branch == "direct"
     inverse_kinematics(mech, direct_kinematics(mech, 2.0))
     assert inverse_kinematics(mech, DualQuaternion.identity()).branch == "reciprocal"
     monkeypatch.undo()
     assert mech._ik_form is form
-    assert mech._polish_rows is rows
+    assert mech._polish is polish
     # A, L and S, and the whitened form of the Rayleigh start
     assert len(form) == 4 and form[3] is not None
-    for arr in form[:3] + form[3] + rows:
+    m, q0, r = polish
+    for arr in form[:3] + form[3] + (m,):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # [C | C'] of the t chart and of the reciprocal chart, whose
-    # coefficients are reversed; C' has a zero top row
-    assert len(rows) == 2
-    for arr, c in zip(rows, (mech._tool_coeffs, mech._tool_coeffs[::-1])):
-        assert arr.shape == (c.shape[0], 16)
-        assert np.array_equal(arr[:, :8], c)
-        assert np.array_equal(arr[:-1, 8:], motionpoly._derivative_rows(c))
-        assert not np.any(arr[-1, 8:])
+    # the axis parts scaled by the power of two that brings the larger
+    # into [0.5, 1), and the blocks of M: the coefficients C_k 2**(e k),
+    # times 2**-max(3 e, 0), for C, and for dC/dpsi the derivative rows of
+    # C in a and in s
+    e = math.frexp(max(mech._axis[1], abs(mech._axis[0])))[1]
+    assert (q0, r) == (math.ldexp(mech._axis[0], -e), math.ldexp(mech._axis[1], -e))
+    assert 0.5 <= max(r, abs(q0)) < 1.0
+    c = np.ldexp(mech._tool_coeffs, e * np.arange(4)[:, None] - max(3 * e, 0))
+    want = np.zeros((10, 16))
+    want[:4, :8], want[4:7, 8:] = c, motionpoly._derivative_rows(c)
+    want[7:, 8:] = motionpoly._derivative_rows(c[::-1])[::-1]
+    assert np.array_equal(m, want)
     # per pose the start makes no dual quaternion product
     calls = []
     multiply = _kernels.dq_mul8
     monkeypatch.setattr(_kernels, "dq_mul8", lambda a, b: calls.append(1) or multiply(a, b))
-    kinematics._global_start(mech._ik_form, pose.coeffs)
+    kinematics._global_start(mech._ik_form, pose.coeffs, mech._axis)
     assert calls == []
 
 
@@ -547,7 +566,8 @@ def test_start_candidate_values_match_polyval_within_8_ulp(
     # the companion start evaluates N and S at all its candidates with
     # one Vandermonde product each; its values stay within 8 ulp of the
     # sum of the absolute terms of np.polyval, and the start it returns
-    # is bit for bit the one that the np.polyval values pick.  The form
+    # is bit for bit the half angle of the one that the np.polyval values
+    # pick.  The form
     # without its whitened part sends the DK poses to the companion start
     rng = np.random.default_rng(36)
     mechs = [sixbar, bennett]
@@ -568,7 +588,7 @@ def test_start_candidate_values_match_polyval_within_8_ulp(
     for mech, pose in cases:
         p8 = _binary_normalized(pose)
         seen.clear()
-        start = kinematics._global_start(mech._ik_form[:3] + (None,), p8)
+        start = kinematics._global_start(mech._ik_form[:3] + (None,), p8, mech._axis)
         [(num, s, ts, values)] = seen
         assert ts.size >= 1 and np.all(np.isfinite(ts))
         for row, coeffs in zip(values, (num, s)):
@@ -578,9 +598,9 @@ def test_start_candidate_values_match_polyval_within_8_ulp(
         ratio = np.polyval(num[::-1], ts) / np.polyval(s[::-1], ts)
         k = int(np.argmin(ratio))
         if ratio[k] <= num[-1] / s[-1]:
-            assert start == ts[k]
+            assert start == 0.5 * kinematics._t_to_angle(ts[k], *mech._axis)
         else:
-            assert start is INFINITY
+            assert start == 0.0
 
 
 def _residual_events(monkeypatch):
@@ -637,32 +657,35 @@ def test_polish_forms_the_slope_only_where_a_step_follows(sixbar, bennett, rng, 
 
 def _companion_start(mech, p8):
     """The start of the companion solve alone, as for a singular Q."""
-    return kinematics._global_start(mech._ik_form[:3] + (None,), p8)
+    return kinematics._global_start(mech._ik_form[:3] + (None,), p8, mech._axis)
+
+
+def _angle_gap(a, b) -> float:
+    """Distance of two joint angles on the circle."""
+    return abs((a - b + math.pi) % (2 * math.pi) - math.pi)
 
 
 def test_certified_start_agrees_with_the_companion_start(sixbar, bennett, random_linkage):
     # on seeded, scaled DK poses of both fixtures and of generated 1- to
     # 4-axis linkages the Rayleigh start is certified, lies within 1e-9
-    # rad of the companion start, and polishes to the same angle
+    # rad of the companion start, and polishes to the same angle; both
+    # starts are half angles psi, rounded to 2**-40 where certified
     rng = np.random.default_rng(37)
     mechs = [sixbar, bennett]
     mechs += [random_linkage(rng, joints) for joints in (1, 2, 3, 4) for _ in range(2)]
     for mech in mechs:
-        form, axis, rows = mech._ik_form, mech._axis, mech._polish_rows[0]
+        form, axis, polish = mech._ik_form, mech._axis, mech._polish
         for theta in rng.uniform(0.0, 2 * math.pi, size=12):
             pose = direct_kinematics(mech, theta).coeffs * 10.0 ** rng.uniform(-1.0, 1.0)
             p8 = _binary_normalized(pose)
-            start = kinematics._rayleigh_start(form[-1], form[2][-1], p8)
-            assert start is not None and kinematics._global_start(form, p8) == start
+            start = kinematics._rayleigh_start(form[-1], form[2][-1], p8, axis)
+            assert start is not None and kinematics._global_start(form, p8, axis) == start
+            assert math.ldexp(start, 40).is_integer()
             companion = _companion_start(mech, p8)
-            gap = kinematics._t_to_angle(start, *axis) - kinematics._t_to_angle(companion, *axis)
-            assert abs((gap + math.pi) % (2 * math.pi) - math.pi) <= 1e-9
+            assert _angle_gap(2.0 * start, 2.0 * companion) <= 1e-9
             target = kinematics._Target(p8)
-            polished = [
-                kinematics._t_to_angle(kinematics._refine(rows, target, t)[0], *axis)
-                for t in (start, companion)
-            ]
-            assert abs(polished[0] - polished[1]) <= 1e-12
+            polished = [kinematics._refine(polish, target, psi)[0] for psi in (start, companion)]
+            assert _angle_gap(2.0 * polished[0], 2.0 * polished[1]) <= 1e-12
 
 
 def test_uncertified_poses_take_the_companion_start(sixbar, bennett):
@@ -671,19 +694,25 @@ def test_uncertified_poses_take_the_companion_start(sixbar, bennett):
         p8 = _binary_normalized(np.asarray(pose, dtype=float))
         if form[-1] is None:
             return False
-        start = kinematics._rayleigh_start(form[-1], form[2][-1], p8)
+        start = kinematics._rayleigh_start(form[-1], form[2][-1], p8, mech._axis)
         if start is None:
-            assert kinematics._global_start(form, p8) == _companion_start(mech, p8)
+            assert kinematics._global_start(form, p8, mech._axis) == _companion_start(mech, p8)
         return start is not None
 
     # criterion 08's rounded poses lie off the motion
     assert not certified(bennett, BENNETT_P1) and not certified(bennett, BENNETT_P2)
     # the identity, where N vanishes at infinity
     assert not certified(sixbar, DualQuaternion.identity().coeffs)
-    # the sixbar's t is about 2 / theta next to home: a pose with t* near
-    # 2**13, beyond 2**12, and one with t* near 2**11
-    assert not certified(sixbar, direct_kinematics(sixbar, 2.0**-12).coeffs)
-    assert certified(sixbar, direct_kinematics(sixbar, 2.0**-10).coeffs)
+    # next to home, in the chart u = 1/t, the half angle is as well known
+    # as elsewhere: the sixbar's t is about 2 / theta there, and poses
+    # with t* near 2**13 and 2**41 are certified.  The latter's start
+    # psi = 2**-41 rounds to home, so its branch is "reciprocal", and the
+    # polish steps off home to its angle
+    assert certified(sixbar, direct_kinematics(sixbar, 2.0**-12).coeffs)
+    assert certified(sixbar, direct_kinematics(sixbar, 2.0**-40).coeffs)
+    r = inverse_kinematics(sixbar, direct_kinematics(sixbar, 2.0**-40))
+    assert r.branch == "reciprocal" and r.iterations == 1
+    assert abs(r.theta - 2.0**-40) <= 1e-12 * 2.0**-40
     # (t - h)**2 about one axis h reaches each pose twice, so Q is singular
     h = DualQuaternion([0, 0.6, 0, 0.8, 0, 0.4, 0.5, -0.3])
     doubled = Mechanism(MotionPolynomial.from_axes([h, h]), [0.2, 0.6, 0.0, 0.8])
@@ -697,7 +726,7 @@ def test_uncertified_poses_take_the_companion_start(sixbar, bennett):
     rows = np.zeros((3, 8))
     rows[:, 0], rows[:, 4], rows[:, 1], rows[:, 2] = (1, 0, 1), (0, 1, 0), (2, -1, 0), (0, 1, -2)
     form = kinematics._start_form(rows)
-    assert kinematics._rayleigh_start(form[-1], form[2][-1], np.eye(8)[0]) is None
+    assert kinematics._rayleigh_start(form[-1], form[2][-1], np.eye(8)[0], (0.0, 1.0)) is None
     # a constant motion, with no parameter to certify
     still = Mechanism(MotionPolynomial([[1, 0, 0, 0, 0, 0, 0, 0]]), [0, 1, 0, 0])
     assert still._ik_form[-1] is None
@@ -725,18 +754,17 @@ def test_canonical_solve_forms_no_unit_norm_representative(sixbar, bennett, monk
     assert calls
 
 
-def _eager_refine(rows, target, t):
+def _eager_refine(form, target, psi):
     """The polish with error and slope formed at every evaluation;
     _refine, which forms the slope only where a step follows, must match
     it bit for bit."""
-    def terms(t):
-        v = _kernels.poly_eval8(rows, t)
-        e = kinematics._error_and_slope(v[:8], v[8:], target)
-        return (math.inf, None, None) if e is None else (float(np.dot(e[0], e[0])), e[0], e[1]())
+    def terms(psi):
+        f, err, slope = kinematics._residual_terms(form, target, psi)
+        return (f, None, None) if err is None else (f, err, slope())
 
-    f, err, chatd = terms(t)
+    f, err, chatd = terms(psi)
     if err is None:
-        return t, f, 0, ()
+        return psi, f, 0, ()
     trace, iters = [f], 0
     while iters < kinematics._MAX_ITERATIONS and f > kinematics._RESIDUAL_FLOOR:
         denom = float(np.dot(chatd, chatd))
@@ -744,25 +772,23 @@ def _eager_refine(rows, target, t):
             break
         step, lam, accepted = float(np.dot(chatd, err)) / denom, 1.0, False
         for _ in range(kinematics._MAX_HALVINGS + 1):
-            if lam < 1.0 and abs(lam * step) <= kinematics._STEP_TOL * (1.0 + abs(t)):
+            if lam < 1.0 and abs(lam * step) <= kinematics._STEP_TOL:
                 break
-            t_try = t + lam * step
-            if abs(t_try) > kinematics._DIVERGENCE_BOUND:
-                break
-            trial = terms(t_try)
+            psi_try = psi + lam * step
+            trial = terms(psi_try)
             if trial[0] < f:
                 accepted = True
                 break
             lam *= 0.5
         if not accepted:
             break
-        moved, t = abs(t_try - t), t_try
+        moved, psi = abs(psi_try - psi), psi_try
         f, err, chatd = trial
         trace.append(f)
         iters += 1
-        if moved <= kinematics._STEP_TOL * (1.0 + abs(t)):
+        if moved <= kinematics._STEP_TOL:
             break
-    return t, f, iters, tuple(trace)
+    return psi, f, iters, tuple(trace)
 
 
 def test_inverse_kinematics_at_half_turn_poses(sixbar):
@@ -778,57 +804,62 @@ def test_inverse_kinematics_at_half_turn_poses(sixbar):
         for offset in (0.0, 1e-9, -1e-9, 1e-7, -1e-7):
             theta = root + offset
             r = inverse_kinematics(sixbar, direct_kinematics(sixbar, theta))
-            gap = (r.theta - theta + math.pi) % (2.0 * math.pi) - math.pi
-            assert abs(gap) <= 1e-12
+            assert _angle_gap(r.theta, theta) <= 1e-12
             # the lazy slope and the lazy unit-norm target change no bit
             p8 = _binary_normalized(direct_kinematics(sixbar, theta).coeffs)
-            start = kinematics._global_start(sixbar._ik_form, p8)
-            assert start is not INFINITY and r.branch == "direct"
-            want = _eager_refine(sixbar._polish_rows[0], kinematics._Target(p8), start)
-            assert (r.t, r.residual, r.iterations, r.residual_trace) == want
+            start = kinematics._global_start(sixbar._ik_form, p8, sixbar._axis)
+            assert start != 0.0 and r.branch == "direct"
+            psi, *rest = _eager_refine(sixbar._polish, kinematics._Target(p8), start)
+            assert r.theta == (2.0 * psi) % (2.0 * math.pi)
+            assert (r.residual, r.iterations, r.residual_trace) == tuple(rest)
 
 
-def test_polish_stops_before_leaving_the_divergence_bound(sixbar):
+def test_polish_steps_once_next_to_home(sixbar):
     # a unit-norm pose near home with coefficient 1 raised by 1e-9 has
-    # its start far out at t ~ 2.47e9, beyond _DIVERGENCE_BOUND, so the
-    # first trial step is refused and the start comes back unpolished
+    # its start far out in t, at t ~ 2.47e9; in the half angle the polish
+    # takes one step there, like anywhere else
     pose = direct_kinematics(sixbar, 1e-9).coeffs
     pose = pose / np.linalg.norm(pose)
     pose[1] += 1e-9
-    start = kinematics._global_start(sixbar._ik_form, pose)
-    assert math.isclose(start, 2.47e9, rel_tol=1e-3)
-    assert start > kinematics._DIVERGENCE_BOUND
     r = inverse_kinematics(sixbar, DualQuaternion(pose))
-    assert r.t == start
-    assert r.iterations == 0
+    assert math.isclose(r.t, 2.47e9, rel_tol=1e-3)
+    assert r.iterations == 1
     assert r.branch == "direct"
-    assert len(r.residual_trace) == 1
+    assert len(r.residual_trace) == 2
     assert math.isclose(r.residual, 8.1e-19, rel_tol=1e-2)
-    assert math.isclose(r.theta, 8.1e-10, rel_tol=1e-2)
+    want = 8.095238095238097e-10
+    assert abs(r.theta - want) <= 4.0 * math.ulp(want)
 
 
 def test_polish_stops_where_the_curve_value_vanishes():
     # C = t passes the norm check, since its norm polynomial t**2 is real,
     # but C(0) = 0 has no normalized error: the polish returns its start
-    # with an infinite residual, no step and no trace
-    mech = Mechanism(MotionPolynomial([[0.0] * 8, [1, 0, 0, 0, 0, 0, 0, 0]]), [0, 1, 0, 0])
+    # with an infinite residual, no step and no trace.  The driving axis
+    # (-cos 1, sin 1) puts t = 0 at psi = 1 exactly: a = r' cos(1) + q0'
+    # sin(1) is the difference of two equal products
+    axis = [-math.cos(1.0), math.sin(1.0), 0.0, 0.0]
+    mech = Mechanism(MotionPolynomial([[0.0] * 8, [1, 0, 0, 0, 0, 0, 0, 0]]), axis)
     target = kinematics._Target(np.array([1.0, 0, 0, 0, 0, 0, 0, 0]))
-    rows = mech._polish_rows[False]
-    assert kinematics._refine(rows, target, 0.0) == (0.0, math.inf, 0, ())
-    assert _eager_refine(rows, target, 0.0) == (0.0, math.inf, 0, ())
+    assert kinematics._refine(mech._polish, target, 1.0) == (1.0, math.inf, 0, ())
+    assert _eager_refine(mech._polish, target, 1.0) == (1.0, math.inf, 0, ())
 
 
 def test_polish_stops_at_the_slope_floor():
     # C(t) = 1 + t**2 i has a zero slope at t = 0, where the start lands
     # for a pose off the curve, so the polish has no direction to step in
-    # and returns the start unpolished
+    # and returns the start unpolished.  cos(pi/2) is not 0 in floats;
+    # the driving axis (-cos 1, sin 1) puts t = 0 at the start psi =
+    # atan2(sin 1, cos 1), which is 1 exactly, where a vanishes exactly
+    assert math.atan2(math.sin(1.0), math.cos(1.0)) == 1.0
     coeffs = np.zeros((3, 8))
     coeffs[0, 0] = coeffs[2, 1] = 1.0
-    mech = Mechanism(MotionPolynomial(coeffs), [0.0, 0.0, 0.0, 1.0])
+    axis = [-math.cos(1.0), math.sin(1.0), 0.0, 0.0]
+    mech = Mechanism(MotionPolynomial(coeffs), axis)
     with pytest.raises(NoConvergence) as info:
         inverse_kinematics(mech, DualQuaternion([1, 0, 0.1, 0, 0, 0, 0, 0]))
     best = info.value.best
-    assert best.t == 0.0 and best.iterations == 0 and best.branch == "direct"
+    assert best.theta == 2.0 and best.iterations == 0 and best.branch == "direct"
+    assert best.t == angle_to_param(2.0, axis) and abs(best.t) <= 1e-15
     assert best.residual_trace == (best.residual,)
 
 
@@ -841,16 +872,37 @@ def test_success_tol_must_be_finite_and_non_negative():
 
 @pytest.mark.parametrize("fixture, theta", [("sixbar", 1.0), ("bennett", 1.351)])
 def test_inverse_kinematics_at_any_float_scale(fixture, theta, request):
+    # the named angle, the angles next to home on both sides and at pi,
+    # and 150 seeded angles
     mech = request.getfixturevalue(fixture)
-    pose = direct_kinematics(mech, theta).coeffs
-    base = inverse_kinematics(mech, DualQuaternion(pose)).theta
+    thetas = [theta, 1e-8, math.pi, 2.0 * math.pi - 1e-8]
+    thetas += list(np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, size=150))
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        for exponent in (-664, -40, 266, 664):
-            # a power of two scales exactly: the same bits come back
-            r = inverse_kinematics(mech, DualQuaternion(np.ldexp(pose, exponent)))
-            assert r.theta == base
-        for scale in (1e-200, 1e-12, 1e80, 1e200):
-            # a decimal scale rounds every coefficient once
-            r = inverse_kinematics(mech, DualQuaternion(scale * pose))
-            assert abs(r.theta - base) <= 2.0 * math.ulp(base)
+        for theta in thetas:
+            pose = direct_kinematics(mech, theta).coeffs
+            base = inverse_kinematics(mech, DualQuaternion(pose)).theta
+            for exponent in (-664, -40, 266, 664):
+                # a power of two scales exactly: the same bits come back
+                r = inverse_kinematics(mech, DualQuaternion(np.ldexp(pose, exponent)))
+                assert r.theta == base, theta
+            for scale in (1e-200, 1e-12, 1e80, 1e200):
+                # a decimal scale rounds every coefficient once
+                r = inverse_kinematics(mech, DualQuaternion(scale * pose))
+                assert abs(r.theta - base) <= 2.0 * math.ulp(base), (theta, scale)
+
+
+def test_theta_of_rounded_poses_does_not_depend_on_the_start_bits(bennett):
+    # criterion 08's rounded Bennett poses lie off the motion; moving the
+    # start of the polish by up to 20 ulp either way moves the polished
+    # angle by at most 5e-12 rad (3.8e-12 on the pose at 0.331, 0 on the
+    # pose at 5.893), since the polish stops on the length of its step
+    for pose in (BENNETT_P1, BENNETT_P2):
+        p8 = _binary_normalized(np.asarray(pose, dtype=float))
+        target = kinematics._Target(p8)
+        start = kinematics._global_start(bennett._ik_form, p8, bennett._axis)
+        thetas = [
+            2.0 * kinematics._refine(bennett._polish, target, start + k * math.ulp(start))[0]
+            for k in range(-20, 21)
+        ]
+        assert max(_angle_gap(a, thetas[0]) for a in thetas) <= 5e-12

@@ -55,12 +55,12 @@ def ledger_rows() -> list:
 
 def test_tolerances_are_defined_only_in_the_ledger():
     # every float literal that reads as a tolerance or a bound, small or
-    # large, lives in dqlink._tolerances; sixteen of them today
+    # large, lives in dqlink._tolerances; fifteen of them today
     found = {
         path.name: tolerance_literals(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
     }
-    assert len(found.pop("_tolerances.py")) == 16
+    assert len(found.pop("_tolerances.py")) == 15
     assert {name: hits for name, hits in found.items() if hits} == {}
     # the scan sees an inline tolerance
     assert tolerance_literals("tol = 1e-12 * (1.0 + span)\nbig = 2.5e3\n") == [
@@ -126,51 +126,54 @@ def count_residuals(monkeypatch) -> list:
     return calls
 
 
-def polish(monkeypatch, t0, target, unreached=0.0, scale=1.0):
+def polish(monkeypatch, psi0, psi_target, unreached=0.0, scale=1.0):
     """Iterations and residual evaluations of the IK polish on the motion
-    scale + t*i from t0 towards its pose at target, moved by unreached
-    along j.  The normalized error at t is (0, (target - t)/scale,
-    unreached), so a Gauss-Newton step lands on target."""
+    scale + t*i, with t = cot(psi), from psi0 towards its pose at
+    psi_target, moved by unreached along j.  The normalized error at psi
+    is (0, (t(psi_target) - t(psi))/scale, unreached), with t(psi_target)
+    as the polish itself evaluates it, so the polish can reach it."""
     coeffs = np.zeros((2, 8))
     coeffs[0, 0], coeffs[1, 1] = scale, 1.0
-    rows = kinematics._kept_rows(coeffs, kinematics._derivative_rows(coeffs))
-    pose = np.array([1.0, target / scale, unreached, 0, 0, 0, 0, 0])
+    form = Mechanism(MotionPolynomial(coeffs), [0.0, 1.0, 0.0, 0.0])._polish
+    pose = -kinematics._residual_terms(form, kinematics._Target(np.eye(8)[0]), psi_target)[1]
+    pose[0], pose[2] = 1.0, unreached
     calls = count_residuals(monkeypatch)
-    iterations = kinematics._refine(rows, kinematics._Target(pose), t0)[2]
+    iterations = kinematics._refine(form, kinematics._Target(pose), psi0)[2]
     monkeypatch.undo()
     return iterations, len(calls)
 
 
 def test_polish_stops_at_its_tolerances(monkeypatch):
-    # RESIDUAL_FLOOR = 1e-32: a start with a residual below it is final
-    assert polish(monkeypatch, math.sqrt(0.5e-32), 0.0)[0] == 0
-    assert polish(monkeypatch, math.sqrt(2e-32), 0.0)[0] == 1
-    # STEP_TOL = 1e-14: an accepted step that moves by at most it ends the
-    # polish; a longer one is followed by one more trial, which cannot
-    # lower the unreachable residual 1e-30
-    assert polish(monkeypatch, 0.5e-14, 0.0, 1e-15) == (1, 2)
-    assert polish(monkeypatch, 2e-14, 0.0, 1e-15) == (1, 3)
-    # DIVERGENCE_BOUND = 1e8: a trial beyond it is refused; the scale
-    # 2**20 keeps the target's canonical representative and every step exact
-    assert polish(monkeypatch, 0.25e8, 0.5e8, scale=2.0**20)[0] == 1
-    assert polish(monkeypatch, 0.25e8, 2e8, scale=2.0**20)[0] == 0
+    # RESIDUAL_FLOOR = 1e-32: a start with a residual below it is final.
+    # On the motion 2**20 + t*i the residual at psi0 = 1 of a target dpsi
+    # away is about (dpsi / (2**20 sin(1)**2))**2
+    for share, iterations in ((0.5, 0), (2.0, 1)):
+        dpsi = math.sqrt(share * 1e-32) * 2.0**20 * math.sin(1.0) ** 2
+        assert polish(monkeypatch, 1.0, 1.0 - dpsi, scale=2.0**20)[0] == iterations
+    # STEP_TOL = 1e-10 in psi: an accepted step that moves psi by at most
+    # it ends the polish; after a longer one the polish tries one more
+    # step, which at the unreachable residual 1e-30 moves psi by far less
+    assert polish(monkeypatch, 1.0, 1.0 - 0.5e-10, 1e-15) == (1, 2)
+    assert polish(monkeypatch, 1.0, 1.0 - 2e-10, 1e-15)[1] == 3
 
 
 def test_slope_floor_and_success_tol(monkeypatch):
-    # C(t) = 1 + t**2 i: the slope of the normalized curve at t is 2t
+    # C(t) = t**2 + i, with t = cot(psi): the normalized curve is
+    # (1, tan(psi)**2), whose slope is about 2 psi next to home
     coeffs = np.zeros((3, 8))
-    coeffs[0, 0] = coeffs[2, 1] = 1.0
-    mech = Mechanism(MotionPolynomial(coeffs), [0.0, 0.0, 0.0, 1.0])
+    coeffs[0, 1] = coeffs[2, 0] = 1.0
+    mech = Mechanism(MotionPolynomial(coeffs), [0.0, 1.0, 0.0, 0.0])
     target = kinematics._Target(np.array([1.0, 0, 0.1, 0, 0, 0, 0, 0]))
-    # SLOPE_FLOOR = 1e-300: at a squared slope 4t**2 below it no trial
+    # SLOPE_FLOOR = 1e-300: at a squared slope 4 psi**2 below it no trial
     # step is evaluated
     calls = count_residuals(monkeypatch)
-    kinematics._refine(mech._polish_rows[0], target, math.sqrt(0.5e-300 / 4))
+    kinematics._refine(mech._polish, target, math.sqrt(0.5e-300 / 4))
     assert len(calls) == 1
-    kinematics._refine(mech._polish_rows[0], target, math.sqrt(2e-300 / 4))
+    kinematics._refine(mech._polish, target, math.sqrt(2e-300 / 4))
     assert len(calls) > 2
     monkeypatch.undo()
-    # SUCCESS_TOL = 1e-10: the pose (1, 0, d) is reached to the residual d**2
+    # SUCCESS_TOL = 1e-10: the pose (1, 0, d) is reached at home to the
+    # residual d**2
     assert IKOptions().success_tol == 1e-10
     pose = DualQuaternion([1, 0, math.sqrt(0.5e-10), 0, 0, 0, 0, 0])
     assert inverse_kinematics(mech, pose).residual <= 1e-10
@@ -242,7 +245,7 @@ def test_start_delta_bounds_the_ratio_at_the_start(sixbar):
 
     for share, certified in ((0.5, True), (2.0, False)):
         e = tuned(lambda e: start_ratio(coeffs, moved(e)), 1e-5, share * 1e-12)
-        start = kinematics._rayleigh_start(form[-1], form[2][-1], moved(e))
+        start = kinematics._rayleigh_start(form[-1], form[2][-1], moved(e), sixbar._axis)
         assert (start is not None) == certified
 
 
@@ -251,7 +254,8 @@ def test_start_gap_bounds_the_second_eigenvalue():
     # scalar t and vector parts (t - 1/2) i + g (t - 1/2)(t + 2) eps*j
     # reach the identity at t = 1/2 only; the second eigenvalue of the
     # pencil grows as g**2, and the start is refused at half of START_GAP
-    # and certified at twice it
+    # and certified at twice it, as the half angle atan2(1, 1/2) of t = 1/2
+    # on the axis (q0, r) = (0, 1), rounded to 2**-40
     def coeffs(g):
         c = np.zeros((3, 8))
         c[0, 0] = c[2, 0] = c[1, 4] = 1.0
@@ -266,5 +270,6 @@ def test_start_gap_bounds_the_second_eigenvalue():
     p8 = _binary_normalized(np.eye(8)[0])
     for share, certified in ((0.5, False), (2.0, True)):
         form = kinematics._start_form(coeffs(tuned(gap, 1e-3, share * 1e-6)))
-        start = kinematics._rayleigh_start(form[-1], form[2][-1], p8)
-        assert start == (0.5 if certified else None)
+        start = kinematics._rayleigh_start(form[-1], form[2][-1], p8, (0.0, 1.0))
+        assert (start is not None) == certified
+        assert not certified or abs(start - math.atan2(1.0, 0.5)) <= 2.0**-41
