@@ -6,7 +6,10 @@ motionpoly._REL_ZERO and so on), and this module imports nothing from
 dqlink.  Units:
 
 - dimensionless: a ratio of two magnitudes of the same data;
-- length: the unit of the mechanism's translations and tool points;
+- fraction of a path's size: of 2**k, the power of two just above the
+  largest harmonic coefficient of a tool path's x1..x3 once x0's largest
+  is scaled into [0.5, 1) (dqlink.trajectory), so that it follows the
+  length unit;
 - t or chart radians: the curve parameter t, or the angle phi of the
   chart in which a tool path is integrated (dqlink.trajectory);
 - psi radians: the half joint angle psi = theta/2 in which inverse
@@ -86,12 +89,14 @@ POLE_MARGIN       1e-12   chart radians,        the distance outside an
                                                 path still counts as on it;
                                                 held by
                                                 test_zero_tests_act_at_their_tolerance
-PANEL_TOL         1e-10   length                the gap between a quadrature
-                                                panel and the sum of its halves
-                                                at which the panel is kept, the
-                                                default of arc_length's tol;
-                                                held by
+PANEL_TOL         1e-10   fraction of a         the gap between a quadrature
+                          path's size           panel and the sum of its halves
+                                                at which the panel is kept,
+                                                unless arc_length is given an
+                                                absolute tol; held by
                                                 test_arc_length_call_and_node_budget
+                                                and
+                                                test_panel_tolerance_follows_the_path_unless_given
 KNOT_TOL          0.5e-8  fraction of a         the deviation of a knot's
                           segment               cumulative length from its
                                                 target, on chart-angle offsets

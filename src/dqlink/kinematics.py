@@ -15,13 +15,15 @@ is a ratio of two quadratic forms in the monomial vector (1, t, ..,
 t^n), so the smallest eigenvalue of their pencil bounds it from below
 on the whole parameter line.  A pose that the motion reaches once,
 away from home, takes its start from that eigenvalue's eigenvector,
-certified as the global minimiser: one matrix product and one
-symmetric eigenvalue solve of size n + 1.  Every other pose takes the
-companion start, among the real roots of one polynomial of degree
-4n - 2 and the point at infinity: one eigenvalue solve of that size and
-one Vandermonde product.  The mechanism keeps the forms of both starts
-and the one form of the polish, each of whose trials is one matrix
-product.  The answer is the angle theta, and its t is derived from it.
+certified as the global minimiser: one symmetric eigenvalue solve of
+size n + 1.  Every other pose takes the companion start, among the real
+roots of one polynomial of degree 4n - 2 and the point at infinity: one
+eigenvalue solve of that size and one Vandermonde product.  Both starts
+read the coefficients of V(t) = C(t) * conj(p), which are linear in the
+pose p: the mechanism keeps that one linear map, and a solve forms them
+with one matrix product.  It also keeps the one form of the polish,
+each of whose trials is one matrix product.  The answer is the angle
+theta, and its t is derived from it.
 """
 
 from __future__ import annotations
@@ -125,12 +127,13 @@ class Mechanism:
     study_tol that is finite and > 0.  The coefficients of the tool motion
     C(t) * tool_home, with tool_home scaled exactly by a power of two, are
     built once into the private read-only array _tool_coeffs, the read-only
-    forms of both inverse kinematics starts for them into _ik_form
-    (_start_form), and the read-only form of its polish in the half angle
-    into _polish (_polish_form); the scalar part q0 and vector length r of
-    the driving axis go into _axis.  The tool path chart of
-    dqlink.trajectory, which depends only on the tool coefficients and the
-    driving axis, is built on first use into the _chart slot.
+    form of both inverse kinematics starts for them, with its one
+    pose-linear map, into _ik_form (_start_form), and the read-only form
+    of its polish in the half angle into _polish (_polish_form); the
+    scalar part q0 and vector length r of the driving axis go into _axis.
+    The tool path chart of dqlink.trajectory, which depends only on the
+    tool coefficients and the driving axis, is built on first use into
+    the _chart slot.
     """
 
     motion: MotionPolynomial
@@ -344,26 +347,22 @@ def _sum_of_squares(rows: np.ndarray) -> np.ndarray:
 
 
 def _start_form(coeffs: np.ndarray) -> tuple:
-    """Read-only form (A, L, S, W) of the start of a motion.
+    """Read-only form (G, L, S, W) of the start of a motion.
 
     coeffs holds the motion's coefficients C_k, ascending.
 
-    V(t) = C(t) * conj(p) is linear in p, with coefficients G_k p where
-    column b of G_k is C_k * conj(e_b).  So N(t), the sum of the squares
-    of V's vector and dual vector parts, has coefficients N_m = p^T A_m p
-    with A_m = sum over k + l = m of G_k G_l^T restricted to those
-    parts.  D(t) = S(t) |p|^2 with S = |C(t)|^2, and N'S - NS' = L N,
-    whose top coefficient cancels in exact arithmetic and is left out
-    of L.  W is the whitened form of _rayleigh_start, or None where
-    Q = sum over k of C_k C_k^T, the Gram matrix of S, is singular.
+    V(t) = C(t) * conj(p) is linear in p, with coefficients V_k whose
+    component b is linear in p through C_k * conj(e_b).  G is that one
+    map, 8 x 6(n + 1): for a pose p the rows of (p @ G).reshape(-1, 6)
+    are the vector and dual vector parts of V_0 .. V_n, and N(t), the
+    sum of their squares, is _sum_of_squares of those rows.  D(t) = S(t)
+    |p|^2 with S = |C(t)|^2, and N'S - NS' = L N, whose top coefficient
+    cancels in exact arithmetic and is left out of L.  W is the whitened
+    form of _rayleigh_start, or None where Q = sum over k of C_k C_k^T,
+    the Gram matrix of S, is singular.
     """
     g = _kernels.dq_mul8(coeffs[:, None, :], np.diag(_CONJ_SIGNS))
-    g = g[..., _VECTOR_PARTS]
-    gt = g.swapaxes(1, 2)
-    n = coeffs.shape[0]
-    a = np.zeros((2 * n - 1, 8, 8))
-    for k, gk in enumerate(g):
-        a[k : k + n] += gk @ gt
+    g = g[..., _VECTOR_PARTS].transpose(1, 0, 2).reshape(8, -1)
     s = _sum_of_squares(coeffs)
     # L[m, i] = (2i - m - 1) S[m + 1 - i] where that index exists
     m = np.arange(2 * s.size - 3)[:, None]
@@ -371,20 +370,19 @@ def _start_form(coeffs: np.ndarray) -> tuple:
     j = m + 1 - i
     inside = (j >= 0) & (j < s.size)
     crit_map = np.where(inside, (2 * i - m - 1) * s[np.where(inside, j, 0)], 0.0)
-    for arr in (a, crit_map, s):
+    for arr in (g, crit_map, s):
         arr.flags.writeable = False
-    return a, crit_map, s, _whitened(coeffs, g)
+    return g, crit_map, s, _whitened(coeffs)
 
 
-def _whitened(coeffs: np.ndarray, g: np.ndarray):
-    """Read-only form (H, R, K, E) of _rayleigh_start, or None for a
+def _whitened(coeffs: np.ndarray):
+    """Read-only form (R, R^-1, E) of _rayleigh_start, or None for a
     constant motion, which has no parameter to certify, and where
     Q = C C^T is singular, so that its Cholesky factorization fails.
 
-    With Q = R R^T and V the matrix of rows G_k p, p @ H holds the rows
-    of B = R^-1 V one after the other and then G_n p, the coefficient of
-    V at infinity.  K = R^-T maps an eigenvector of B B^T to the monomial
-    basis, and E holds the exponents 0 .. n of m = (1, t, .., t^n).
+    With Q = R R^T the rows V_k of _start_form whiten to B = R^-1 V, and
+    an eigenvector y of B B^T maps to the monomial basis as y @ R^-1.  E
+    holds the exponents 0 .. n of m = (1, t, .., t^n).
     """
     if len(coeffs) < 2:
         return None
@@ -392,33 +390,32 @@ def _whitened(coeffs: np.ndarray, g: np.ndarray):
         root = np.linalg.cholesky(coeffs @ coeffs.T)
     except np.linalg.LinAlgError:
         return None
-    inv = np.linalg.inv(root)
-    rows = np.tensordot(inv, g, axes=1).transpose(1, 0, 2).reshape(8, -1)
-    form = (np.hstack([rows, g[-1]]), root, inv.T.copy(), np.arange(float(len(root))))
+    form = (root, np.linalg.inv(root), np.arange(float(len(root))))
     for arr in form:
         arr.flags.writeable = False
     return form
 
 
-def _rayleigh_start(whitened: tuple, s_inf: float, p8: np.ndarray, axis: tuple):
+def _rayleigh_start(whitened: tuple, s_inf: float, v: np.ndarray, axis: tuple):
     """The start psi of a pose that the motion reaches once, away from
     home, from one symmetric eigenvalue solve; None for every other pose.
 
-    N(t) = m^T P m and S(t) = m^T Q m over m = (1, t, .., t^n), with
-    P = V V^T, so the smallest eigenvalue lam0 of the pencil (P, Q)
-    bounds N/S from below on the whole projective line, and for a pose
-    that the motion reaches at t0 its eigenvector is m(t0).  The pencil
-    is solved as the symmetric B B^T of the whitened rows B = R^-1 V.
-    t* is the ratio of the first two monomial coordinates of the
-    eigenvector, or of the last two in the chart u = 1/t where |t*| > 1,
-    so that either ratio is at most 1 in magnitude.  The certificate:
-    lam1 - lam0 exceeds START_GAP * lam_max, so that every t whose N/S
-    is as small as at t* lies near t*; N/S(t*), and so lam0, is at most
-    START_DELTA * lam_max; and N/S(t*) is no larger than N/S at infinity
-    (a finite start wins ties).  The eigenvalues are checked before the
-    eigenvector is formed, and a pose whose N vanishes at infinity, such
-    as the identity of a motion without a tool, takes the companion
-    start at once.
+    v holds the rows V_k of the pose (_start_form).  N(t) = m^T P m and
+    S(t) = m^T Q m over m = (1, t, .., t^n), with P = V V^T, so the
+    smallest eigenvalue lam0 of the pencil (P, Q) bounds N/S from below
+    on the whole projective line, and for a pose that the motion
+    reaches at t0 its eigenvector is m(t0).  The pencil is solved as the
+    symmetric B B^T of the whitened rows B = R^-1 V.  t* is the ratio of
+    the first two monomial coordinates of the eigenvector, or of the
+    last two in the chart u = 1/t where |t*| > 1, so that either ratio
+    is at most 1 in magnitude.  The certificate: lam1 - lam0 exceeds
+    START_GAP * lam_max, so that every t whose N/S is as small as at t*
+    lies near t*; N/S(t*), with N(t*) the squared norm of m(t*) @ V, and
+    so lam0, is at most START_DELTA * lam_max; and N/S(t*) is no larger
+    than N/S at infinity (a finite start wins ties).  The eigenvalues are
+    checked before the eigenvector is formed, and a pose whose N
+    vanishes at infinity, such as the identity of a motion without a
+    tool, takes the companion start at once.
 
     The certified start is the half angle psi = atan2(r s, a - q0 s) of
     the homogeneous parameter (a : s), (t* : 1) or (1 : u*) with the
@@ -435,18 +432,17 @@ def _rayleigh_start(whitened: tuple, s_inf: float, p8: np.ndarray, axis: tuple):
     (1 : u*), psi is known about as well as u*, far below the rounding,
     where t* = 1/u* was not.
     """
-    h, root, back, exps = whitened
-    out = p8 @ h
-    n_inf = float(out[-6:] @ out[-6:])
+    root, inv, exps = whitened
+    n_inf = float(v[-1] @ v[-1])
     if n_inf == 0.0:
         return None
-    b = out[:-6].reshape(-1, 6)
+    b = inv @ v
     lam, vecs = np.linalg.eigh(b @ b.T)
     lam = lam.tolist()
     delta = _START_DELTA * lam[-1]
     if lam[1] - lam[0] <= _START_GAP * lam[-1] or lam[0] > delta:
         return None
-    w = (back @ vecs[:, 0]).tolist()
+    w = (vecs[:, 0] @ inv).tolist()
     reciprocal = abs(w[-1]) > abs(w[0])
     if reciprocal:
         w.reverse()
@@ -454,9 +450,10 @@ def _rayleigh_start(whitened: tuple, s_inf: float, p8: np.ndarray, axis: tuple):
         return None
     x = w[1] / w[0]
     powers = x**exps
-    z = (powers[::-1] if reciprocal else powers) @ root
-    zb = z @ b
-    n_x, s_x = float(zb @ zb), float(z @ z)
+    if reciprocal:
+        powers = powers[::-1]
+    z, zv = powers @ root, powers @ v
+    n_x, s_x = float(zv @ zv), float(z @ z)
     if n_x > delta * s_x or n_x * s_inf > n_inf * s_x:
         return None
     q0, r = axis
@@ -491,26 +488,29 @@ def _global_start(form: tuple, p8: np.ndarray, axis: tuple) -> float:
     D(t) = |C(t)|^2 |p|^2.  The dual scalar would vanish there too for
     exact displacements; leaving it out keeps a Study defect of rounded
     data from shifting the minimiser.  The common factor |p|^2 is
-    dropped.  A pose that the motion reaches at one parameter away from
-    home gets the certified start of _rayleigh_start, one symmetric
-    eigenvalue solve of the size of the motion's coefficient count.
-    Every other pose (one off the motion, or at or near home), and every
-    pose of a motion whose Q is singular, as it is where the motion
-    reaches a pose at two parameters, takes
-    the companion start: N and N'D - ND' come from the form of
-    _start_form, the candidates are the real parts of all roots of
-    N'D - ND', a superset of the real critical points, from one
-    eigenvalue solve, and infinity, where N/D tends to the ratio of the
-    leading coefficients; N and S at all candidates come from one
-    Vandermonde product each (_candidate_values).  Its t, INFINITY for
-    home, is mapped to psi in [0, pi) once, with _t_to_angle.
+    dropped.  The rows of V's coefficients come from one product of p
+    with the map G of _start_form, and both starts read them.  A pose
+    that the motion reaches at one parameter away from home gets the
+    certified start of _rayleigh_start, one symmetric eigenvalue solve
+    of the size of the motion's coefficient count.  Every other pose
+    (one off the motion, or at or near home), and every pose of a motion
+    whose Q is singular, as it is where the motion reaches a pose at two
+    parameters, takes the companion start: N is the sum of the squares
+    of the rows (_sum_of_squares) and N'D - ND' is L N, the candidates
+    are the real parts of all roots of N'D - ND', a superset of the real
+    critical points, from one eigenvalue solve, and infinity, where N/D
+    tends to the ratio of the leading coefficients; N and S at all
+    candidates come from one Vandermonde product each
+    (_candidate_values).  Its t, INFINITY for home, is mapped to psi in
+    [0, pi) once, with _t_to_angle.
     """
-    a, crit_map, s, whitened = form
+    g, crit_map, s, whitened = form
+    v = (p8 @ g).reshape(-1, 6)
     if whitened is not None:
-        start = _rayleigh_start(whitened, s[-1], p8, axis)
+        start = _rayleigh_start(whitened, s[-1], v, axis)
         if start is not None:
             return start
-    num = (a @ p8) @ p8
+    num = _sum_of_squares(v)
     crit = crit_map @ num
     best = INFINITY
     # exactly-zero leading coefficients are trimmed, as np.roots does

@@ -30,8 +30,11 @@ are rejected with PoleOnPath.
 Lengths come from composite Gauss-Legendre panels.  All panels of one
 refinement level are evaluated in a single numpy call; a panel whose
 value differs from the sum of its two halves by more than the panel
-tolerance (_PANEL_TOL, or arc_length's tol) is split, otherwise its
-halves are kept, for at most _MAX_DEPTH levels.  The first level
+tolerance is split, otherwise its halves are kept, for at most
+_MAX_DEPTH levels.  The panel tolerance is _PANEL_TOL times the power of
+two just above the path's largest x1..x3 harmonic coefficient, so that
+a path gets the same panels in any length unit (_table); arc_length's
+explicit tol is an absolute length instead.  The first level
 evaluates its at most 16 equal panels and their halves, whose starts are
 the panel width times one constant template (_LEVEL0); later levels
 evaluate only the halves of the open panels, all of one width.  The
@@ -464,10 +467,19 @@ def _x0_scaled(coef: np.ndarray) -> np.ndarray:
     return np.ldexp(coef, -math.frexp(top)[1])
 
 
-def _table(coef, poles, start: float, delta: float, tol: float) -> _Table:
+def _table(coef, poles, start: float, delta: float, tol: float = None) -> _Table:
     """Length table of the harmonic coefficients coef (_Speed) from the
     angle start over delta radians; PoleOnPath for the pole angles.  coef
-    is scaled as _x0_scaled scales it and stays below _X_LIMIT."""
+    is scaled as _x0_scaled scales it and stays below _X_LIMIT.
+
+    tol is the absolute panel tolerance.  By default it is _PANEL_TOL
+    times 2**k, where 2**(k-1) <= m < 2**k for the largest magnitude m of
+    the harmonic coefficients of X1..X3: the speed scales with them, so
+    every power-of-two scale of a path's coordinates refines the same
+    panels.  That costs one max over those 3(2n + 2) coefficients.
+    """
+    if tol is None:
+        tol = math.ldexp(_PANEL_TOL, math.frexp(float(np.abs(coef[:, 1:4]).max()))[1])
     _check_poles(poles, min(start, start + delta), max(start, start + delta))
     span = abs(delta)
     speed = _Speed(coef, start, math.copysign(1.0, delta))
@@ -482,7 +494,7 @@ def _cot_map(order: int) -> np.ndarray:
     return maps
 
 
-def _param_table(path: RationalPointPath, a: float, b: float, tol: float) -> tuple:
+def _param_table(path: RationalPointPath, a: float, b: float, tol: float = None) -> tuple:
     """Length table of the path from parameter a towards b, and the map
     from its offsets back to parameters.
 
@@ -530,13 +542,15 @@ def _param_table(path: RationalPointPath, a: float, b: float, tol: float) -> tup
     return table, to_t
 
 
-def arc_length(
-    path: RationalPointPath, t0: float, t1: float, tol: float = _PANEL_TOL
-) -> float:
+def arc_length(path: RationalPointPath, t0: float, t1: float, tol: float = None) -> float:
     """Length of the path between two finite parameters.
 
     The path is integrated in phi of t = cot(phi/2) (_param_table), with
-    tol the absolute tolerance per Gauss-Legendre panel.  Raises
+    tol the absolute tolerance per Gauss-Legendre panel.  By default
+    (tol=None) the tolerance follows the path's size: PANEL_TOL times the
+    power of two just above the largest harmonic coefficient of x1..x3,
+    with x0's largest scaled into [0.5, 1), so a path in any length unit
+    gets the same relative accuracy.  Raises
     PoleOnPath when x0 vanishes inside the interval and QuadratureFailure
     when a panel still misses tol after _MAX_DEPTH refinement levels; the
     pole, interval and margin are angles, and the panel bounds offsets
@@ -548,7 +562,7 @@ def arc_length(
     """
     a, b = float(t0), float(t1)
     _check_finite(("t0", a), ("t1", b), ("t1 - t0", b - a))
-    if not 0.0 < tol < math.inf:
+    if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if a == b:
         return 0.0
@@ -597,7 +611,7 @@ def equidistant_params(
     params = np.full(n + 1, a)
     total = 0.0
     if a != b:
-        table, to_t = _param_table(path, a, b, _PANEL_TOL)
+        table, to_t = _param_table(path, a, b)
         total = table.total
         fractions = np.arange(n + 1) / n
         if total == 0.0:
@@ -676,7 +690,7 @@ def _angle_table(mechanism: Mechanism, tool, start, delta) -> _Table:
     """Length table of the tool point path from start over delta radians."""
     harmonic, poles, sizes = _angle_chart(mechanism)
     coef = _affine_action(harmonic, tool, sizes, _X_LIMIT)
-    return _table(coef, poles, start, delta, _PANEL_TOL)
+    return _table(coef, poles, start, delta)
 
 
 def arc_length_between(
@@ -688,8 +702,9 @@ def arc_length_between(
 ) -> float:
     """Tool point arc length between two joint angles along a chosen arc.
 
-    A tool point whose harmonic coefficients may reach _X_LIMIT, 2**256
-    times x0's largest, raises ValueError.
+    The panel tolerance follows the size of the tool path, so lengths in
+    another unit scale with it.  A tool point whose harmonic coefficients
+    may reach _X_LIMIT, 2**256 times x0's largest, raises ValueError.
     """
     delta = resolve_arc(theta0, theta1, direction)
     if delta == 0.0:

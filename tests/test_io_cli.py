@@ -355,7 +355,7 @@ def test_mechanism_file_reads_exponent_numbers(tmp_path, capsys):
     assert exponent == dotted
     assert dotted[0] == 0
     assert load_mechanism(mech("signed.mech", "+1e0", ".3e1", "1E-9")).motion.study_tol == 1e-9
-    for tol in ("nan", "inf", "1e", "e5", "'x1e5'", ".inf", ".nan", "-1e-9"):
+    for tol in ("nan", "inf", "1e", "e5", "'x1e5'", ".inf", ".nan", "-1e-9", "0"):
         with pytest.raises(SchemaError):
             load_mechanism(mech("bad.mech", "1", "3", tol))
     # YAML 1.1 reads .inf as a float; it is a schema error, not a bad axis

@@ -262,7 +262,7 @@ def test_start_never_picks_a_candidate_whose_ratio_is_not_finite(sixbar, monkeyp
     twist = DualQuaternion([math.cos(0.025), 0, 0, math.sin(0.025), 0, 0, 0, 0])
     p8 = _binary_normalized((direct_kinematics(sixbar, 1.0) * twist).coeffs)
     form, axis = sixbar._ik_form, sixbar._axis
-    assert kinematics._rayleigh_start(form[-1], form[2][-1], p8, axis) is None
+    assert kinematics._rayleigh_start(form[-1], form[2][-1], _rows(form, p8), axis) is None
     want = kinematics._global_start(form, p8, axis)
     assert want != 0.0
     evaluate = kinematics._candidate_values
@@ -477,6 +477,12 @@ def test_unreachable_pose_on_generated_linkages(random_linkage):
         assert 1e-10 < best.residual < math.inf
 
 
+def _rows(form, p8):
+    """The rows of V's coefficients that both starts read: one product
+    of the pose with the map G of the start form."""
+    return (p8 @ form[0]).reshape(-1, 6)
+
+
 def _reference_start_polynomials(coeffs, p8):
     """N and N'S - NS' of the start, built from products of the components
     of V(t) = C(t) * conj(p) with numpy.polynomial, padded to full length."""
@@ -492,7 +498,7 @@ def _reference_start_polynomials(coeffs, p8):
     num = squares(v, (1, 2, 3, 5, 6, 7))
     s = squares(coeffs, range(8))
     crit = P.polysub(P.polymul(P.polyder(num), s), P.polymul(num, P.polyder(s)))
-    return num, np.pad(crit, (0, 2 * d - crit.size))
+    return v[:, [1, 2, 3, 5, 6, 7]], num, np.pad(crit, (0, 2 * d - crit.size))
 
 
 def test_start_form_matches_independent_products(sixbar, bennett, random_linkage):
@@ -501,14 +507,17 @@ def test_start_form_matches_independent_products(sixbar, bennett, random_linkage
     for joints in (1, 2, 3, 4):
         mechs += [random_linkage(rng, joints) for _ in range(3)]
     for mech in mechs:
-        a, crit_map, *_ = kinematics._start_form(mech.motion.coeffs)
+        form = kinematics._start_form(mech.motion.coeffs)
         poses = [direct_kinematics(mech, th).coeffs for th in rng.uniform(0, 2 * math.pi, 4)]
         poses += [rng.normal(size=8) for _ in range(2)]
         for p8 in poses:
             p8 = p8 * 10.0 ** rng.uniform(-1.0, 1.0)
-            want_num, want_crit = _reference_start_polynomials(mech.motion.coeffs, p8)
-            num = (a @ p8) @ p8
-            crit = crit_map @ num
+            want_v, want_num, want_crit = _reference_start_polynomials(mech.motion.coeffs, p8)
+            v = _rows(form, p8)
+            num = kinematics._sum_of_squares(v)
+            crit = form[1] @ num
+            assert v.shape == want_v.shape
+            assert np.max(np.abs(v - want_v)) <= 1e-14 * np.max(np.abs(want_v))
             assert num.shape == want_num.shape
             # the top coefficient of the critical polynomial cancels
             assert crit.shape == (want_crit.size - 1,)
@@ -534,7 +543,7 @@ def test_start_form_is_built_once_and_read_only(random_linkage, monkeypatch):
     monkeypatch.undo()
     assert mech._ik_form is form
     assert mech._polish is polish
-    # A, L and S, and the whitened form of the Rayleigh start
+    # G, L and S, and the whitened form of the Rayleigh start
     assert len(form) == 4 and form[3] is not None
     m, q0, r = polish
     for arr in form[:3] + form[3] + (m,):
@@ -678,7 +687,7 @@ def test_certified_start_agrees_with_the_companion_start(sixbar, bennett, random
         for theta in rng.uniform(0.0, 2 * math.pi, size=12):
             pose = direct_kinematics(mech, theta).coeffs * 10.0 ** rng.uniform(-1.0, 1.0)
             p8 = _binary_normalized(pose)
-            start = kinematics._rayleigh_start(form[-1], form[2][-1], p8, axis)
+            start = kinematics._rayleigh_start(form[-1], form[2][-1], _rows(form, p8), axis)
             assert start is not None and kinematics._global_start(form, p8, axis) == start
             assert math.ldexp(start, 40).is_integer()
             companion = _companion_start(mech, p8)
@@ -688,13 +697,34 @@ def test_certified_start_agrees_with_the_companion_start(sixbar, bennett, random
             assert _angle_gap(2.0 * polished[0], 2.0 * polished[1]) <= 1e-12
 
 
+def test_certified_start_does_not_see_the_scale_of_the_motion(sixbar, bennett, random_linkage):
+    # the motion's coefficients times a power of two give the same
+    # projective motion: every quantity of the certificate scales exactly,
+    # and the certified start and the solve stay the same bit for bit
+    rng = np.random.default_rng(38)
+    for mech in [sixbar, bennett, random_linkage(rng, 2), random_linkage(rng, 4)]:
+        for scale in (2.0**-100, 2.0**100):
+            motion = MotionPolynomial(scale * mech.motion.coeffs, mech.motion.study_tol)
+            scaled = Mechanism(motion, mech.driving_axis, mech.tool_home)
+            for theta in rng.uniform(0.0, 2 * math.pi, size=4):
+                pose = direct_kinematics(mech, theta)
+                p8 = _binary_normalized(pose.coeffs)
+                starts = [
+                    kinematics._rayleigh_start(m._ik_form[-1], m._ik_form[2][-1],
+                                               _rows(m._ik_form, p8), m._axis)
+                    for m in (mech, scaled)
+                ]
+                assert starts[0] is not None and starts[1] == starts[0]
+                assert inverse_kinematics(scaled, pose) == inverse_kinematics(mech, pose)
+
+
 def test_uncertified_poses_take_the_companion_start(sixbar, bennett):
     def certified(mech, pose):
         form = mech._ik_form
         p8 = _binary_normalized(np.asarray(pose, dtype=float))
         if form[-1] is None:
             return False
-        start = kinematics._rayleigh_start(form[-1], form[2][-1], p8, mech._axis)
+        start = kinematics._rayleigh_start(form[-1], form[2][-1], _rows(form, p8), mech._axis)
         if start is None:
             assert kinematics._global_start(form, p8, mech._axis) == _companion_start(mech, p8)
         return start is not None
@@ -726,7 +756,8 @@ def test_uncertified_poses_take_the_companion_start(sixbar, bennett):
     rows = np.zeros((3, 8))
     rows[:, 0], rows[:, 4], rows[:, 1], rows[:, 2] = (1, 0, 1), (0, 1, 0), (2, -1, 0), (0, 1, -2)
     form = kinematics._start_form(rows)
-    assert kinematics._rayleigh_start(form[-1], form[2][-1], np.eye(8)[0], (0.0, 1.0)) is None
+    v = _rows(form, np.eye(8)[0])
+    assert kinematics._rayleigh_start(form[-1], form[2][-1], v, (0.0, 1.0)) is None
     # a constant motion, with no parameter to certify
     still = Mechanism(MotionPolynomial([[1, 0, 0, 0, 0, 0, 0, 0]]), [0, 1, 0, 0])
     assert still._ik_form[-1] is None

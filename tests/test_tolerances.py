@@ -112,10 +112,12 @@ def test_zero_tests_act_at_their_tolerance():
     # REAL_ROOT_TOL = 1e-8 on the roots +-i*e of t**2 + e**2
     assert motionpoly._real_roots(np.array([0.5e-8**2, 0.0, 1.0])).size == 2
     assert motionpoly._real_roots(np.array([2e-8**2, 0.0, 1.0])).size == 0
-    # POLE_MARGIN = 1e-12 times 1 + 1 around [0, 1]
-    with pytest.raises(PoleOnPath):
-        trajectory._check_poles(np.array([1.0 + 1e-12]), 0.0, 1.0)
-    trajectory._check_poles(np.array([1.0 + 4e-12]), 0.0, 1.0)
+    # POLE_MARGIN = 1e-12 times 1 + 1 around [0, 1], and the same around
+    # [600, 601]: the margin grows with the span, not with the angles
+    for lo in (0.0, 600.0):
+        with pytest.raises(PoleOnPath):
+            trajectory._check_poles(np.array([lo + 1.0 + 1e-12]), lo, lo + 1.0)
+        trajectory._check_poles(np.array([lo + 1.0 + 4e-12]), lo, lo + 1.0)
 
 
 def count_residuals(monkeypatch) -> list:
@@ -245,7 +247,8 @@ def test_start_delta_bounds_the_ratio_at_the_start(sixbar):
 
     for share, certified in ((0.5, True), (2.0, False)):
         e = tuned(lambda e: start_ratio(coeffs, moved(e)), 1e-5, share * 1e-12)
-        start = kinematics._rayleigh_start(form[-1], form[2][-1], moved(e), sixbar._axis)
+        v = (moved(e) @ form[0]).reshape(-1, 6)
+        start = kinematics._rayleigh_start(form[-1], form[2][-1], v, sixbar._axis)
         assert (start is not None) == certified
 
 
@@ -270,6 +273,7 @@ def test_start_gap_bounds_the_second_eigenvalue():
     p8 = _binary_normalized(np.eye(8)[0])
     for share, certified in ((0.5, False), (2.0, True)):
         form = kinematics._start_form(coeffs(tuned(gap, 1e-3, share * 1e-6)))
-        start = kinematics._rayleigh_start(form[-1], form[2][-1], p8, (0.0, 1.0))
+        v = (p8 @ form[0]).reshape(-1, 6)
+        start = kinematics._rayleigh_start(form[-1], form[2][-1], v, (0.0, 1.0))
         assert (start is not None) == certified
         assert not certified or abs(start - math.atan2(1.0, 0.5)) <= 2.0**-41

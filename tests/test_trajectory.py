@@ -78,6 +78,12 @@ def test_arc_length_reports_poles():
     with pytest.raises(PoleOnPath):
         arc_length(path, -1.0, 1.0)
     assert math.isfinite(arc_length(path, 1.0, 2.0))
+    # x0 = t**2 - 1 vanishes at t = -1 and 1: the arc over [0.5, 2] holds
+    # the pole at 1, and the arc over [-0.5, 0.5] holds none
+    path = RationalPointPath([-1.0, 0.0, 1.0], np.eye(3))
+    with pytest.raises(PoleOnPath):
+        arc_length(path, 0.5, 2.0)
+    assert math.isfinite(arc_length(path, -0.5, 0.5))
 
 
 def test_pole_check_is_unchanged_when_poles_are_kept():
@@ -728,6 +734,35 @@ def test_knots_meet_their_tolerance(request, name, args, kwargs, most_nodes):
     assert np.all(miss <= trajectory._KNOT_TOL * table.total / n)
 
 
+def test_knots_bisect_where_a_newton_step_leaves_its_bracket(monkeypatch, sixbar):
+    # with the linear first guesses and the speed at each knot, the slope
+    # of its Newton step, shrunk a billionfold, every step leaves the
+    # knot's bracket, so the knots are placed by bisecting the bracket
+    # alone, in 29 passes where Newton steps take 3; they still meet the
+    # knot tolerance
+    monkeypatch.setattr(trajectory, "_GUESS_STEPS", 0)
+    table = trajectory._angle_table(sixbar, (0.05, -0.1, 0.07), 0.4, 2.5)
+    speed, passes = table.speed, []
+
+    def slow_at_the_knot(offsets):
+        f = speed(offsets).reshape(-1, trajectory._CHECK_NODES.size)
+        passes.append(f.shape[0])
+        f[:, -1] *= 1e-9
+        return f.ravel()
+
+    table.speed = slow_at_the_knot
+    n = 20
+    fractions = np.arange(n + 1) / n
+    x = trajectory._knots(table, fractions)
+    assert len(passes) > 20
+    targets = fractions[1:-1] * table.total
+    lo, _, value, ends, _ = table._columns
+    idx = np.searchsorted(ends, targets)
+    got = trajectory._gauss(speed, lo[idx], x - lo[idx])[0]
+    miss = np.abs(ends[idx] - value[idx] + got - targets)
+    assert np.all(miss <= trajectory._KNOT_TOL * table.total / n)
+
+
 @pytest.mark.parametrize(
     "steps, block",
     [(trajectory._GUESS_STEPS, trajectory._KNOT_BLOCK), (0, 7)],
@@ -1178,6 +1213,107 @@ def test_huge_path_coefficients_keep_the_scale_free_length():
         small = math.ldexp(s, -math.frexp(s)[1])
         assert arc_length(path(s), -1.0, 1.0) == arc_length(path(small), -1.0, 1.0)
         assert math.isclose(arc_length(path(s), -1.0, 1.0), 1.66479180539134, rel_tol=1e-14)
+
+
+LENGTH_UNITS = [2.0**-20, 1e-6, 1e-3, 1e3, 1e6, 2.0**20]
+
+
+def _in_unit(mech, lam):
+    """The mechanism with every length scaled by lam: the dual parts of
+    its motion and of its tool frame."""
+    coeffs = np.array(mech.motion.coeffs)
+    coeffs[:, 4:] *= lam
+    tool = np.array(mech.tool_home.coeffs)
+    tool[4:] *= lam
+    motion = MotionPolynomial(coeffs, mech.motion.study_tol)
+    return Mechanism(motion, mech.driving_axis, DualQuaternion(tool))
+
+
+# (fixture, unit mu of the family, tool point, angle arc, t span, bound on
+# the lengths at a decimal lam).  The sixbar's arc is the recorded one.
+# The Bennett fixture's coefficients are rounded to three decimals, and
+# its norm check divides a length by a primal coefficient, so that it
+# rejects the fixture at about 0.6 times its unit and above (ROADMAP item
+# 10); its family starts at mu = 2**-20, whose lam = 2**20 is the
+# fixture itself.  Moving each of its dual coefficients by one ulp moves
+# its angle arc by up to 2.5e-14 relative, so a decimal lam, which rounds
+# them, is held to 1e-13
+LENGTH_CASES = [
+    ("sixbar", 1.0, (0.1848, -0.1084, 0.0357), (5.2304, 1.5115, "short"), (-1.0, 1.0), 1e-14),
+    ("bennett", 2.0**-20, (0.05, -0.1, 0.07), (0.331, 5.893, "long"), (-1.0, math.sqrt(3)), 1e-13),
+]
+
+
+@pytest.mark.parametrize("lam", LENGTH_UNITS)
+@pytest.mark.parametrize(
+    "name, mu, tool, arc, span, bound", LENGTH_CASES, ids=["sixbar", "bennett"]
+)
+def test_lengths_follow_the_length_unit(request, name, mu, tool, arc, span, bound, lam):
+    # lengths in another unit lam are lam times the lengths, and the
+    # equidistant profile angles do not change: bit for bit at a power of
+    # two, within bound (lengths) and 1e-14 of the largest angle (profiles)
+    # otherwise.  With an absolute panel tolerance the recorded sixbar arc
+    # was off by 2.16e-6 at lam = 1e-6 and 2**-20
+    mech = request.getfixturevalue(name)
+
+    def answers(scale):
+        m, x = _in_unit(mech, mu * scale), mu * scale * np.array(tool)
+        lengths = (
+            arc_length_between(m, arc[0], arc[1], x, arc[2]) / scale,
+            arc_length(m.motion.point_path(x), *span) / scale,
+        )
+        profiles = [
+            equidistant_profile(m, arc[0], arc[1], 4.0, 20.0, x, arc[2], blend).thetas
+            for blend in (False, True)
+        ]
+        return lengths, np.concatenate(profiles)
+
+    (want, want_thetas), (got, thetas) = answers(1.0), answers(lam)
+    if math.frexp(lam)[0] == 0.5:
+        assert got == want and np.array_equal(thetas, want_thetas)
+    else:
+        assert all(abs(g - w) <= bound * w for g, w in zip(got, want))
+        assert np.max(np.abs(thetas - want_thetas)) <= 1e-14 * np.max(np.abs(want_thetas))
+
+
+def test_large_tools_get_lengths(sixbar):
+    # the tool s * (1, 1/2, 1/5) far from the coupler: its length grows as
+    # s, where an absolute panel tolerance raised QuadratureFailure from
+    # s = 1e12 on; beyond 2**256 times x0 the path is still rejected
+    assert math.isclose(
+        arc_length_between(sixbar, 0.3, 1.2, (1e12, 5e11, 2e11)), 2105804563451.018, rel_tol=1e-15
+    )
+    for s in (1e20, 1e50, 1e70):
+        got = arc_length_between(sixbar, 0.3, 1.2, (s, s / 2, s / 5))
+        assert math.isclose(got, 2.105804563452951 * s, rel_tol=1e-15)
+    with pytest.raises(ValueError, match="its path overflows"):
+        arc_length_between(sixbar, 0.3, 1.2, (1e80, 5e79, 2e79))
+
+
+def test_panel_tolerance_follows_the_path_unless_given(sixbar, monkeypatch):
+    # by default the panel tolerance is PANEL_TOL times a power of two that
+    # follows the path's size, so it scales with the length unit; an
+    # explicit arc_length tol is used as it is, whatever the path's size
+    tols = []
+    table = trajectory._Table
+
+    def logged(speed, span, pieces, tol):
+        tols.append(tol)
+        return table(speed, span, pieces, tol)
+
+    monkeypatch.setattr(trajectory, "_Table", logged)
+    default = {}
+    for lam in (2.0**-20, 1.0, 2.0**20):
+        path = _in_unit(sixbar, lam).motion.point_path((0.0, 0.1 * lam, 0.2 * lam))
+        tols.clear()
+        arc_length(path, -1.0, 1.0)
+        arc_length(path, -1.0, 1.0, tol=1e-10)
+        equidistant_params(path, -1.0, 1.0, 4)
+        default[lam], explicit, knots = tols
+        assert explicit == 1e-10 and knots == default[lam]
+    assert math.frexp(default[1.0] / trajectory._PANEL_TOL)[0] == 0.5
+    assert default[2.0**-20] == 2.0**-20 * default[1.0]
+    assert default[2.0**20] == 2.0**20 * default[1.0]
 
 
 def test_arc_length_rejects_non_finite_parameters(circle_path):

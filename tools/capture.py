@@ -7,7 +7,8 @@ records cover direct kinematics and its canonical pose (theta = 0 and
 2*pi included), inverse kinematics with its trace, branch and the best
 iterate of a NoConvergence, the angle chart both ways, arc_length,
 arc_length_between, equidistant_params and equidistant_profile, on both
-fixtures and on generated linkages of fixed seeds, and the stdout and
+fixtures and on generated linkages of fixed seeds, arcs of both fixtures
+with every length scaled into other units, and the stdout and
 exit code of every README command line and tests/data/cli_cases.json
 case.  An error is recorded by its type and message.  The point at
 infinity prints as inf, so a tree that spells it as a marker object
@@ -38,6 +39,7 @@ from dqlink import cli  # noqa: E402
 TOOLS = [(0.0, 0.0, 0.0), (0.3, -0.2, 0.5), (-1.5, 2.0, 0.25)]
 ARCS = [(0.331, 5.893), (1.047198, 4.712389), (6.0, 0.3), (-0.2, 0.2), (2.0, 2.0 + 1e-6)]
 SPANS = [(-1.0, 1.0), (0.5, 3.0), (-40.0, 2.0), (2.0, 2.0 + 1e-6), (7.0, -3.0)]
+UNITS = [2.0**-20, 1e-6, 1e-3, 1.0, 1e3, 1e6, 2.0**20]
 
 
 def param(t):
@@ -134,6 +136,21 @@ def trajectory_records(name, mech):
                 yield ("equidistant_profile", name, tool, theta0, theta1, blend, prof)
 
 
+def unit_records(name, mech, mu, tool, arc, span):
+    """Arcs of the mechanism in the length units mu * lam: the dual parts
+    of its motion and tool frame, and the tool point, scaled by them."""
+    for lam in UNITS:
+        coeffs = np.array(mech.motion.coeffs)
+        coeffs[:, 4:] *= mu * lam
+        frame = np.array(mech.tool_home.coeffs)
+        frame[4:] *= mu * lam
+        motion = dqlink.MotionPolynomial(coeffs, mech.motion.study_tol)
+        scaled = dqlink.Mechanism(motion, mech.driving_axis, dqlink.DualQuaternion(frame))
+        x = tuple(mu * lam * v for v in tool)
+        yield ("unit", name, lam, attempt(dqlink.arc_length_between, scaled, *arc[:2], x, arc[2]))
+        yield ("unit-t", name, lam, attempt(dqlink.arc_length, motion.point_path(x), *span))
+
+
 def run_cli(argv) -> tuple:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -157,7 +174,7 @@ def error_records(sixbar):
     # x0 = t**2 - 1 vanishes at t = -1 and 1
     poles = dqlink.RationalPointPath([-1.0, 0.0, 1.0], np.eye(3))
     yield ("pole", attempt(dqlink.arc_length, poles, -2.0, 0.5))
-    # a length far above the absolute panel tolerance
+    # a tool far from the coupler, with a length of about 2e12
     yield ("large", attempt(dqlink.arc_length_between, sixbar, 0.3, 1.2, (1e12, 5e11, 2e11)))
 
 
@@ -167,6 +184,14 @@ def records():
         yield from kinematics_records(name, mech, np.random.default_rng(11))
         yield from trajectory_records(name, mech)
     yield from error_records(mechs[0][1])
+    # the recorded sixbar arc; the Bennett fixture's norm check rejects it
+    # at about 0.6 times its unit and above, so its units start at 2**-20
+    sixbar_arc, bennett_arc = (5.2304, 1.5115, "short"), (0.331, 5.893, "long")
+    sixbar_tool, bennett_tool = (0.1848, -0.1084, 0.0357), (0.05, -0.1, 0.07)
+    yield from unit_records("sixbar", mechs[0][1], 1.0, sixbar_tool, sixbar_arc, (-1.0, 1.0))
+    yield from unit_records(
+        "bennett", mechs[1][1], 2.0**-20, bennett_tool, bennett_arc, (-1.0, math.sqrt(3.0))
+    )
     yield from cli_records()
 
 
