@@ -6,11 +6,15 @@ The driving revolute joint has a rotation quaternion q0 + qx*i + qy*j
     t = |q_vec| / tan(theta / 2) + q0
 
 which maps theta = 0 to the point at infinity and theta = pi to q0.
-Inverse kinematics solves a pose against the tool motion C(t) *
-tool_home, which a mechanism builds once: it starts from the global
-minimiser of an algebraic pose distance N/D and polishes it with a
-damped Gauss-Newton iteration on normalized pose representatives, in
-the half angle psi = theta/2, whose chart passes through home.  N/D
+A mechanism builds its tool motion C(t) * tool_home once, and rewrites
+it once in tau = cot(theta/2), t = q0 + r*tau, the one place where the
+driving axis meets the motion: the polish below and the tool paths of
+dqlink.trajectory evaluate it in the one fixed chart (cos(theta/2) :
+sin(theta/2)).  Inverse kinematics solves a pose against the tool
+motion: it starts from the global minimiser of an algebraic pose
+distance N/D, in t, and polishes it with a damped Gauss-Newton
+iteration on normalized pose representatives, in the half angle psi =
+theta/2, whose chart passes through home.  N/D
 is a ratio of two quadratic forms in the monomial vector (1, t, ..,
 t^n), so the smallest eigenvalue of their pencil bounds it from below
 on the whole parameter line.  A pose that the motion reaches once,
@@ -126,14 +130,15 @@ class Mechanism:
     The motion has passed the norm check of MotionPolynomial, with a
     study_tol that is finite and > 0.  The coefficients of the tool motion
     C(t) * tool_home, with tool_home scaled exactly by a power of two, are
-    built once into the private read-only array _tool_coeffs, the read-only
-    form of both inverse kinematics starts for them, with its one
-    pose-linear map, into _ik_form (_start_form), and the read-only form
-    of its polish in the half angle into _polish (_polish_form); the
-    scalar part q0 and vector length r of the driving axis go into _axis.
-    The tool path chart of dqlink.trajectory, which depends only on the
-    tool coefficients and the driving axis, is built on first use into
-    the _chart slot.
+    rewritten once in tau = cot(theta/2) into the private read-only array
+    _tool_coeffs (_cot_coeffs); the read-only form of both inverse
+    kinematics starts, from the coefficients in t, with its one
+    pose-linear map, into _ik_form (_start_form), and the read-only
+    matrix of the polish in the half angle, from those in tau, into
+    _polish (_polish_form); the scalar part q0 and vector length r of the
+    driving axis go into _axis.  The tool path chart of
+    dqlink.trajectory, which depends only on _tool_coeffs, is built on
+    first use into the _chart slot.
     """
 
     motion: MotionPolynomial
@@ -141,7 +146,7 @@ class Mechanism:
     tool_home: DualQuaternion = None
     _tool_coeffs: np.ndarray = field(default=None, init=False, repr=False)
     _ik_form: tuple = field(default=None, init=False, repr=False)
-    _polish: tuple = field(default=None, init=False, repr=False)
+    _polish: np.ndarray = field(default=None, init=False, repr=False)
     _axis: tuple = field(default=None, init=False, repr=False)
     _chart: tuple = field(default=None, init=False, repr=False)
 
@@ -160,9 +165,9 @@ class Mechanism:
         object.__setattr__(self, "tool_home", tool)
         coeffs = _kernels.dq_mul8(self.motion.coeffs, _binary_normalized(tool.coeffs))
         coeffs = _coeff_array(coeffs)
-        object.__setattr__(self, "_tool_coeffs", coeffs)
+        object.__setattr__(self, "_tool_coeffs", _cot_coeffs(coeffs, *self._axis))
         object.__setattr__(self, "_ik_form", _start_form(coeffs))
-        object.__setattr__(self, "_polish", _polish_form(coeffs, *self._axis))
+        object.__setattr__(self, "_polish", _polish_form(self._tool_coeffs))
 
 
 def direct_kinematics(mechanism: Mechanism, theta) -> DualQuaternion:
@@ -241,45 +246,62 @@ def _error_and_slope(c: np.ndarray, cd: np.ndarray, target: _Target):
     return target.unit - k * c, lambda: k * (cd - c * (float(np.dot(c, cd)) / n2))
 
 
-def _polish_form(coeffs: np.ndarray, q0: float, r: float) -> tuple:
-    """Read-only form (M, q0', r') of the polish in the half angle psi.
+def _cot_coeffs(coeffs: np.ndarray, q0: float, r: float) -> np.ndarray:
+    """Read-only coefficients D_k of the motion in tau = cot(theta/2).
 
-    q0' and r' are q0 and r scaled by the power of two 2**-e of the
-    larger of r and |q0|, so that with a = r' cos(psi) + q0' sin(psi) and
-    s = sin(psi) the parameter is t = 2**e a / s, and C(t) is, up to a
-    factor, the chart form C(a, s) = sum of C_k 2**(e k) a**k s**(n - k),
-    which is the leading coefficient at home, s = 0.  The form is kept
-    times 2**-max(e n, 0), which changes no projective pose, so that no
-    coefficient overflows.  With b the monomials a**j s**(n-1-j) of
-    degree n - 1, [C | dC/dpsi] is the vector [a**k s**(n-k) | a' b |
-    s' b] times the (3n + 1) x 16 matrix M.
+    The one place where the driving axis meets the motion: with t = q0 +
+    r*tau, C(t) = sum of C_k t**k is rewritten as D(tau) = sum of D_k
+    tau**k, so that the half angle chart of every caller is the fixed
+    (a : s) = (cos(theta/2) : sin(theta/2)), tau = a/s, in which D(a, s)
+    = sum of D_k a**k s**(n - k) is the leading coefficient at home, s =
+    0.  q0 and r are first scaled by the power of two 2**-e of the
+    larger of r and |q0|, and C_k by 2**(e k), so that t = 2**e (q0' +
+    r' tau); the whole is kept times 2**-max(e n, 0), which changes no
+    projective pose, so that no coefficient overflows.  Horner's rule in
+    q0' + r' tau then gives D, exactly where q0 = 0 and r is a power of
+    two.
     """
     e = math.frexp(max(r, abs(q0)))[1]
     n = len(coeffs) - 1
     c = np.ldexp(coeffs, e * np.arange(n + 1)[:, None] - max(e * n, 0))
+    q0, r = math.ldexp(q0, -e), math.ldexp(r, -e)
+    d = np.zeros_like(c)
+    for ck in c[::-1]:
+        d[1:], d[0] = q0 * d[1:] + r * d[:-1], q0 * d[0] + ck
+    return _coeff_array(d)
+
+
+def _polish_form(c: np.ndarray) -> np.ndarray:
+    """Read-only matrix M of the polish in the half angle psi.
+
+    c holds the tool motion's coefficients D_k in tau = cot(psi)
+    (_cot_coeffs).  With a = cos(psi), s = sin(psi) and b the monomials
+    a**j s**(n-1-j) of degree n - 1, [D | dD/dpsi] of the chart form D(a,
+    s) is the vector [a**k s**(n-k) | -s b | a b] times the (3n + 1) x 16
+    matrix M.
+    """
+    n = len(c) - 1
     k = np.arange(1.0, n + 1)[:, None]
     m = np.zeros((3 * n + 1, 16))
     m[: n + 1, :8], m[n + 1 : 2 * n + 1, 8:], m[2 * n + 1 :, 8:] = c, k * c[1:], k[::-1] * c[:-1]
     m.flags.writeable = False
-    return m, math.ldexp(q0, -e), math.ldexp(r, -e)
+    return m
 
 
-def _residual_terms(form, target, psi) -> tuple:
+def _residual_terms(m, target, psi) -> tuple:
     """Squared error f, error and slope function of _error_and_slope at
-    psi, from one product of the matrix of _polish_form with a vector of
-    Python float products.
+    psi, from one product of the matrix M of _polish_form with a vector
+    of Python float products.
 
     f is inf, and the other two None, where the curve value vanishes.
     """
-    m, q0, r = form
     cos, sin = math.cos(psi), math.sin(psi)
-    a, da = r * cos + q0 * sin, q0 * cos - r * sin
     pa, ps = [1.0], [1.0]
     for _ in range(len(m) // 3):
-        pa.append(pa[-1] * a)
+        pa.append(pa[-1] * cos)
         ps.append(ps[-1] * sin)
     b = [x * y for x, y in zip(pa, ps[-2::-1])]
-    v = [x * y for x, y in zip(pa, ps[::-1])] + [da * x for x in b] + [cos * x for x in b]
+    v = [x * y for x, y in zip(pa, ps[::-1])] + [-sin * x for x in b] + [cos * x for x in b]
     v = np.dot(v, m)
     terms = _error_and_slope(v[:8], v[8:], target)
     if terms is None:

@@ -1,13 +1,14 @@
 """Arc length, equidistant segmentation and joint velocity profiles.
 
 A tool point path is a rational curve (x1 : x2 : x3) / x0 of degree D,
-integrated in a chart of its parameter line, (a : s) = (r*cos(phi/2) +
-q0*sin(phi/2) : sin(phi/2)) with t = a/s, in which the home
-configuration (phi a multiple of 2*pi, t at infinity) is an ordinary
-point.  Arcs between joint angles take q0 and r, the scalar part and
-the vector length of the driving axis quaternion, so that phi is the
-unwrapped driving angle; arcs between curve parameters take (0, 1), t =
-cot(phi/2).
+integrated in the one chart (a : s) = (cos(phi/2) : sin(phi/2)) of its
+parameter tau = a/s = cot(phi/2), in which the home configuration (phi
+a multiple of 2*pi, tau at infinity) is an ordinary point.  A
+mechanism's tool motion comes already written in tau
+(kinematics._cot_coeffs, t = q0 + r*tau with q0 and r the scalar part
+and the vector length of the driving axis quaternion), so that phi is
+the unwrapped driving angle; for arcs between curve parameters tau is t
+itself.
 
 The tool path of a degree-n motion has degree D = 2n, since x0 is the
 primal norm |C(t)|**2.  Its homogeneous coordinates are forms of
@@ -16,8 +17,9 @@ polynomial of order n in phi: coefficients of cos(m*phi) and
 sin(m*phi) for m = 0..n, 2n+1 of them, the same space as the 2n+1
 polynomial coefficients in another basis.  A discrete Fourier
 transform on 2n+1 equispaced samples gives the map between the two
-bases.  A mechanism builds its angle chart on first use and keeps it
-read-only in a private slot: the harmonic coefficients of X0..X3 and
+bases, one read-only map per order (_harmonic_map).  A mechanism
+builds its angle chart on first use and keeps it read-only in a
+private slot: the harmonic coefficients of X0..X3 and
 of dX/dphi for each row of the point action of its tool motion, which
 is affine in the tool point, and the pole angles, those of the real
 roots of x0 and phi = 0 when x0 drops degree.  A tool point then costs
@@ -194,9 +196,9 @@ def _check_poles(poles: np.ndarray, lo: float, hi: float):
         )
 
 
-def _pole_angles(x0: np.ndarray, q0: float, r: float) -> np.ndarray:
+def _pole_angles(x0: np.ndarray) -> np.ndarray:
     """Chart angles of the real roots of x0, and 0 where x0 drops degree."""
-    poles = (2.0 * np.arctan2(r, _real_roots(x0) - q0)) % TWO_PI
+    poles = (2.0 * np.arctan2(1.0, _real_roots(x0))) % TWO_PI
     if _degree(x0) < x0.size - 1:
         poles = np.append(poles, 0.0)
     return poles
@@ -222,22 +224,22 @@ def _harmonics(phi: np.ndarray, order: int) -> np.ndarray:
     return pairs.transpose(0, 2, 1).reshape(-1, phi.size)
 
 
-def _harmonic_map(order: int, q0: float, r: float) -> np.ndarray:
-    """Maps from a form of degree 2*order to its harmonic coefficients.
+@lru_cache(maxsize=None)
+def _harmonic_map(order: int) -> np.ndarray:
+    """Read-only maps from a form of degree 2*order to its harmonic
+    coefficients, built once per order.
 
     A homogeneous form X(a, s) = sum_k c_k a**k s**(2*order - k), taken
-    in the chart (a : s) = (r*cos(phi/2) + q0*sin(phi/2) : sin(phi/2)),
-    is a sum of the harmonics of _harmonics up to order.  Row 0 of the
-    result maps the ascending coefficients c_k to those harmonic
-    coefficients, row 1 to the coefficients of dX/dphi.  The
-    coefficients come from an explicit discrete Fourier transform of
-    2*order + 1 equispaced samples on [0, 2*pi), on which the harmonics
-    are orthogonal.
+    in the chart (a : s) = (cos(phi/2) : sin(phi/2)), is a sum of the
+    harmonics of _harmonics up to order.  Row 0 of the result maps the
+    ascending coefficients c_k to those harmonic coefficients, row 1 to
+    the coefficients of dX/dphi.  The coefficients come from an explicit
+    discrete Fourier transform of 2*order + 1 equispaced samples on [0,
+    2*pi), on which the harmonics are orthogonal.
     """
     size = 2 * order + 1
     phi = np.arange(size) * (TWO_PI / size)
-    s = np.sin(0.5 * phi)
-    a = r * np.cos(0.5 * phi) + q0 * s
+    a, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
     k = np.arange(size)
     samples = a[:, None] ** k * s[:, None] ** (size - 1 - k)
     # over the samples a harmonic m > 0 has squared sum size/2, cos(0)
@@ -249,7 +251,9 @@ def _harmonic_map(order: int, q0: float, r: float) -> np.ndarray:
     # d/dphi takes (cos, sin) coefficients (u, v) of harmonic m to (m*v, -m*u)
     m = np.arange(order + 1)[:, None]
     slope = np.stack([m * value[:, 1], -m * value[:, 0]], axis=1)
-    return np.stack([value, slope]).reshape(2, -1, size)
+    maps = np.stack([value, slope]).reshape(2, -1, size)
+    maps.flags.writeable = False
+    return maps
 
 
 class _Speed:
@@ -486,14 +490,6 @@ def _table(coef, poles, start: float, delta: float, tol: float = None) -> _Table
     return _Table(speed, span, max(1, math.ceil(span / _ANGLE_PANEL)), tol)
 
 
-@lru_cache(maxsize=None)
-def _cot_map(order: int) -> np.ndarray:
-    """_harmonic_map of the chart t = cot(phi/2), read-only."""
-    maps = _harmonic_map(order, 0.0, 1.0)
-    maps.flags.writeable = False
-    return maps
-
-
 def _param_table(path: RationalPointPath, a: float, b: float, tol: float = None) -> tuple:
     """Length table of the path from parameter a towards b, and the map
     from its offsets back to parameters.
@@ -518,7 +514,7 @@ def _param_table(path: RationalPointPath, a: float, b: float, tol: float = None)
         )
     sigma = math.copysign(1.0, b - a)
     # one power of two for all coordinates keeps the map in range
-    coef = np.concatenate(_cot_map(x0.size // 2) @ _binary_normalized(path._hom), axis=-1)
+    coef = np.concatenate(_harmonic_map(x0.size // 2) @ _binary_normalized(path._hom), axis=-1)
     coef = _x0_scaled(coef)
     ab = a * b
     if math.isfinite(ab):
@@ -527,7 +523,7 @@ def _param_table(path: RationalPointPath, a: float, b: float, tol: float = None)
         # both terms divided by |ab|, beside which 1 drops out
         sign = math.copysign(1.0, ab)
         delta = 2.0 * math.atan2(sign * (1.0 / b - 1.0 / a), sign)
-    table = _table(coef, _pole_angles(x0, 0.0, 1.0), 2.0 * math.atan2(1.0, a), delta, tol)
+    table = _table(coef, _pole_angles(x0), 2.0 * math.atan2(1.0, a), delta, tol)
 
     def to_t(x):
         u = -sigma * np.tan(0.5 * x)
@@ -675,11 +671,9 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
     """
     if mechanism._chart is None:
         action = _point_action(mechanism._tool_coeffs)
-        q0, r = mechanism._axis
-        maps = _harmonic_map(mechanism._tool_coeffs.shape[0] - 1, q0, r)
-        harmonic = np.concatenate(maps[:, None] @ action[..., _POINT_COLUMNS], axis=-1)
-        harmonic = _x0_scaled(harmonic)
-        chart = (harmonic, _pole_angles(action[0, :, 0], q0, r), _basis_sizes(harmonic))
+        maps = _harmonic_map(mechanism._tool_coeffs.shape[0] - 1)
+        harmonic = _x0_scaled(np.concatenate(maps[:, None] @ action[..., _POINT_COLUMNS], axis=-1))
+        chart = (harmonic, _pole_angles(action[0, :, 0]), _basis_sizes(harmonic))
         for arr in chart:
             arr.flags.writeable = False
         object.__setattr__(mechanism, "_chart", chart)

@@ -184,6 +184,12 @@ def test_study_condition_at_extreme_scales(rng):
             assert sh.study_defect() <= 1e-12
             assert not sbent.is_study()
             assert math.isclose(sbent.study_defect(), bent.study_defect(), rel_tol=1e-12)
+        # a power-of-two scale is exact, so the defect is scale invariant
+        # to the bit; the decimal scales above also round the coefficients
+        for k in (40, 500, 1000):
+            for scale in (2.0**k, 2.0**-k):
+                assert scaled(scale, h).study_defect() == h.study_defect()
+                assert scaled(scale, bent).study_defect() == bent.study_defect()
 
 
 def _product_norm(c):

@@ -545,22 +545,17 @@ def test_start_form_is_built_once_and_read_only(random_linkage, monkeypatch):
     assert mech._polish is polish
     # G, L and S, and the whitened form of the Rayleigh start
     assert len(form) == 4 and form[3] is not None
-    m, q0, r = polish
-    for arr in form[:3] + form[3] + (m,):
+    for arr in form[:3] + form[3] + (polish, mech._tool_coeffs):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # the axis parts scaled by the power of two that brings the larger
-    # into [0.5, 1), and the blocks of M: the coefficients C_k 2**(e k),
-    # times 2**-max(3 e, 0), for C, and for dC/dpsi the derivative rows of
-    # C in a and in s
-    e = math.frexp(max(mech._axis[1], abs(mech._axis[0])))[1]
-    assert (q0, r) == (math.ldexp(mech._axis[0], -e), math.ldexp(mech._axis[1], -e))
-    assert 0.5 <= max(r, abs(q0)) < 1.0
-    c = np.ldexp(mech._tool_coeffs, e * np.arange(4)[:, None] - max(3 * e, 0))
+    # the blocks of M: the coefficients D_k of the tool motion in tau =
+    # cot(psi) for D, and for dD/dpsi the derivative rows of D in a and
+    # in s
+    c = mech._tool_coeffs
     want = np.zeros((10, 16))
     want[:4, :8], want[4:7, 8:] = c, motionpoly._derivative_rows(c)
     want[7:, 8:] = motionpoly._derivative_rows(c[::-1])[::-1]
-    assert np.array_equal(m, want)
+    assert np.array_equal(polish, want)
     # per pose the start makes no dual quaternion product
     calls = []
     multiply = _kernels.dq_mul8
@@ -862,35 +857,39 @@ def test_polish_steps_once_next_to_home(sixbar):
     assert abs(r.theta - want) <= 4.0 * math.ulp(want)
 
 
+# psi = atan2(1, 2), where cos(psi) is exactly twice sin(psi) in floats;
+# the driving axis (-2, 1) puts t = 0 at tau = cot(psi) = 2, and turns
+# the coefficients of the motions below into powers of two in tau, so
+# that their chart form vanishes there without rounding
+PSI_AT_T0 = math.atan2(1.0, 2.0)
+AXIS_AT_T0 = [-2.0, 1.0, 0.0, 0.0]
+
+
 def test_polish_stops_where_the_curve_value_vanishes():
     # C = t passes the norm check, since its norm polynomial t**2 is real,
     # but C(0) = 0 has no normalized error: the polish returns its start
-    # with an infinite residual, no step and no trace.  The driving axis
-    # (-cos 1, sin 1) puts t = 0 at psi = 1 exactly: a = r' cos(1) + q0'
-    # sin(1) is the difference of two equal products
-    axis = [-math.cos(1.0), math.sin(1.0), 0.0, 0.0]
-    mech = Mechanism(MotionPolynomial([[0.0] * 8, [1, 0, 0, 0, 0, 0, 0, 0]]), axis)
+    # with an infinite residual, no step and no trace
+    assert math.cos(PSI_AT_T0) == 2.0 * math.sin(PSI_AT_T0)
+    mech = Mechanism(MotionPolynomial([[0.0] * 8, [1, 0, 0, 0, 0, 0, 0, 0]]), AXIS_AT_T0)
     target = kinematics._Target(np.array([1.0, 0, 0, 0, 0, 0, 0, 0]))
-    assert kinematics._refine(mech._polish, target, 1.0) == (1.0, math.inf, 0, ())
-    assert _eager_refine(mech._polish, target, 1.0) == (1.0, math.inf, 0, ())
+    assert kinematics._refine(mech._polish, target, PSI_AT_T0) == (PSI_AT_T0, math.inf, 0, ())
+    assert _eager_refine(mech._polish, target, PSI_AT_T0) == (PSI_AT_T0, math.inf, 0, ())
 
 
 def test_polish_stops_at_the_slope_floor():
     # C(t) = 1 + t**2 i has a zero slope at t = 0, where the start lands
     # for a pose off the curve, so the polish has no direction to step in
-    # and returns the start unpolished.  cos(pi/2) is not 0 in floats;
-    # the driving axis (-cos 1, sin 1) puts t = 0 at the start psi =
-    # atan2(sin 1, cos 1), which is 1 exactly, where a vanishes exactly
-    assert math.atan2(math.sin(1.0), math.cos(1.0)) == 1.0
+    # and returns the start unpolished.  cos(pi/2) is not 0 in floats, but
+    # at PSI_AT_T0 every term of the slope is a power-of-two multiple of
+    # sin(psi)**2, so that it cancels exactly
     coeffs = np.zeros((3, 8))
     coeffs[0, 0] = coeffs[2, 1] = 1.0
-    axis = [-math.cos(1.0), math.sin(1.0), 0.0, 0.0]
-    mech = Mechanism(MotionPolynomial(coeffs), axis)
+    mech = Mechanism(MotionPolynomial(coeffs), AXIS_AT_T0)
     with pytest.raises(NoConvergence) as info:
         inverse_kinematics(mech, DualQuaternion([1, 0, 0.1, 0, 0, 0, 0, 0]))
     best = info.value.best
-    assert best.theta == 2.0 and best.iterations == 0 and best.branch == "direct"
-    assert best.t == angle_to_param(2.0, axis) and abs(best.t) <= 1e-15
+    assert best.theta == 2.0 * PSI_AT_T0 and best.iterations == 0 and best.branch == "direct"
+    assert best.t == angle_to_param(best.theta, AXIS_AT_T0) and abs(best.t) <= 1e-15
     assert best.residual_trace == (best.residual,)
 
 

@@ -665,9 +665,11 @@ def test_arc_length_call_and_node_budget(speed_calls, request, name, args, kwarg
     assert speed_calls == calls
 
 
+# the sixbar length is its own output; the Bennett one is the mpmath
+# value of tests/data/joint_arc_references.json, 0.2131532991704260162
 @pytest.mark.parametrize(
     "name, args, kwargs, levels, length",
-    [SIXBAR_TWICE + (3, 0.13055403039748303), BENNETT_SHORT + (1, 0.21315329917043097)],
+    [SIXBAR_TWICE + (3, 0.13055403039748303), BENNETT_SHORT + (1, 0.21315329917042602)],
     ids=["sixbar-twice", "bennett-short"],
 )
 def test_arc_length_reads_only_the_total(
@@ -966,10 +968,8 @@ def test_trig_speed_matches_homogeneous_evaluation(random_linkage):
     path = RationalPointPath([2.0, 0.0, 1.0, 0.1, 0.5], rng.normal(size=(3, 5)))
     coords = np.column_stack([path.x0, path.xi.T])
     t = rng.uniform(-3.0, 3.0, size=40)
-    for axis in ((0.0, 1.0), (0.3, 0.8)):
-        coef = np.hstack(trajectory._harmonic_map(2, *axis) @ coords)
-        speed = trajectory._Speed(coef, 0.0, 1.0)
-        assert_speeds(speed, 2.0 * np.arctan2(axis[1], t - axis[0]), coords, axis)
+    coef = np.hstack(trajectory._harmonic_map(2) @ coords)
+    assert_speeds(trajectory._Speed(coef, 0.0, 1.0), 2.0 * np.arctan2(1.0, t), coords, (0.0, 1.0))
     # a tool frame that turns and shifts, so the chart acts through the
     # tool motion rather than the motion itself
     rng = np.random.default_rng(23)
@@ -1030,6 +1030,36 @@ def test_arc_length_meets_the_committed_references(request, arc):
     path = request.getfixturevalue(arc["fixture"]).motion.point_path(arc["tool"])
     want = float(arc["length"])
     assert abs(arc_length(path, arc["t0"], arc["t1"]) - want) <= 1e-12 * want
+
+
+# 30-digit mpmath lengths of joint-angle arcs of both fixtures, each in
+# its mechanism's own chart, written by tools/reference_t_arcs.py
+JOINT_ARC_REFERENCES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "joint_arc_references.json").read_text(
+        encoding="utf-8"
+    )
+)["arcs"]
+
+
+@pytest.mark.parametrize(
+    "arc",
+    JOINT_ARC_REFERENCES,
+    ids=[
+        "%s-%s-%g-%g-%s" % (
+            a["fixture"], "tool" if any(a["tool"]) else "origin", a["theta0"], a["theta1"],
+            a["direction"],
+        )
+        for a in JOINT_ARC_REFERENCES
+    ],
+)
+def test_arc_length_between_meets_the_committed_references(request, arc):
+    # the Bennett arcs are held to 2e-15 (5.2e-16 measured); the sixbar's
+    # to 1e-12, since its arc across home keeps 6.4e-14 of the panel
+    # tolerance
+    mech = request.getfixturevalue(arc["fixture"])
+    got = arc_length_between(mech, arc["theta0"], arc["theta1"], arc["tool"], arc["direction"])
+    want = float(arc["length"])
+    assert abs(got - want) <= (2e-15 if arc["fixture"] == "bennett" else 1e-12) * want
 
 
 @pytest.mark.parametrize("name", ["sixbar", "bennett"])
@@ -1127,10 +1157,16 @@ def test_arcs_at_huge_parameters(sixbar):
     assert wide < arc_length(path, -1e200, 1e200) < wide * (1.0 + 1e-7)
 
 
-def test_cot_chart_map_is_built_once_per_order():
-    first = trajectory._cot_map(3)
-    assert trajectory._cot_map(3) is first and not first.flags.writeable
-    assert np.array_equal(first, trajectory._harmonic_map(3, 0.0, 1.0))
+def test_harmonic_map_is_built_once_per_order(sixbar):
+    # one read-only map per order serves the angle chart of every
+    # mechanism and the t-arcs of every path
+    first = trajectory._harmonic_map(3)
+    assert trajectory._harmonic_map(3) is first and not first.flags.writeable
+    assert trajectory._harmonic_map(2) is not first
+    calls = trajectory._harmonic_map.cache_info().misses
+    arc_length_between(dataclasses.replace(sixbar), 0.3, 1.2)
+    arc_length(sixbar.motion.point_path((0.0, 0.0, 0.0)), -1.0, 1.0)
+    assert trajectory._harmonic_map.cache_info().misses == calls
 
 
 def test_pole_at_home_when_x0_drops_degree():
@@ -1235,9 +1271,9 @@ def _in_unit(mech, lam):
 # its norm check divides a length by a primal coefficient, so that it
 # rejects the fixture at about 0.6 times its unit and above (ROADMAP item
 # 10); its family starts at mu = 2**-20, whose lam = 2**20 is the
-# fixture itself.  Moving each of its dual coefficients by one ulp moves
-# its angle arc by up to 2.5e-14 relative, so a decimal lam, which rounds
-# them, is held to 1e-13
+# fixture itself.  A decimal lam rounds its dual coefficients, which
+# moves its t-arc by up to 5.6e-14 relative, so its lengths are held to
+# 1e-13; its angle arc, in the tool motion's chart in tau, moves by 4e-16
 LENGTH_CASES = [
     ("sixbar", 1.0, (0.1848, -0.1084, 0.0357), (5.2304, 1.5115, "short"), (-1.0, 1.0), 1e-14),
     ("bennett", 2.0**-20, (0.05, -0.1, 0.07), (0.331, 5.893, "long"), (-1.0, math.sqrt(3)), 1e-13),
@@ -1288,6 +1324,31 @@ def test_large_tools_get_lengths(sixbar):
         assert math.isclose(got, 2.105804563452951 * s, rel_tol=1e-15)
     with pytest.raises(ValueError, match="its path overflows"):
         arc_length_between(sixbar, 0.3, 1.2, (1e80, 5e79, 2e79))
+
+
+@pytest.mark.parametrize("name", ["sixbar", "bennett"])
+@pytest.mark.parametrize(
+    "axis", [[0.0, 1e120, 0.0, 0.0], [1e100, 1e100, 0.0, 0.0], [0.0, 1e60, 0.0, 0.0]],
+    ids=["r1e120", "q1e100", "r1e60"],
+)
+def test_long_driving_axes_get_lengths(request, name, axis):
+    # t = q0 + r*cot(theta/2) with entries far beyond the motion's own
+    # scale: the tool motion, rewritten in tau with exact powers of two,
+    # keeps its coefficients in range, without a numpy warning.  Away
+    # from theta = pi (or 3*pi/2 for the q0 axis) the tool creeps near
+    # home, and the arc meets the same arc taken in t
+    mech = request.getfixturevalue(name)
+    long = Mechanism(mech.motion, axis, mech.tool_home)
+    path = mech.motion.point_path((0.0, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = arc_length_between(long, 0.3, 1.2)
+        want = arc_length(path, angle_to_param(1.2, axis), angle_to_param(0.3, axis))
+        prof = equidistant_profile(long, 5.0, 0.5, duration=1.0, frequency=10.0)
+    assert 0.0 < got < math.inf
+    assert math.isclose(got, want, rel_tol=1e-13)
+    assert np.all(np.isfinite(prof.thetas)) and np.all(np.diff(prof.thetas) > 0.0)
+    assert math.isclose(prof.thetas[-1] % (2 * math.pi), 0.5, abs_tol=1e-14)
 
 
 def test_panel_tolerance_follows_the_path_unless_given(sixbar, monkeypatch):

@@ -8,7 +8,8 @@ records cover direct kinematics and its canonical pose (theta = 0 and
 iterate of a NoConvergence, the angle chart both ways, arc_length,
 arc_length_between, equidistant_params and equidistant_profile, on both
 fixtures and on generated linkages of fixed seeds, arcs of both fixtures
-with every length scaled into other units, and the stdout and
+with every length scaled into other units, the fixtures driven about a
+long axis and the sixbar about an artificial one, and the stdout and
 exit code of every README command line and tests/data/cli_cases.json
 case.  An error is recorded by its type and message.  The point at
 infinity prints as inf, so a tree that spells it as a marker object
@@ -151,6 +152,21 @@ def unit_records(name, mech, mu, tool, arc, span):
         yield ("unit-t", name, lam, attempt(dqlink.arc_length, motion.point_path(x), *span))
 
 
+def axis_records(name, mech, axis, arcs):
+    """The mechanism's motion driven about another axis: arcs of the tool
+    at the origin, one profile, and inverse kinematics of a DK pose."""
+    moved = dqlink.Mechanism(mech.motion, axis, mech.tool_home)
+    for theta0, theta1, arc in arcs:
+        got = attempt(dqlink.arc_length_between, moved, theta0, theta1, TOOLS[0], arc)
+        yield ("axis", name, axis, theta0, theta1, arc, got)
+    theta0, theta1, arc = arcs[0]
+    prof = attempt(dqlink.equidistant_profile, moved, theta0, theta1, 1.0, 10.0, TOOLS[0], arc)
+    if isinstance(prof, dqlink.TrajectoryProfile):
+        prof = floats(prof.thetas)
+    yield ("axis-profile", name, axis, prof)
+    yield ("axis-ik", name, axis, solve(moved, dqlink.direct_kinematics(moved, 1.0)))
+
+
 def run_cli(argv) -> tuple:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -191,6 +207,15 @@ def records():
     yield from unit_records("sixbar", mechs[0][1], 1.0, sixbar_tool, sixbar_arc, (-1.0, 1.0))
     yield from unit_records(
         "bennett", mechs[1][1], 2.0**-20, bennett_tool, bennett_arc, (-1.0, math.sqrt(3.0))
+    )
+    # a long axis, far beyond either motion's scale, on which the tool
+    # creeps near home away from theta = pi; and an axis that is not a
+    # factor of the sixbar's motion, whose rewrite in tau rounds
+    for name, mech in mechs[:2]:
+        yield from axis_records(name, mech, [0.0, 1e120, 0.0, 0.0], [(5.0, 0.5, "short")])
+    yield from axis_records(
+        "sixbar", mechs[0][1], [100.0, 0.5, 0.2, 0.0],
+        [(0.3, 1.2, "short"), (2.0, 4.0, "increasing"), (6.2, 6.25, "short")],
     )
     yield from cli_records()
 
