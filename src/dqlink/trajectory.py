@@ -211,8 +211,8 @@ def _harmonics(phi: np.ndarray, order: int) -> np.ndarray:
     m = 0 is a zero row.  cos(phi) and sin(phi) are taken once as
     exp(i*phi), written straight into the row of m = 1, and each higher
     harmonic is the previous one turned by it, one complex product of
-    whole rows; one copy then splits the complex rows into their real and
-    imaginary rows.
+    whole rows; two strided assignments then write their real and
+    imaginary parts as the cosine and sine rows.
     """
     turns = np.empty((order + 1, phi.size), dtype=complex)
     turns[0] = 1.0
@@ -220,8 +220,9 @@ def _harmonics(phi: np.ndarray, order: int) -> np.ndarray:
         np.exp(1j * phi, out=turns[1])
     for m in range(2, order + 1):
         np.multiply(turns[m - 1], turns[1], out=turns[m])
-    pairs = turns.view(float).reshape(order + 1, -1, 2)
-    return pairs.transpose(0, 2, 1).reshape(-1, phi.size)
+    out = np.empty((2 * order + 2, phi.size))
+    out[0::2], out[1::2] = turns.real, turns.imag
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -231,9 +232,11 @@ def _harmonic_map(order: int) -> np.ndarray:
 
     A homogeneous form X(a, s) = sum_k c_k a**k s**(2*order - k), taken
     in the chart (a : s) = (cos(phi/2) : sin(phi/2)), is a sum of the
-    harmonics of _harmonics up to order.  Row 0 of the result maps the
-    ascending coefficients c_k to those harmonic coefficients, row 1 to
-    the coefficients of dX/dphi.  The coefficients come from an explicit
+    harmonics of _harmonics up to order.  Row k of maps[0] holds the
+    harmonic coefficients of a**k s**(2*order - k), row k of maps[1]
+    those of its phi-derivative, so the row of ascending coefficients
+    c_k times maps[0] or maps[1] gives the harmonic coefficients of X or
+    dX/dphi as a row, the layout of _Speed.  The coefficients come from an explicit
     discrete Fourier transform of 2*order + 1 equispaced samples on [0,
     2*pi), on which the harmonics are orthogonal.
     """
@@ -251,7 +254,7 @@ def _harmonic_map(order: int) -> np.ndarray:
     # d/dphi takes (cos, sin) coefficients (u, v) of harmonic m to (m*v, -m*u)
     m = np.arange(order + 1)[:, None]
     slope = np.stack([m * value[:, 1], -m * value[:, 0]], axis=1)
-    maps = np.stack([value, slope]).reshape(2, -1, size)
+    maps = np.ascontiguousarray(np.stack([value, slope]).reshape(2, -1, size).transpose(0, 2, 1))
     maps.flags.writeable = False
     return maps
 
@@ -259,19 +262,19 @@ def _harmonic_map(order: int) -> np.ndarray:
 class _Speed:
     """Vectorized speed |dP/dphi| of a path in the chart angle phi.
 
-    coef holds the harmonic coefficients, interleaved as _harmonics
-    orders them, of X0..X3 in its first four columns and of dX/dphi in
-    the last four; the evaluator keeps its transpose, one contiguous row
-    per coordinate.  Called with offsets from start along sigma, +1 or
-    -1 and applied as one exact add or subtract, it returns |X0 * dX -
-    X * dX0| / X0**2 (motionpoly._speed) at the cost of one complex
-    exponential, a complex product per higher harmonic and one matrix
-    product for all nodes.
+    coef is an (8, 2n + 2) array of rows, taken as given: rows 0..3 hold
+    the harmonic coefficients of X0..X3 and rows 4..7 those of dX/dphi,
+    each interleaved as _harmonics orders its rows, so one matrix product
+    with the harmonics gives every coordinate as a row over the nodes.
+    Called with offsets from start along sigma, +1 or -1 and applied as
+    one exact add or subtract, it returns |X0 * dX - X * dX0| / X0**2
+    (motionpoly._speed) at the cost of one complex exponential, a complex
+    product per higher harmonic and one matrix product for all nodes.
     """
 
     def __init__(self, coef, start, sigma):
-        self.order = coef.shape[0] // 2 - 1
-        self.rows = np.ascontiguousarray(coef.T)
+        self.order = coef.shape[1] // 2 - 1
+        self.rows = coef
         self.start = float(start)
         self._along = np.add if sigma > 0.0 else np.subtract
 
@@ -462,10 +465,10 @@ def _knots(table: _Table, fractions: np.ndarray) -> np.ndarray:
 
 def _x0_scaled(coef: np.ndarray) -> np.ndarray:
     """coef scaled by the power of two that brings the largest of X0 and
-    dX0 (columns 0 and 4 of the last axis) into [0.5, 1), which the speed
-    does not see; ValueError when X0 is zero or another coefficient
-    reaches _X_LIMIT times that largest one."""
-    top = float(np.max(np.abs(coef[..., [0, 4]])))
+    dX0 (rows 0 and 4 of its last two axes, as _Speed orders them) into
+    [0.5, 1), which the speed does not see; ValueError when X0 is zero or
+    another coefficient reaches _X_LIMIT times that largest one."""
+    top = float(np.max(np.abs(coef[..., [0, 4], :])))
     if not float(np.max(np.abs(coef))) < top * _X_LIMIT:
         raise ValueError("point path overflows: its coordinates exceed x0 by 2**256 or more")
     return np.ldexp(coef, -math.frexp(top)[1])
@@ -478,12 +481,13 @@ def _table(coef, poles, start: float, delta: float, tol: float = None) -> _Table
 
     tol is the absolute panel tolerance.  By default it is _PANEL_TOL
     times 2**k, where 2**(k-1) <= m < 2**k for the largest magnitude m of
-    the harmonic coefficients of X1..X3: the speed scales with them, so
-    every power-of-two scale of a path's coordinates refines the same
-    panels.  That costs one max over those 3(2n + 2) coefficients.
+    the harmonic coefficients of X1..X3, rows 1..3 of coef: the speed
+    scales with them, so every power-of-two scale of a path's coordinates
+    refines the same panels.  That costs one max over those 3(2n + 2)
+    coefficients.
     """
     if tol is None:
-        tol = math.ldexp(_PANEL_TOL, math.frexp(float(np.abs(coef[:, 1:4]).max()))[1])
+        tol = math.ldexp(_PANEL_TOL, math.frexp(float(np.abs(coef[1:4]).max()))[1])
     _check_poles(poles, min(start, start + delta), max(start, start + delta))
     span = abs(delta)
     speed = _Speed(coef, start, math.copysign(1.0, delta))
@@ -514,8 +518,8 @@ def _param_table(path: RationalPointPath, a: float, b: float, tol: float = None)
         )
     sigma = math.copysign(1.0, b - a)
     # one power of two for all coordinates keeps the map in range
-    coef = np.concatenate(_harmonic_map(x0.size // 2) @ _binary_normalized(path._hom), axis=-1)
-    coef = _x0_scaled(coef)
+    coef = _binary_normalized(path._hom).T @ _harmonic_map(x0.size // 2)
+    coef = _x0_scaled(coef.reshape(8, -1))
     ab = a * b
     if math.isfinite(ab):
         delta = 2.0 * math.atan2(a - b, 1.0 + ab)
@@ -657,11 +661,12 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
     """Harmonic point action, pole angles and basis sizes of the tool paths.
 
     The point action of the mechanism's tool motion maps a point x of
-    the tool frame to action[0] + x @ action[1:], affine in x.  Row i of
-    the (4, 2n+2, 8) harmonic array holds, for the columns x0..x3 of
-    action[i], the harmonic coefficients in phi of _harmonic_map and
-    then those of their phi-derivatives; its affine combination for a
-    tool point is the coefficient array of _Speed.  X0 is the same for
+    the tool frame to action[0] + x @ action[1:], affine in x.  Entry i
+    of the (4, 8, 2n+2) harmonic array holds, as rows, the harmonic
+    coefficients in phi (_harmonic_map) of the columns x0..x3 of
+    action[i] and then those of their phi-derivatives, the row layout of
+    _Speed; its affine combination for a tool point is the coefficient
+    array of _Speed as it stands, with no transpose or copy.  X0 is the same for
     every tool point, so the array comes scaled once by _x0_scaled.  The
     pole angles are those of x0, the primal norm of the tool motion.  The
     sizes of the harmonic rows (motionpoly._basis_sizes) let
@@ -672,7 +677,8 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
     if mechanism._chart is None:
         action = _point_action(mechanism._tool_coeffs)
         maps = _harmonic_map(mechanism._tool_coeffs.shape[0] - 1)
-        harmonic = _x0_scaled(np.concatenate(maps[:, None] @ action[..., _POINT_COLUMNS], axis=-1))
+        rows = action.transpose(0, 2, 1)[:, None, _POINT_COLUMNS] @ maps
+        harmonic = _x0_scaled(rows.reshape(4, 8, -1))
         chart = (harmonic, _pole_angles(action[0, :, 0]), _basis_sizes(harmonic))
         for arr in chart:
             arr.flags.writeable = False

@@ -949,7 +949,7 @@ def check_chart_speeds(mech, rng):
     # input; the oracle reads the monomial path of the same point
     axis = (mech.driving_axis[0], np.linalg.norm(mech.driving_axis[1:]))
     harmonic = trajectory._angle_chart(mech)[0]
-    assert harmonic.shape == (4, 2 * mech.motion.degree + 2, 8)
+    assert harmonic.shape == (4, 8, 2 * mech.motion.degree + 2)
     for _ in range(3):
         tool = rng.normal(scale=0.5, size=3)
         coef = harmonic[0] + (tool @ harmonic[1:].reshape(3, -1)).reshape(harmonic.shape[1:])
@@ -968,7 +968,7 @@ def test_trig_speed_matches_homogeneous_evaluation(random_linkage):
     path = RationalPointPath([2.0, 0.0, 1.0, 0.1, 0.5], rng.normal(size=(3, 5)))
     coords = np.column_stack([path.x0, path.xi.T])
     t = rng.uniform(-3.0, 3.0, size=40)
-    coef = np.hstack(trajectory._harmonic_map(2) @ coords)
+    coef = (coords.T @ trajectory._harmonic_map(2)).reshape(8, -1)
     assert_speeds(trajectory._Speed(coef, 0.0, 1.0), 2.0 * np.arctan2(1.0, t), coords, (0.0, 1.0))
     # a tool frame that turns and shifts, so the chart acts through the
     # tool motion rather than the motion itself
