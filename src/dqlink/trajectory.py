@@ -15,15 +15,17 @@ primal norm |C(t)|**2.  Its homogeneous coordinates are forms of
 degree 2n in (a, s), so in the angle chart each is a trigonometric
 polynomial of order n in phi: coefficients of cos(m*phi) and
 sin(m*phi) for m = 0..n, 2n+1 of them, the same space as the 2n+1
-polynomial coefficients in another basis.  A discrete Fourier
-transform on 2n+1 equispaced samples gives the map between the two
-bases, one read-only map per order (_harmonic_map).  A mechanism
-builds its angle chart on first use and keeps it read-only in a
-private slot: the harmonic coefficients of X0..X3 and
-of dX/dphi for each row of the point action of its tool motion, which
-is affine in the tool point, and the pole angles, those of the real
-roots of x0 and phi = 0 when x0 drops degree.  A tool point then costs
-one affine combination of that array and a finiteness check, and each
+polynomial coefficients in another basis.  The map between the two
+bases comes in closed form from binomial coefficients, since a and s
+are (u + 1/u)/2 and (u - 1/u)/(2i) in u = exp(i*phi/2); its entries
+are dyadic rationals and exact in floats, one read-only map per order
+(_harmonic_map).  A mechanism builds its angle chart on first use and
+keeps it read-only in a private slot: the harmonic coefficients of
+X0..X3 and of dX/dphi for each row of the point action of its tool
+motion, which is affine in the tool point, already as the rows that
+the speed multiplies, and the pole angles, those of the real roots of
+x0 and phi = 0 when x0 drops degree.  A tool point then costs one
+affine combination of that array and a finiteness check, and each
 speed evaluation |dP/dphi| one complex exponential, one complex product
 of rows per higher harmonic and one matrix product, with every
 coordinate a contiguous row over the nodes.  Poles inside an interval
@@ -227,34 +229,39 @@ def _harmonics(phi: np.ndarray, order: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _harmonic_map(order: int) -> np.ndarray:
-    """Read-only maps from a form of degree 2*order to its harmonic
+    """Exact read-only maps from a form of degree 2*order to its harmonic
     coefficients, built once per order.
 
     A homogeneous form X(a, s) = sum_k c_k a**k s**(2*order - k), taken
     in the chart (a : s) = (cos(phi/2) : sin(phi/2)), is a sum of the
     harmonics of _harmonics up to order.  Row k of maps[0] holds the
-    harmonic coefficients of a**k s**(2*order - k), row k of maps[1]
-    those of its phi-derivative, so the row of ascending coefficients
-    c_k times maps[0] or maps[1] gives the harmonic coefficients of X or
-    dX/dphi as a row, the layout of _Speed.  The coefficients come from an explicit
-    discrete Fourier transform of 2*order + 1 equispaced samples on [0,
-    2*pi), on which the harmonics are orthogonal.
+    harmonic coefficients of a**k s**j, j = 2*order - k, and row k of
+    maps[1] those of its phi-derivative, so the row of ascending
+    coefficients c_k times maps[0] or maps[1] gives the harmonic
+    coefficients of X or dX/dphi as a row, the layout of _Speed.
+
+    With u = exp(i*phi/2), a = (u + 1/u)/2 and s = (u - 1/u)/(2i), so
+    a**k s**j is (u + 1/u)**k (u - 1/u)**j / (2**(2*order) i**j).  The
+    coefficients of that product, ascending from u**(-2*order), are one
+    np.convolve of two binomial rows, and its entry order + m, C, belongs
+    to u**(2m) = exp(i*m*phi).  Paired with the entry of exp(-i*m*phi),
+    it makes the coefficient (-1)**(j//2) * C / 2**(2*order) of cos(m*phi)
+    for even j or of sin(m*phi) for odd j, doubled for m > 0.  Every
+    value entry is an integer below 2**(2*order) times a power of two,
+    and every slope entry m <= order times one, so both are exact in
+    floats.
     """
     size = 2 * order + 1
-    phi = np.arange(size) * (TWO_PI / size)
-    a, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
-    k = np.arange(size)
-    samples = a[:, None] ** k * s[:, None] ** (size - 1 - k)
-    # over the samples a harmonic m > 0 has squared sum size/2, cos(0)
-    # has size and sin(0) vanishes
-    weight = np.full(2 * order + 2, 2.0 / size)
-    weight[:2] = 1.0 / size
-    value = weight[:, None] * (_harmonics(phi, order) @ samples)
-    value = value.reshape(order + 1, 2, size)
+    binomials = [np.array([math.comb(n, i) for i in range(n + 1)]) for n in range(size)]
+    maps = np.zeros((2, size, size + 1))
+    for k, j in zip(range(size), range(size - 1, -1, -1)):
+        # (u + 1/u)**k (u - 1/u)**j, ascending from u**(1 - size)
+        c = np.convolve(binomials[k], binomials[j] * (-1) ** np.arange(j, -1, -1))
+        maps[0, k, j % 2 :: 2] = (-1) ** (j // 2) * 2.0 ** (2 - size) * c[order:]
+    maps[0, :, 0] *= 0.5
     # d/dphi takes (cos, sin) coefficients (u, v) of harmonic m to (m*v, -m*u)
-    m = np.arange(order + 1)[:, None]
-    slope = np.stack([m * value[:, 1], -m * value[:, 0]], axis=1)
-    maps = np.ascontiguousarray(np.stack([value, slope]).reshape(2, -1, size).transpose(0, 2, 1))
+    m = np.arange(order + 1)
+    maps[1, :, 0::2], maps[1, :, 1::2] = m * maps[0, :, 1::2], -m * maps[0, :, 0::2]
     maps.flags.writeable = False
     return maps
 
@@ -666,12 +673,12 @@ def _angle_chart(mechanism: Mechanism) -> tuple:
     coefficients in phi (_harmonic_map) of the columns x0..x3 of
     action[i] and then those of their phi-derivatives, the row layout of
     _Speed; its affine combination for a tool point is the coefficient
-    array of _Speed as it stands, with no transpose or copy.  X0 is the same for
-    every tool point, so the array comes scaled once by _x0_scaled.  The
-    pole angles are those of x0, the primal norm of the tool motion.  The
-    sizes of the harmonic rows (motionpoly._basis_sizes) let
-    _affine_action reject a tool point whose coefficients would reach
-    _X_LIMIT.  Built on first use and kept, read-only, in the mechanism's
+    array of _Speed as it stands, with no transpose or copy.  X0 is the
+    same for every tool point, so the array comes scaled once by
+    _x0_scaled.  The pole angles are those of x0, the primal norm of the
+    tool motion.  The sizes of the harmonic rows
+    (motionpoly._basis_sizes) let _affine_action reject a tool point
+    whose coefficients would reach _X_LIMIT.  Built on first use and kept, read-only, in the mechanism's
     _chart slot.
     """
     if mechanism._chart is None:

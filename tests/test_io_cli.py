@@ -570,3 +570,39 @@ def test_cli_exit_codes_on_mutated_fixtures(tmp_path, capsys):
                 capsys.readouterr()
             seen += 1
     assert seen == 81
+
+
+_spec = importlib.util.spec_from_file_location(
+    "capture", pathlib.Path(__file__).parents[1] / "tools" / "capture.py"
+)
+capture = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(capture)
+
+
+def test_capture_compare_summarizes_moves_per_kind(capsys):
+    old = [
+        "('arc', 'a', 2.0)",
+        "('arc', 'b', ('error', 'QuadratureFailure', 'panel [0.1, 0.2]'))",
+        "('dk', 'a', (inf, -1.5), 3)",
+        "('dk', 'b', (1.0, -1.5), 3)",
+    ]
+    new = [
+        "('arc', 'a', 2.0000000000000004)",
+        "('arc', 'b', ('error', 'QuadratureFailure', 'panel [0.1, 0.3]'))",
+        "('dk', 'a', (inf, -1.5), 3)",
+        "('dk', 'b', (1.0, -1.5), 4)",
+        "('cli', 'x', (0, 'out'))",
+    ]
+    capture.compare(old, new)
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[1:4] == [
+        ["arc", "2", "2", "1", "2.2e-16"],
+        ["dk", "2", "1", "1", "0"],
+        ["cli", "0->1", "1", "1", "0"],
+    ]
+    assert rows[4:] == [
+        ["records", "whose", "error", "messages", "changed:", "1"],
+        ["('arc',", "'b')"],
+        ["-", "QuadratureFailure:", "panel", "[0.1,", "0.2]"],
+        ["+", "QuadratureFailure:", "panel", "[0.1,", "0.3]"],
+    ]

@@ -1,6 +1,6 @@
 """Seeded record of dqlink's answers, for diffing two source trees.
 
-    PYTHONPATH=src python tools/capture.py
+    PYTHONPATH=src python tools/capture.py [--compare FILE]
 
 Prints one repr line per record, then the sha256 of those lines.  The
 records cover direct kinematics and its canonical pose (theta = 0 and
@@ -17,8 +17,19 @@ diffs cleanly against one that uses math.inf.  Floats print by repr, so
 equal lines mean equal bits; numpy and BLAS builds may round
 differently, so the digest is compared between trees on one machine,
 never against a stored value.
+
+With --compare FILE, FILE being this script's output for another tree,
+it prints a summary instead of the records: for each record kind, how
+many records differ from FILE, how many of those change more than
+floats (an integer, a string or the shape of the record), and the
+largest relative move of their floats; then every record whose error
+messages changed, with the old and the new ones.  The i-th record of a
+kind is compared with the i-th of that kind in FILE.  The exit code is
+0 whether or not records differ.
 """
 
+import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -220,15 +231,94 @@ def records():
     yield from cli_records()
 
 
+def parse(line: str):
+    """A record line back as nested tuples; repr writes inf and nan as
+    bare names, which become floats."""
+
+    def value(node):
+        if isinstance(node, ast.Name):
+            return float(node.id)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -value(node.operand)
+        if isinstance(node, (ast.Tuple, ast.List)):
+            return tuple(value(item) for item in node.elts)
+        return node.value
+
+    return value(ast.parse(line, mode="eval").body)
+
+
+def leaves(value) -> list:
+    """The scalars of a parsed record, depth first."""
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in leaves(item)]
+    return [value]
+
+
+def errors(value) -> list:
+    """The "type: message" of each error a parsed record holds."""
+    if not isinstance(value, tuple):
+        return []
+    if len(value) == 3 and value[0] == "error":
+        return ["%s: %s" % value[1:]]
+    return [text for item in value for text in errors(item)]
+
+
+def move(a: float, b: float) -> float:
+    """Relative move from a to b, 0 when both print alike."""
+    if repr(a) == repr(b):
+        return 0.0
+    if math.isfinite(a) and math.isfinite(b):
+        return abs(a - b) / max(abs(a), abs(b))
+    return math.inf
+
+
+def compare(old_lines, new_lines):
+    """Print, per record kind, how the records moved from old to new."""
+    kinds = {}
+    for side, lines in enumerate((old_lines, new_lines)):
+        for line in lines:
+            record = parse(line)
+            kinds.setdefault(record[0], ([], []))[side].append((line, record))
+    changed = []
+    print("%-20s %9s %7s %7s  %s" % ("kind", "records", "differ", "other", "largest float move"))
+    for kind, (old, new) in kinds.items():
+        differ = other = abs(len(old) - len(new))
+        worst = 0.0
+        for (old_line, x), (new_line, y) in zip(old, new):
+            if old_line == new_line:
+                continue
+            differ += 1
+            lx, ly = leaves(x), leaves(y)
+            pairs = list(zip(lx, ly))
+            worst = max([worst] + [move(a, b) for a, b in pairs if type(a) is type(b) is float])
+            other += len(lx) != len(ly) or any(
+                a != b for a, b in pairs if not type(a) is type(b) is float
+            )
+            if errors(x) != errors(y):
+                changed.append((x[:-1], errors(x), errors(y)))
+        count = "%d" % len(new) if len(old) == len(new) else "%d->%d" % (len(old), len(new))
+        print("%-20s %9s %7d %7d  %.2g" % (kind, count, differ, other, worst))
+    print("records whose error messages changed: %d" % len(changed))
+    for where, was, now in changed:
+        print("  %r" % (where,))
+        for text in was:
+            print("    - " + text)
+        for text in now:
+            print("    + " + text)
+
+
 def main() -> int:
-    digest = hashlib.sha256()
-    count = 0
-    for record in records():
-        line = repr(record)
-        print(line)
-        digest.update(line.encode("utf-8") + b"\n")
-        count += 1
-    print("sha256 %s of %d records" % (digest.hexdigest(), count))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--compare", metavar="FILE", help="summarize the moves from FILE")
+    args = parser.parse_args()
+    lines = [repr(record) for record in records()]
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode("utf-8"))
+    if args.compare is None:
+        print("\n".join(lines))
+    else:
+        text = pathlib.Path(args.compare).read_text(encoding="utf-8").splitlines()
+        compare([line for line in text if line.startswith("(")], lines)
+    print("sha256 %s of %d records" % (digest.hexdigest(), len(lines)))
     return 0
 
 
